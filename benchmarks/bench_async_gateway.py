@@ -32,7 +32,7 @@ from collections import Counter, defaultdict, deque
 import numpy as np
 
 from common import emit, full_mode
-from repro.serve import AsyncGateway, GatewayConfig, SchedCore, Server, ServerConfig
+from repro.serve import AsyncGateway, SchedCore, Server, ServingPolicy
 from repro.utils import format_table, seed_all
 
 INPUT = (3, 16, 16)
@@ -365,14 +365,14 @@ def measure_gateway():
     images = [rng.standard_normal(INPUT).astype(np.float32) for _ in range(n)]
 
     server = Server(model(), input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     ids = [server.submit(image) for image in images]
     server.flush()
     sync_out = [server.result(i).output for i in ids]
 
     async def run():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=0.005,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                                        shed_policy="deadline"))
         gw.register("m", model(), input_shapes=[INPUT])
         start = time.perf_counter()
         results = await asyncio.gather(

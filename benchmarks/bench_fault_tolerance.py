@@ -39,7 +39,7 @@ from repro.serve import (
     RequestStatus,
     RetryPolicy,
     Router,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.utils import format_table, seed_all
 
@@ -63,10 +63,9 @@ def _images(n, seed=0):
 def _virtual_router(**server_knobs):
     t = [0.0]
     router = Router(
-        server_config=ServerConfig(bucket_sizes=(4,), max_latency=0.05,
-                                   **server_knobs),
+        server_config=ServingPolicy(bucket_sizes=(4,), max_latency=0.05,
+                                    **server_knobs),
         clock=lambda: t[0],
-        overlap=False,
         sleep=lambda dt: t.__setitem__(0, t[0] + dt),
     )
     return router, t
@@ -109,13 +108,12 @@ def measure_chaos_goodput():
         )
         router, handles = run(inj)
         metrics = router.metrics().per_model["m"]
-        server = router.server("m")
         good = mismatches = failed_innocent = 0
         for handle, ref in zip(handles, reference):
             status = router.status(handle)
             if status == RequestStatus.FAILED:
                 # Never silent: the typed failure is always retrievable.
-                assert isinstance(server.failure(handle.request_id),
+                assert isinstance(router.failure(handle),
                                   RequestFailed)
                 if handle.request_id not in poisoned_ids:
                     failed_innocent += 1

@@ -22,15 +22,16 @@ Reported:
   overlaps the three per-model execution chains.  Per-batch execution
   times are measured on a serial drain and the overlapped completion time
   is modelled as the LPT makespan of those chains (each chain is
-  unsplittable: a server serialises its own batches on its ``_exec_lock``)
-  — the same measure-serially/model-the-schedule protocol as
-  ``bench_backend_scaling``, next to the real pooled wall time.
+  unsplittable: a model serialises its own batches on its executor's
+  ``exec_lock``) — the same measure-serially/model-the-schedule protocol
+  as ``bench_backend_scaling``, next to the real pooled wall time.
 
-The cache/hit-rate sections run on an ``overlap=False`` router: they are
-synchronous and seeded, so every count (hits, misses, evictions, hit
-rates) stays deterministic and machine-independent — safe for the
-perf-trajectory comparator to gate on.  Overlap would interleave the
-models' cache-access order and trade that determinism away.
+The cache/hit-rate sections run under ``num_workers(1)``: the router's
+drain is then strictly serial in its scheduling core's order, synchronous
+and seeded, so every count (hits, misses, evictions, hit rates) stays
+deterministic and machine-independent — safe for the perf-trajectory
+comparator to gate on.  A wider pool would overlap the models' batches and
+interleave their cache-access order, trading that determinism away.
 """
 import time
 
@@ -44,7 +45,7 @@ from repro.backend import (
     plan_cache_stats,
 )
 from repro.backend.parallel import makespan
-from repro.serve import Router, ServerConfig
+from repro.serve import Router, ServingPolicy
 from repro.utils import format_table, seed_all
 
 INPUT = (3, 16, 16)
@@ -64,13 +65,10 @@ OVERLAP_WORKERS = 4        # lanes the overlap model schedules onto
 OVERLAP_GATE = 1.5         # required modelled speedup vs serial drain
 
 
-def _build_router(overlap: bool = False) -> Router:
-    # The cache-gate sections need overlap=False: a deterministic,
-    # registration-ordered drain keeps every cache counter reproducible.
+def _build_router() -> Router:
     seed_all(29)
-    router = Router(server_config=ServerConfig(bucket_sizes=(1, 2, 4, 8),
-                                               max_latency=60.0),
-                    overlap=overlap)
+    router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4, 8),
+                                                max_latency=60.0))
     for name, registry_name, kwargs in MODELS:
         router.register(name, registry_name, input_shapes=[INPUT], **kwargs)
     return router
@@ -139,36 +137,29 @@ def _measure_overlap(router: Router) -> dict:
         [rng.standard_normal(INPUT).astype(np.float32) for _ in range(per_round)]
         for _ in range(rounds)
     ]
-    previous_overlap = router.overlap
-
-    def drive(overlap: bool) -> float:
-        router.overlap = overlap
+    def drive(workers: int) -> float:
         wall = 0.0
-        for r in range(rounds):
-            for name in names:
-                for image in images[r]:
-                    router.submit(name, image)
-            start = time.perf_counter()
-            router.flush()
-            wall += time.perf_counter() - start
+        with num_workers(workers):
+            for r in range(rounds):
+                for name in names:
+                    for image in images[r]:
+                        router.submit(name, image)
+                start = time.perf_counter()
+                router.flush()
+                wall += time.perf_counter() - start
         return wall
 
-    try:
-        drive(overlap=False)  # warm every (shape, bucket) plan + buffers
-        for name in names:
-            router.server(name).reset_metrics()
-        serial_wall = drive(overlap=False)
-        chains = {name: router.server(name).exec_seconds() for name in names}
-        assert all(len(c) == rounds for c in chains.values()), chains
-        serial_exec = sum(sum(c) for c in chains.values())
-        modeled = sum(
-            makespan([chains[name][r] for name in names], OVERLAP_WORKERS)
-            for r in range(rounds)
-        )
-        with num_workers(OVERLAP_WORKERS):
-            overlap_wall = drive(overlap=True)
-    finally:
-        router.overlap = previous_overlap
+    drive(1)  # warm every (shape, bucket) plan + buffers
+    router.reset_metrics()
+    serial_wall = drive(1)
+    chains = {name: router.exec_seconds(name) for name in names}
+    assert all(len(c) == rounds for c in chains.values()), chains
+    serial_exec = sum(sum(c) for c in chains.values())
+    modeled = sum(
+        makespan([chains[name][r] for name in names], OVERLAP_WORKERS)
+        for r in range(rounds)
+    )
+    overlap_wall = drive(OVERLAP_WORKERS)
     return {
         "rounds": rounds,
         "requests_per_model": per_round * rounds,
@@ -194,17 +185,19 @@ def report_multimodel_serving():
         router = _build_router()
         stream = _stream(num_requests)
 
-        gate = _measure(router, stream, CAPACITY_FRACTION, old_maxsize)
-        metrics = gate["metrics"]
-        working_set, maxsize = gate["working_set"], gate["maxsize"]
+        with num_workers(1):   # serial drain: deterministic cache counters
+            gate = _measure(router, stream, CAPACITY_FRACTION, old_maxsize)
+            metrics = gate["metrics"]
+            working_set, maxsize = gate["working_set"], gate["maxsize"]
 
-        # Eviction-policy ablation at tighter capacity, where the hot
-        # model's plans do drift to the LRU tail between its batches: the
-        # same stream under traffic-weighted vs pure-LRU victim selection.
-        contended = _measure(router, stream, CONTENDED_FRACTION, old_maxsize)
-        PLAN_CACHE.eviction_candidates = 1
-        contended_lru = _measure(router, stream, CONTENDED_FRACTION, old_maxsize)
-        PLAN_CACHE.eviction_candidates = old_candidates
+            # Eviction-policy ablation at tighter capacity, where the hot
+            # model's plans do drift to the LRU tail between its batches:
+            # the same stream under traffic-weighted vs pure-LRU victims.
+            contended = _measure(router, stream, CONTENDED_FRACTION, old_maxsize)
+            PLAN_CACHE.eviction_candidates = 1
+            contended_lru = _measure(router, stream, CONTENDED_FRACTION,
+                                     old_maxsize)
+            PLAN_CACHE.eviction_candidates = old_candidates
 
         # Cross-model batch overlap (after the count-gated sections: its
         # extra traffic must not perturb their deterministic counters).
@@ -285,7 +278,7 @@ def report_multimodel_serving():
         )
         table += (
             "\nModeled = LPT makespan of the measured per-batch chains on"
-            f"\n{overlap['workers_modeled']} lanes (a server's own batches stay"
+            f"\n{overlap['workers_modeled']} lanes (a model's own batches stay"
             "\nserialised); measured wall only moves with enough unloaded"
             "\nhost cores (see env.host_cpus in the JSON)."
         )

@@ -17,7 +17,7 @@ import numpy as np
 from common import emit, full_mode
 from repro.backend import plan_cache_stats
 from repro.models import build_model
-from repro.serve import Server, ServerConfig
+from repro.serve import Server, ServingPolicy
 from repro.tensor import Tensor, no_grad
 from repro.utils import Timer, format_table, seed_all
 
@@ -49,7 +49,7 @@ def naive_throughput(model, images) -> float:
 def bucketed_run(model, images, bucket_sizes, max_latency=0.05):
     """Serve the same stream through the bucketing front-end."""
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=bucket_sizes,
+                    config=ServingPolicy(bucket_sizes=bucket_sizes,
                                         max_latency=max_latency))
     server.reset_metrics()
     timer = Timer()
@@ -115,7 +115,7 @@ def test_serving_bucketed_8(benchmark):
     model = _model()
     images = _requests(32, seed=5)
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2, 4, 8)))
+                    config=ServingPolicy(bucket_sizes=(1, 2, 4, 8)))
 
     def serve_stream():
         for image in images:

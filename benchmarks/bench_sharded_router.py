@@ -39,7 +39,7 @@ import time
 import numpy as np
 
 from common import emit, full_mode
-from repro.backend.parallel import trace_parallel
+from repro.backend.parallel import num_workers, trace_parallel
 from repro.gpusim import host_fabric_device, host_process_step_time, tesla_v100
 from repro.serve import Router, ServingPolicy, ShardedRouter
 from repro.utils import format_table, seed_all
@@ -79,13 +79,14 @@ def _policy() -> ServingPolicy:
 
 def _assert_bitwise(images) -> int:
     """Shard-served outputs == in-process router outputs, bit for bit."""
-    router = Router(server_config=_policy(), overlap=False)
+    router = Router(server_config=_policy())
     _register_all(router)
     expect = {}
-    for name, _ in MODELS:
-        handles = [router.submit(name, img) for img in images[name]]
-        router.flush()
-        expect[name] = [router.result(h).output for h in handles]
+    with num_workers(1):   # strictly serial in-process reference drain
+        for name, _ in MODELS:
+            handles = [router.submit(name, img) for img in images[name]]
+            router.flush()
+            expect[name] = [router.result(h).output for h in handles]
 
     checked = 0
     with ShardedRouter(shards=len(MODELS), server_config=_policy()) as sharded:
@@ -117,12 +118,14 @@ def _traced_drain(images, repeats: int):
     """
     walls, task_lists = [], []
     for _ in range(repeats):
-        router = Router(server_config=_policy(), overlap=True)
+        router = Router(server_config=_policy())
         _register_all(router)
         for name, _ in MODELS:
             for img in images[name]:
                 router.submit(name, img)
-        with trace_parallel() as regions:
+        # A pool wider than one worker makes the drain one pooled task per
+        # model (trace_parallel then times the tasks serially).
+        with num_workers(len(MODELS)), trace_parallel() as regions:
             start = time.perf_counter()
             router.flush()
             walls.append(time.perf_counter() - start)

@@ -2,15 +2,16 @@
 
 Covers the multi-model API end to end:
 
-1. register three differently-sized models on a ``serve.Router`` (each gets
-   its own shape-bucketed server; all share the process-wide plan cache,
-   with per-model owner tags for exact cache accounting),
+1. register three differently-sized models on a ``serve.Router`` (one
+   scheduling core queues all of them by model and shape; all share the
+   process-wide plan cache, with per-model owner tags for exact cache
+   accounting),
 2. drive skewed synchronous traffic and read ``RouterMetrics``: per-model
    p50/p95/throughput plus exact per-model plan-cache hit rates,
 3. constrain the shared cache below the combined working set and watch
    traffic-weighted eviction keep the hot model warm,
-4. admission control: a bounded per-model queue sheds with ``QueueFull``
-   instead of growing without bound,
+4. admission control: a router whose policy bounds each model's queue
+   sheds with ``QueueFull`` instead of growing without bound,
 5. threaded mode with concurrent multi-model clients.
 
 Run:  python examples/multimodel.py
@@ -79,20 +80,20 @@ for name, cache in metrics.per_model_cache.items():
           f"evictions {cache['evictions']}")
 PLAN_CACHE.resize(1024)
 
-# 4. Admission control: a model with a bounded queue sheds on overload.
-router.register("bounded", "mobilenet", input_shapes=[INPUT],
-                scheme="scc", width_mult=0.25, seed=5,
-                config=ServingPolicy(bucket_sizes=(8,), max_latency=60.0,
-                                     max_pending=4))
+# 4. Admission control: a policy with a bounded queue sheds on overload.
+bounded = Router(server_config=ServingPolicy(bucket_sizes=(8,), max_latency=60.0,
+                                             max_pending=4))
+bounded.register("bounded", "mobilenet", input_shapes=[INPUT],
+                 scheme="scc", width_mult=0.25, seed=5)
 rejected = 0
 for _ in range(10):
     try:
-        router.submit("bounded", rng.standard_normal(INPUT).astype(np.float32))
+        bounded.submit("bounded", rng.standard_normal(INPUT).astype(np.float32))
     except QueueFull:
         rejected += 1
-router.flush()
+bounded.flush()
 print(f"\nadmission control: 10 submitted, {rejected} shed with QueueFull, "
-      f"{router.metrics().per_model['bounded'].completed} completed")
+      f"{bounded.metrics().per_model['bounded'].completed} completed")
 
 # 5. Threaded mode: per-model client threads against the same router.
 router.reset_metrics()

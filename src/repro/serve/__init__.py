@@ -7,25 +7,26 @@ plan-cache hit rate becomes a first-class serving metric next to p50/p95
 latency and throughput.  The tier is three layers:
 
 - **scheduling core** (:mod:`repro.serve.sched`) — pure, clock-injected
-  policy objects: bounded admission with backpressure
-  (:class:`AdmissionPolicy`), arrival-rate-adaptive bucket sizing
-  (:class:`BucketPolicy`), deadline-aware load shedding
-  (:class:`ShedPolicy`), deficit-round-robin cross-model fairness
-  (:class:`FairnessPolicy`), composed by :class:`SchedCore`;
-- **transports** — the synchronous :class:`Server` (thread-worker adapter;
-  bitwise-pinned legacy behaviour at the default config) and
-  :class:`Router` (multi-model, shared plan cache with owner-tagged
-  accounting and traffic-weighted eviction), plus the asyncio
-  :class:`AsyncGateway` (``await``-able submit, per-request latency
-  budgets, shed surfaced as exceptions, batch execution on the shared
-  worker pool), all driving the same :class:`ModelExecutor` batch engine
-  (:mod:`repro.serve.engine`) — which is what makes their outputs
-  bitwise-identical at a fixed bucket size;
+  admission, bucketing, shedding and DRR fairness policies composed by
+  :class:`SchedCore`;
+- **transports** — one synchronous transport (``SyncTransport``, in
+  :mod:`repro.serve.server`) over a single :class:`SchedCore`, fronted by
+  :class:`Server` (one model)
+  and :class:`Router` (many models, DRR order between them, shared plan
+  cache with owner-tagged accounting and traffic-weighted eviction), and
+  the asyncio :class:`AsyncGateway` (``await``-able submit, per-request
+  latency budgets, shed surfaced as exceptions) over the same core; all
+  run batches on the shared worker pool through the same
+  :class:`ModelExecutor` batch engine (:mod:`repro.serve.engine`) — which
+  is what makes their outputs bitwise-identical at a fixed bucket size —
+  and fold completions into the same per-model ``ModelRuntime`` record;
 - **observability** — :class:`ServingMetrics` / :class:`RouterMetrics`
   with the queue-wait vs exec-time latency split, deadline-miss rate,
   shed-by-deadline counts and the live adaptive bucket target;
-  :meth:`Server.status` / :meth:`Router.status` answer a request's
-  lifecycle (``PENDING | DONE | SHED | EVICTED``).
+  ``status`` answers a request's lifecycle
+  (``PENDING | DONE | FAILED | SHED | EVICTED``).
+
+Every transport takes one :class:`ServingPolicy`.
 
 Failure paths are never silent (see the README's "Failure semantics"):
 :class:`QueueFull` (admission), :class:`RequestShed` (shutdown without
@@ -36,7 +37,7 @@ per-model :class:`CircuitBreaker` is open), :class:`ResultTimeout` (a
 ``wait_result`` that gave up, carrying the request's status).
 """
 from repro.serve.engine import BatchTiming, ExecStats, ModelExecutor, RequestFailed
-from repro.serve.gateway import AsyncGateway, GatewayConfig
+from repro.serve.gateway import AsyncGateway
 from repro.serve.policy import ServingPolicy
 from repro.serve.router import Router, RouterHandle, RouterMetrics
 from repro.serve.sched import (
@@ -54,13 +55,11 @@ from repro.serve.server import (
     DeadlineExceeded,
     ModelUnavailable,
     QueueFull,
-    Request,
     RequestResult,
     RequestShed,
     RequestStatus,
     ResultTimeout,
     Server,
-    ServerConfig,
     ServingMetrics,
 )
 from repro.serve.sharded import HashRing, ShardedRouter
@@ -75,12 +74,10 @@ __all__ = [
     "DeadlineExceeded",
     "ExecStats",
     "FairnessPolicy",
-    "GatewayConfig",
     "HashRing",
     "ModelExecutor",
     "ModelUnavailable",
     "QueueFull",
-    "Request",
     "RequestFailed",
     "RequestResult",
     "RequestShed",
@@ -93,7 +90,6 @@ __all__ = [
     "SchedCore",
     "SchedRequest",
     "Server",
-    "ServerConfig",
     "ServingMetrics",
     "ServingPolicy",
     "ShardedRouter",

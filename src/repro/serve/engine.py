@@ -1,14 +1,13 @@
 """The batch execution engine shared by the serving transports.
 
-:class:`ModelExecutor` owns exactly the model-facing half of what
-:class:`~repro.serve.server.Server` used to do inline: the pre-built
-per-(shape, bucket) :class:`~repro.backend.ModelPlan` table, the cold-path
-plan build for unseen shapes, and the staged, owner-tagged batch forward
-under the execution lock.  The sync :class:`Server` and the asyncio
-:class:`~repro.serve.gateway.AsyncGateway` both drive it, which is what
-makes the gateway's outputs bitwise-identical to the sync server's: the
-same plan, the same staging, the same summation order, regardless of which
-transport formed the batch.
+:class:`ModelExecutor` owns the model-facing half of serving: the
+pre-built per-(shape, bucket) :class:`~repro.backend.ModelPlan` table, the
+cold-path plan build for unseen shapes, and the staged, owner-tagged batch
+forward under the execution lock.  The sync transport (behind ``Server`` and
+``Router``) and the asyncio :class:`~repro.serve.gateway.AsyncGateway` both
+run batches through it, which is what makes their outputs
+bitwise-identical: the same plan, the same staging, the same summation
+order, regardless of which transport formed the batch.
 """
 from __future__ import annotations
 
@@ -66,8 +65,8 @@ class BatchTiming:
     ``started``/``finished`` are readings of the *injected* clock (the
     transport's time base — comparable to request ``arrived_at`` and
     deadlines); ``exec_seconds`` is the stage+forward wall time on the real
-    clock regardless of any test clock (the router's overlap model and the
-    gpusim calibration consume it).
+    clock regardless of any test clock (the multi-model overlap model and
+    the gpusim calibration consume it).
     """
 
     __slots__ = ("started", "finished", "exec_seconds")
@@ -81,10 +80,9 @@ class BatchTiming:
 class ModelExecutor:
     """Plan-warm batch execution for one model.
 
-    Parameters mirror the old ``Server`` constructor: plans for every
-    ``input_shapes`` x ``bucket_sizes`` pair are pre-built here (attributed
-    to ``name`` in the shared plan cache), so steady-state batches run
-    entirely on cache hits.  Unseen shapes build lazily under the execution
+    Plans for every ``input_shapes`` x ``bucket_sizes`` pair are pre-built
+    here (attributed to ``name`` in the shared plan cache), so steady-state
+    batches run entirely on cache hits.  Unseen shapes build lazily under the execution
     lock (the build probes the shared model, so it must not overlap an
     in-flight batch).
 

@@ -1,78 +1,48 @@
 """The asyncio serving transport over the scheduling core.
 
-:class:`AsyncGateway` is the third layer of the serving tier refactor: an
-``await``-able front-end where :meth:`~AsyncGateway.submit` resolves with
-the request's :class:`~repro.serve.server.RequestResult` (or raises
-:class:`~repro.serve.server.QueueFull` /
-:class:`~repro.serve.server.DeadlineExceeded` when the request is shed), a
-per-request latency *budget* turns into an absolute deadline the
-:class:`~repro.serve.sched.ShedPolicy` enforces, bucket sizes adapt to the
-observed arrival rate, and deficit-round-robin fairness keeps one heavy
-model from ruining a light model's p95.
+:class:`AsyncGateway` is the ``await``-able front-end: ``submit`` resolves
+with the request's :class:`~repro.serve.server.RequestResult` or raises
+when the request is shed (:class:`~repro.serve.server.QueueFull`,
+:class:`~repro.serve.server.DeadlineExceeded`); a per-request latency
+*budget* becomes an absolute deadline the
+:class:`~repro.serve.sched.ShedPolicy` enforces.
 
-Concurrency discipline: all scheduling state lives in one
-:class:`~repro.serve.sched.SchedCore` touched **only from the event loop**
-— no locks anywhere in the policy path.  Batch execution is the only
-blocking work, and it runs on the process-wide worker pool
-(:func:`repro.backend.parallel.submit_pooled`) with the event loop awaiting
-the wrapped future, so different models' batches overlap on the pool
-exactly like the sync router's ``flush``; each model still serialises its
-own batches (shared staged plan buffers) on an asyncio lock here and the
-executor's thread lock below.
-
-Bitwise guarantee: batches execute on the same
-:class:`~repro.serve.engine.ModelExecutor` as the sync server, so at a
-fixed bucket size the gateway's outputs are bit-identical to the sync
-server's and to per-request inference (asserted in ``tests/test_gateway``).
+All scheduling state lives in one :class:`~repro.serve.sched.SchedCore`
+touched **only from the event loop** — no locks in the policy path.  Batch
+execution runs on the shared worker pool
+(:func:`repro.backend.parallel.submit_pooled`) while the loop awaits the
+wrapped future, at most ``get_num_workers()`` batches at once, each started
+as soon as a slot frees; each model serialises its own batches on an asyncio
+lock here and the executor's thread lock below.  Completions fold into the same
+per-model :class:`~repro.serve.server.ModelRuntime` record the sync
+transports use, so ``metrics()`` means the same thing everywhere, and the
+same :class:`~repro.serve.engine.ModelExecutor` makes outputs at a fixed
+bucket bit-identical to the sync transports' and to per-request inference.
 """
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from repro.backend import plan_owner, submit_pooled
+from repro.backend import get_num_workers, submit_pooled
 from repro.serve.engine import ModelExecutor, RequestFailed
-from repro.serve.policy import GatewayConfig, ServingPolicy
-from repro.serve.sched import Batch, CircuitBreaker, SchedCore, SchedRequest
+from repro.serve.policy import ServingPolicy
+from repro.serve.sched import Batch, SchedRequest
 from repro.serve.server import (
     DeadlineExceeded,
-    ModelUnavailable,
+    ModelRuntime,
     QueueFull,
     RequestResult,
+    RequestShed,
     ServingMetrics,
-    _percentile,
+    breaker_snapshots,
+    resolve_model,
 )
 
-__all__ = ["AsyncGateway", "GatewayConfig"]
-
-# GatewayConfig moved to repro.serve.policy: the shared knobs now live on
-# ServingPolicy and GatewayConfig is a deprecated shim re-exported here
-# (with the gateway's historical adaptive/deadline defaults) for the
-# one-release compatibility window.
-
-
-@dataclass
-class _ModelRuntime:
-    """Event-loop-side state of one registered model."""
-
-    executor: ModelExecutor
-    exec_lock: asyncio.Lock = field(default_factory=asyncio.Lock)
-    completed: int = 0
-    deadline_misses: int = 0
-    deadline_total: int = 0
-    latencies: list[float] = field(default_factory=list)
-    queue_waits: list[float] = field(default_factory=list)
-    batch_records: list[tuple[int, int]] = field(default_factory=list)
-    exec_seconds: list[float] = field(default_factory=list)
-    breaker: CircuitBreaker | None = None
-    failed: int = 0        # RequestFailed terminal failures
-    retries: int = 0       # transient-fault batch retries (engine + pool)
-    isolations: int = 0    # batches bisected to isolate a failure
-    unavailable: int = 0   # submits shed while the breaker was open
+__all__ = ["AsyncGateway"]
 
 
 class AsyncGateway:
@@ -80,7 +50,7 @@ class AsyncGateway:
 
     Usage::
 
-        async with AsyncGateway(GatewayConfig(max_latency=0.005)) as gw:
+        async with AsyncGateway(ServingPolicy(max_latency=0.005)) as gw:
             gw.register("small", "mobilenet", input_shapes=[(3, 16, 16)],
                         width_mult=0.25)
             result = await gw.submit("small", image, budget=0.05)
@@ -91,7 +61,10 @@ class AsyncGateway:
     the request itself is shed with its budget blown.  Every await-er of a
     shed request gets the exception — nothing is silently dropped.
 
-    Must be constructed (and driven) inside a running event loop.
+    ``config=None`` keeps the gateway's historical defaults (adaptive
+    buckets, deadline shedding); a :class:`ServingPolicy` means what it
+    says.  Batches run at most ``get_num_workers()`` at a time.  Must be
+    driven inside a running event loop.
     """
 
     def __init__(
@@ -100,28 +73,18 @@ class AsyncGateway:
         clock: Callable[[], float] = time.perf_counter,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        self.config = GatewayConfig.coerce(config)
+        if config is None:
+            config = ServingPolicy(adaptive_buckets=True, shed_policy="deadline")
+        self.config = config
         self.clock = clock
         self.sleep = sleep  # backoff sleeps inside pooled batch execution
-        self.core = SchedCore(
-            bucket_sizes=self.config.bucket_sizes,
-            max_latency=self.config.max_latency,
-            max_pending=self.config.max_pending,
-            adaptive_buckets=self.config.adaptive_buckets,
-            shed_policy=self.config.shed_policy or "newest",
-            fairness=self.config.fairness,
-            quantum=self.config.quantum,
-        )
-        self._models: dict[str, _ModelRuntime] = {}
+        self.core = self.config.make_core()
+        self._models: dict[str, ModelRuntime] = {}
+        self._model_locks: dict[str, asyncio.Lock] = {}
         self._futures: dict[int, asyncio.Future] = {}
         self._wake = asyncio.Event()
         self._batch_tasks: set[asyncio.Task] = set()
-        limit = self.config.max_concurrent_batches
-        if limit is None:
-            from repro.backend import get_num_workers
-
-            limit = max(1, get_num_workers())
-        self._batch_slots = asyncio.Semaphore(limit)
+        self._batch_slots = asyncio.Semaphore(max(1, get_num_workers()))
         self._loop_task: asyncio.Task | None = None
         self._stopping = False
 
@@ -137,36 +100,19 @@ class AsyncGateway:
         **build_kwargs,
     ) -> None:
         """Add a model under ``name`` (module or registry name, like
-        :meth:`repro.serve.router.Router.register`).
-
-        ``request_cost`` prices one padded batch slot for the DRR fairness
-        accounting (a model whose batches run ~20x longer should cost
-        ~20x); ``exec_estimate`` sharpens deadline shedding by the expected
-        batch execution time.  The default (``None``) auto-calibrates: the
-        estimate follows an EWMA of this model's measured batch execution
-        spans (``SchedCore.observe_exec``), so operators no longer have to
-        guess the knob — pass an explicit value only to pin it.
-        """
+        :meth:`repro.serve.router.Router.register`).  ``request_cost`` and
+        ``exec_estimate`` are :meth:`~repro.serve.sched.SchedCore.add_model`'s
+        DRR price and deadline-shed estimate; the default ``None`` estimate
+        follows the model's measured batch spans."""
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
-        if isinstance(model, str):
-            from repro.models import build_serving_model
-
-            with plan_owner(name):
-                model = build_serving_model(model, **build_kwargs)
-        elif build_kwargs:
-            raise ValueError(
-                "build_kwargs only apply when model is a registry name, "
-                f"got kwargs {sorted(build_kwargs)} with a built model"
-            )
         executor = ModelExecutor(
-            model, input_shapes=input_shapes,
+            resolve_model(name, model, build_kwargs), input_shapes=input_shapes,
             bucket_sizes=self.config.bucket_sizes, name=name,
             degrade_after=self.config.degrade_after,
         )
-        self._models[name] = _ModelRuntime(
-            executor=executor, breaker=self.config.make_breaker()
-        )
+        self._models[name] = ModelRuntime(executor, self.config.make_breaker())
+        self._model_locks[name] = asyncio.Lock()
         self.core.add_model(
             name, request_cost=request_cost, exec_estimate=exec_estimate
         )
@@ -196,37 +142,44 @@ class AsyncGateway:
         self._ensure_loop()
         now = self.clock()
         runtime = self._models[model]
-        if runtime.breaker is not None and not runtime.breaker.allow(now):
-            runtime.unavailable += 1
-            raise ModelUnavailable(
-                f"model {model!r} is unavailable: circuit breaker open "
-                f"(error rate {runtime.breaker.error_rate():.0%} over "
-                f"recent requests)"
-            )
+        runtime.admit(now)
         deadline = None if budget is None else now + budget
         outcome = self.core.submit(
             model, image.shape, now, deadline=deadline, payload=image
         )
         self._fail_shed(outcome.displaced)
         if not outcome.accepted:
+            runtime.rejected += 1
             raise QueueFull(
                 f"gateway queue for {model!r} at capacity "
                 f"(max_pending={self.config.max_pending}); request shed"
             )
+        if runtime.started is None:
+            runtime.started = now
         future = asyncio.get_running_loop().create_future()
         self._futures[outcome.request.id] = future
         self._wake.set()
         return await future
 
-    def _fail_shed(self, victims: list[SchedRequest]) -> None:
-        """Resolve shed requests' futures with DeadlineExceeded."""
+    def _fail_shed(self, victims: list[SchedRequest], deadline: bool = True) -> None:
+        """Resolve shed requests' futures: :class:`DeadlineExceeded` for
+        blown budgets, :class:`RequestShed` for a shutdown shed."""
         for victim in victims:
-            future = self._futures.pop(victim.id, None)
-            if future is not None and not future.done():
-                future.set_exception(DeadlineExceeded(
+            runtime = self._models[victim.model]
+            if deadline:
+                runtime.shed_deadline += 1
+                error = DeadlineExceeded(
                     f"request {victim.id} for {victim.model!r} was shed: its "
                     f"latency budget expired while it was still queued"
-                ))
+                )
+            else:
+                runtime.shed += 1
+                error = RequestShed(
+                    f"request {victim.id} was shed on shutdown before executing"
+                )
+            future = self._futures.pop(victim.id, None)
+            if future is not None and not future.done():
+                future.set_exception(error)
 
     def kick(self) -> None:
         """Wake the scheduler loop immediately (deterministic tests with an
@@ -279,7 +232,7 @@ class AsyncGateway:
         images = [r.payload for r in batch.requests]
         ids = [r.id for r in batch.requests]
         retry = self.config.retry
-        async with self._batch_slots, runtime.exec_lock:
+        async with self._batch_slots, self._model_locks[batch.model]:
             # The engine's run_resilient handles kernel-level retries and
             # bisect isolation inside the pool; this loop only covers
             # failures *reaching* the pool (submit errors and the like),
@@ -304,61 +257,32 @@ class AsyncGateway:
                         continue
                     done = self.clock()
                     for request in batch.requests:
-                        future = self._futures.pop(request.id, None)
-                        if future is not None and not future.done():
-                            future.set_exception(RequestFailed(
-                                request.id,
-                                f"request {request.id} failed: batch could "
-                                f"not be executed ({exc})",
-                                cause=exc,
-                            ))
-                        runtime.failed += 1
-                        if runtime.breaker is not None:
-                            runtime.breaker.record(False, done)
+                        runtime.record(False, done)
+                        self._resolve(request.id, RequestFailed(
+                            request.id,
+                            f"request {request.id} failed: batch could "
+                            f"not be executed ({exc})",
+                            cause=exc,
+                        ))
                     return
-        done = timing.finished
-        n = len(batch.requests)
-        runtime.batch_records.append((n, batch.bucket))
-        runtime.exec_seconds.append(timing.exec_seconds)
         # Auto-calibrate the deadline shed's exec_estimate from the span
         # the batch actually took on the gateway clock — same time base as
         # the deadlines it will be compared against.
         self.core.observe_exec(
             batch.model, max(0.0, timing.finished - timing.started)
         )
-        runtime.retries += stats.retries
-        if stats.splits:
-            runtime.isolations += 1
-        completed = 0
-        for i, request in enumerate(batch.requests):
-            future = self._futures.pop(request.id, None)
-            if i in errors:
-                runtime.failed += 1
-                if runtime.breaker is not None:
-                    runtime.breaker.record(False, done)
-                if future is not None and not future.done():
-                    future.set_exception(errors[i])
-                continue
-            completed += 1
-            result = RequestResult(
-                id=request.id,
-                output=rows[i].copy(),
-                latency=done - request.arrived_at,
-                batch_requests=n,
-                bucket_size=batch.bucket,
-                queue_wait=timing.started - request.arrived_at,
-            )
-            runtime.latencies.append(result.latency)
-            runtime.queue_waits.append(result.queue_wait)
-            if runtime.breaker is not None:
-                runtime.breaker.record(True, done)
-            if request.deadline is not None:
-                runtime.deadline_total += 1
-                if done > request.deadline:
-                    runtime.deadline_misses += 1
-            if future is not None and not future.done():
-                future.set_result(result)
-        runtime.completed += completed
+        outcomes = runtime.fold(batch, rows, errors, stats, timing)
+        for request, outcome in zip(batch.requests, outcomes):
+            self._resolve(request.id, outcome)
+
+    def _resolve(self, request_id: int, outcome) -> None:
+        future = self._futures.pop(request_id, None)
+        if future is None or future.done():
+            return
+        if isinstance(outcome, BaseException):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
 
     # -- shutdown -------------------------------------------------------------
 
@@ -370,6 +294,10 @@ class AsyncGateway:
             if batch is None:
                 break
             self._spawn_batch(batch)
+        await self._settle()
+
+    async def _settle(self) -> None:
+        """Await every in-flight batch (spawned ones included)."""
         while self._batch_tasks:
             await asyncio.gather(*list(self._batch_tasks),
                                  return_exceptions=True)
@@ -378,8 +306,9 @@ class AsyncGateway:
         """Stop the scheduler loop; drain or shed what is still queued.
 
         ``drain=False`` sheds: every still-queued request's await-er gets
-        :class:`~repro.serve.server.RequestShed` — nothing submitted is
-        silently dropped, matching the sync server's shutdown contract.
+        :class:`~repro.serve.server.RequestShed` (counted in
+        ``ServingMetrics.shed``) — nothing submitted is silently dropped,
+        matching the sync transports' shutdown contract.  Idempotent.
         """
         self._stopping = True
         self._wake.set()
@@ -389,18 +318,8 @@ class AsyncGateway:
         if drain:
             await self.drain()
         else:
-            from repro.serve.server import RequestShed
-
-            for victim in self.core.shed_all():
-                future = self._futures.pop(victim.id, None)
-                if future is not None and not future.done():
-                    future.set_exception(RequestShed(
-                        f"request {victim.id} was shed on shutdown "
-                        f"before executing"
-                    ))
-            while self._batch_tasks:
-                await asyncio.gather(*list(self._batch_tasks),
-                                     return_exceptions=True)
+            self._fail_shed(self.core.shed_all(), deadline=False)
+            await self._settle()
 
     async def __aenter__(self) -> "AsyncGateway":
         self._ensure_loop()
@@ -412,60 +331,10 @@ class AsyncGateway:
     # -- metrics --------------------------------------------------------------
 
     def metrics(self) -> dict[str, ServingMetrics]:
-        """Per-model :class:`ServingMetrics` over the gateway's lifetime.
-
-        Wall-clock throughput is not computed here (the injected clock may
-        be virtual); the latency split (``queue_wait_mean`` vs
-        ``exec_mean``), deadline-miss rate, shed counts and the live
-        adaptive ``bucket_target`` are the gateway-native observables.
-        """
-        out: dict[str, ServingMetrics] = {}
-        for name, runtime in self._models.items():
-            stats = self.core.stats(name)
-            lat = sorted(runtime.latencies)
-            waits = sorted(runtime.queue_waits)
-            real = sum(n for n, _ in runtime.batch_records)
-            padded = sum(b for _, b in runtime.batch_records)
-            out[name] = ServingMetrics(
-                completed=runtime.completed,
-                batches=len(runtime.batch_records),
-                throughput=0.0,
-                latency_p50=_percentile(lat, 0.50),
-                latency_p95=_percentile(lat, 0.95),
-                latency_mean=sum(lat) / len(lat) if lat else 0.0,
-                plan_cache_hit_rate=1.0,
-                plan_builds=0,
-                mean_batch_occupancy=real / len(runtime.batch_records)
-                if runtime.batch_records else 0.0,
-                mean_bucket_fill=real / padded if padded else 0.0,
-                rejected=stats["rejected"],
-                shed=stats["shed_deadline"],
-                exec_seconds_total=sum(runtime.exec_seconds),
-                fused_layers=runtime.executor.fused_layers,
-                shed_deadline=stats["shed_deadline"],
-                deadline_misses=runtime.deadline_misses,
-                deadline_miss_rate=runtime.deadline_misses / runtime.deadline_total
-                if runtime.deadline_total else 0.0,
-                queue_wait_mean=sum(waits) / len(waits) if waits else 0.0,
-                queue_wait_p95=_percentile(waits, 0.95),
-                exec_mean=sum(runtime.exec_seconds) / len(runtime.exec_seconds)
-                if runtime.exec_seconds else 0.0,
-                bucket_target=stats["bucket_target"],
-                failed=runtime.failed,
-                retries=runtime.retries,
-                isolated_batches=runtime.isolations,
-                unavailable=runtime.unavailable,
-                degraded_plans=len(runtime.executor.degraded()),
-                breaker_state=runtime.breaker.state
-                if runtime.breaker else "disabled",
-                breaker_opens=runtime.breaker.opens if runtime.breaker else 0,
-            )
-        return out
+        """Per-model :class:`ServingMetrics` over the gateway's lifetime
+        (the same record and metrics code as the sync transports)."""
+        return {name: runtime.metrics(self.core.bucket_target(name))
+                for name, runtime in self._models.items()}
 
     def breaker_snapshots(self) -> dict[str, dict]:
-        """Per-model circuit-breaker snapshots (only breaker-enabled models)."""
-        return {
-            name: runtime.breaker.snapshot()
-            for name, runtime in self._models.items()
-            if runtime.breaker is not None
-        }
+        return breaker_snapshots(self._models)

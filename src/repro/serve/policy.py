@@ -1,56 +1,38 @@
-"""The shared serving policy: one dataclass of front-end knobs.
+"""The serving policy: one dataclass of front-end knobs for every transport.
 
-Historically the sync :class:`~repro.serve.server.Server` and the asyncio
-:class:`~repro.serve.gateway.AsyncGateway` each grew their own config
-dataclass, and the two drifted into near-duplicates: admission
-(``max_pending``), bucketing (``bucket_sizes`` / ``max_latency`` /
-``adaptive_buckets``), shedding (``shed_policy``) and the whole fault plane
-(``retry`` / ``isolate_failures`` / ``breaker_*`` / ``degrade_after``) were
-declared — and validated — twice.  :class:`ServingPolicy` is the single
-source of truth for those knobs now; both transports accept one directly::
+Admission (``max_pending``), bucketing (``bucket_sizes`` / ``max_latency``
+/ ``adaptive_buckets``), shedding (``shed_policy``) and the fault plane
+(``retry`` / ``isolate_failures`` / ``breaker_*`` / ``degrade_after``) are
+declared and validated once, here, and every transport takes a policy::
 
     policy = ServingPolicy(max_latency=0.005, breaker_window=16)
-    server = Server(model, config=policy)          # sync transport
+    server = Server(model, config=policy)          # single-model sync front
+    router = Router(server_config=policy)          # multi-model sync front
     gateway = AsyncGateway(policy)                 # asyncio transport
-    router = Router(server_config=policy)          # multi-model front-end
 
-The old per-transport classes survive as **deprecated shims**
-(:class:`ServerConfig`, :class:`GatewayConfig`): they subclass
-:class:`ServingPolicy`, add only their transport-specific extras
-(worker-thread poll interval and retention bounds on the server side; DRR
-fairness and batch-concurrency knobs on the gateway side) and keep their
-historical defaults — but direct construction emits a
-:class:`DeprecationWarning` and they will be folded away one release after
-this one.  Transports normalise whatever they are given through
-:meth:`ServingPolicy.coerce`, so every combination (nothing, a bare
-policy, a legacy config) behaves bit-for-bit like the legacy default.
+What is not a knob: retention bounds are the module constants
+:data:`repro.serve.server.RESULT_CAPACITY` / ``METRICS_WINDOW``, and how
+many batches run at once follows the worker-pool size
+(:func:`repro.backend.get_num_workers`).
 """
 from __future__ import annotations
 
-import threading
-import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Iterator
+from dataclasses import dataclass
 
-from repro.serve.sched import CircuitBreaker, RetryPolicy, ShedPolicy
+from repro.serve.sched import CircuitBreaker, RetryPolicy, SchedCore, ShedPolicy
 
-__all__ = ["GatewayConfig", "ServerConfig", "ServingPolicy"]
+__all__ = ["ServingPolicy"]
 
 
 @dataclass
 class ServingPolicy:
     """Transport-agnostic serving knobs (admission, bucketing, fault plane).
 
-    Consumed directly by :class:`~repro.serve.server.Server`,
-    :class:`~repro.serve.router.Router`,
-    :class:`~repro.serve.sharded.ShardedRouter` and
-    :class:`~repro.serve.gateway.AsyncGateway`.  Defaults reproduce the
-    sync server's historical behaviour (fixed max-size buckets, no
-    shedding); the asyncio gateway's historical defaults
-    (``adaptive_buckets=True``, ``shed_policy="deadline"``) live on its
-    :class:`GatewayConfig` shim — a bare policy means what it says on
-    every transport.
+    Every transport takes one (see the module docstring).  The defaults
+    are fixed max-size buckets and no shedding; a policy means what it says
+    on every transport.  Only ``AsyncGateway(None)`` differs: it builds a
+    policy with its historical ``adaptive_buckets=True,
+    shed_policy="deadline"``.
     """
 
     bucket_sizes: tuple[int, ...] = (1, 2, 4, 8)
@@ -104,6 +86,14 @@ class ServingPolicy:
 
     # -- derived accessors the transports share --------------------------------
 
+    def make_core(self) -> SchedCore:
+        """A fresh :class:`SchedCore` under these admission/bucket/shed knobs."""
+        return SchedCore(
+            bucket_sizes=self.bucket_sizes, max_latency=self.max_latency,
+            max_pending=self.max_pending, adaptive_buckets=self.adaptive_buckets,
+            shed_policy=self.shed_policy or "newest",
+        )
+
     def make_breaker(self) -> CircuitBreaker | None:
         """A fresh :class:`CircuitBreaker` per these knobs (None = disabled)."""
         if self.breaker_window is None:
@@ -125,112 +115,3 @@ class ServingPolicy:
             if n <= size:
                 return size
         return self.max_bucket
-
-    # -- shim plumbing ---------------------------------------------------------
-
-    @classmethod
-    def from_policy(cls, policy: "ServingPolicy", **extras) -> "ServingPolicy":
-        """Build this config class from a policy's shared fields.
-
-        Transport-specific extras keep their defaults unless passed
-        explicitly.  Never warns — this is the sanctioned path from the new
-        surface into a shim, used by the transports to normalise a bare
-        :class:`ServingPolicy`.
-        """
-        shared = {f.name: getattr(policy, f.name) for f in fields(ServingPolicy)}
-        shared.update(extras)
-        with _shim_sanctioned():
-            return cls(**shared)
-
-    @classmethod
-    def coerce(cls, config: "ServingPolicy | None") -> "ServingPolicy":
-        """Normalise a transport's ``config`` argument to this class.
-
-        ``None`` builds the transport's historical defaults; an instance of
-        this class passes through untouched; any other
-        :class:`ServingPolicy` is lifted via :meth:`from_policy`.  Internal
-        construction never emits the shim deprecation warning.
-        """
-        if isinstance(config, cls):
-            return config
-        if config is None:
-            with _shim_sanctioned():
-                return cls()
-        if not isinstance(config, ServingPolicy):
-            raise TypeError(
-                f"config must be a ServingPolicy (or {cls.__name__}), "
-                f"got {type(config).__name__}"
-            )
-        return cls.from_policy(config)
-
-
-# Direct shim construction warns; the transports' internal normalisation
-# (coerce/from_policy) is sanctioned and stays silent.  Thread-local so a
-# sanctioned construction on one thread never masks user code on another.
-_SANCTIONED = threading.local()
-
-
-@contextmanager
-def _shim_sanctioned() -> Iterator[None]:
-    previous = getattr(_SANCTIONED, "active", False)
-    _SANCTIONED.active = True
-    try:
-        yield
-    finally:
-        _SANCTIONED.active = previous
-
-
-def _warn_shim(name: str) -> None:
-    if getattr(_SANCTIONED, "active", False):
-        return
-    warnings.warn(
-        f"{name} is deprecated and will be removed one release after the "
-        f"ServingPolicy consolidation: construct a repro.serve.ServingPolicy "
-        f"and pass it as the transport's config instead (transport-specific "
-        f"extras keep their defaults, or use {name}.from_policy).",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-@dataclass
-class ServerConfig(ServingPolicy):
-    """Deprecated sync-server shim over :class:`ServingPolicy`.
-
-    Adds the sync transport's extras: the background worker's poll interval
-    and the retention bounds that keep a long-running server's memory flat
-    (unread results evicted FIFO past ``result_capacity``; latency
-    percentiles over the most recent ``metrics_window`` completions).
-    """
-
-    worker_poll_interval: float | None = None  # thread mode; default latency/4
-    result_capacity: int = 65536
-    metrics_window: int = 65536
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.result_capacity < 1 or self.metrics_window < 1:
-            raise ValueError("result_capacity and metrics_window must be >= 1")
-        _warn_shim("ServerConfig")
-
-
-@dataclass
-class GatewayConfig(ServingPolicy):
-    """Deprecated asyncio-gateway shim over :class:`ServingPolicy`.
-
-    Keeps the gateway's historical defaults (adaptive buckets, deadline
-    shedding) and adds its extras: DRR fairness between models and the
-    bound on batches in flight on the worker pool at once.
-    """
-
-    adaptive_buckets: bool = True
-    shed_policy: str = "deadline"
-    fairness: str = "drr"          # "drr" | "fifo"
-    quantum: float | None = None   # DRR quantum (cost units); default max bucket
-    # Batches in flight on the worker pool at once, across models.  None
-    # sizes it to the pool: more would only queue inside the executor.
-    max_concurrent_batches: int | None = None
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _warn_shim("GatewayConfig")

@@ -1,43 +1,23 @@
 """Multi-model serving router over the shared execution-plan cache.
 
-One process, many models: the :class:`Router` owns one
-:class:`~repro.serve.server.Server` per registered model, routes each
-request to its model's server by name, and lets every server share the
-process-wide :data:`~repro.backend.workload.PLAN_CACHE`.  Each server is
-registered under its model name as the cache *owner* tag
-(:func:`repro.backend.plan_owner`), which buys the two things single-model
-serving never exercised:
+One process, many models, **one scheduling core**: :class:`Router` is the
+multi-model front of :class:`~repro.serve.server.SyncTransport`, so
+admission (per model, ``ServingPolicy.max_pending``), bucketing, deadline
+shedding and the deficit-round-robin order between models are decided in
+one :class:`~repro.serve.sched.SchedCore`.  All models share the
+process-wide :data:`~repro.backend.workload.PLAN_CACHE` under their names
+as cache *owner* tags (:func:`repro.backend.plan_owner`), which buys:
 
 - **per-model cache accounting** — hit/miss/build/eviction counts per
-  model, reconcilable against the global counters
-  (:func:`repro.backend.plan_cache_owner_stats`), so a model's hit rate is
-  exact even while other models, a trainer, or cache clears share the
-  process;
+  model, reconcilable against the global counters, exact even while other
+  models, a trainer, or cache clears share the process;
 - **traffic-weighted eviction** — the cache's LRU victim selection weights
-  candidates by their owning model's observed traffic, so a hot model's
-  plans are not thrashed out by a cold model churning through the LRU tail.
+  candidates by their owner's traffic, so a hot model's plans are not
+  thrashed out by a cold model churning through the LRU tail.
 
-Admission control is per model: give a registered model a
-``ServerConfig.max_pending`` bound and its ``submit`` sheds with
-:class:`~repro.serve.server.QueueFull` (counted in ``rejected``) instead of
-letting an overloaded queue grow without bound.
-
-Driving mirrors :class:`Server`: synchronous (``submit``/``poll``/
-``flush``) or threaded (``start``/``wait_result``/``stop``), and
-:meth:`Router.metrics` aggregates per-model p50/p95/throughput/hit-rate
-plus the shared cache's state into one :class:`RouterMetrics`.
-
-**Cross-model batch overlap.**  Synchronous ``flush``/``poll`` dispatch
-each model's drain onto the shared worker pool
-(:mod:`repro.backend.parallel`), so different models' batches execute
-concurrently instead of queueing behind one caller thread — each server
-still serialises its *own* batches on its ``_exec_lock`` (shared staging
-buffers), which is exactly the per-model chain the overlap model in
-``bench_multimodel_serving`` assumes.  Pass ``overlap=False`` (or size the
-pool to one worker) to restore the strictly serial drain: overlap
-interleaves the models' plan-cache access order, which is the right
-trade for throughput but not for experiments asserting deterministic
-eviction counts on a capacity-bound cache.
+Different models' batches overlap on the shared worker pool; under
+``num_workers(1)`` they run strictly serially in the core's order, which
+keeps the shared cache's access order (and eviction counts) deterministic.
 """
 from __future__ import annotations
 
@@ -47,19 +27,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.backend import PLAN_CACHE, parallel_map, plan_cache_stats, plan_owner
+from repro.backend import PLAN_CACHE, plan_cache_stats
 from repro.serve.policy import ServingPolicy
 from repro.serve.server import (
-    RequestResult,
-    RequestStatus,
-    Server,
-    ServingMetrics,
+    _CACHE_KEYS, ServingMetrics, SyncTransport, cache_delta, resolve_model,
 )
-
-
-# Cache counters that only ever grow; "size" is a gauge and must never be
-# window-snapshotted or used for clear detection (evictions shrink it).
-_MONOTONIC_CACHE_KEYS = ("hits", "misses", "builds", "evictions")
 
 
 class RouterHandle(NamedTuple):
@@ -73,7 +45,7 @@ class RouterHandle(NamedTuple):
 class RouterMetrics:
     """One window's aggregate view across every registered model.
 
-    ``per_model`` holds each server's :class:`ServingMetrics`;
+    ``per_model`` holds each model's :class:`ServingMetrics`;
     ``per_model_cache`` holds each model's plan-cache counter deltas over
     the same window (hits/misses/builds/evictions and the derived
     ``hit_rate``).  ``aggregate_hit_rate`` weights every model's cache
@@ -108,35 +80,32 @@ class RouterMetrics:
         return out
 
 
-class Router:
+class Router(SyncTransport):
     """Route single-image requests to named models over one shared plan cache.
 
     Parameters
     ----------
     server_config:
-        default :class:`~repro.serve.policy.ServingPolicy` (or legacy
-        :class:`~repro.serve.policy.ServerConfig`) for models registered
-        without one.
-    clock:
-        time source handed to every server (injectable for tests).
-    overlap:
-        when ``True`` (default), synchronous ``flush``/``poll`` run each
-        model's drain on the shared worker pool so different models'
-        batches overlap; ``False`` drains strictly serially in
-        registration order (deterministic shared-cache access order).
+        the :class:`~repro.serve.policy.ServingPolicy` every model is
+        served under (``None`` = defaults).
+    clock, sleep:
+        time source and backoff sleep (injectable for tests).
     cache_owner_floor:
         when set, configures the shared plan cache's per-owner quota
         (``PlanCache.owner_floor``): every registered model keeps at least
         this many resident plans no matter how hard the other models churn
         the cache.  Applied process-wide (the cache is shared); ``None``
         leaves the cache's current setting untouched.
+
+    Request keys are :class:`RouterHandle` s; ``result``/``status``/
+    ``wait_result``/``was_shed``/``failure``/``poll``/``flush``/``start``/
+    ``stop`` behave as documented on :class:`~repro.serve.server.SyncTransport`.
     """
 
     def __init__(
         self,
         server_config: ServingPolicy | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        overlap: bool = True,
         cache_owner_floor: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -146,153 +115,47 @@ class Router:
                     f"cache_owner_floor must be >= 0, got {cache_owner_floor}"
                 )
             PLAN_CACHE.owner_floor = cache_owner_floor
-        self._default_config = server_config
-        self._clock = clock
-        self._sleep = sleep
-        self.overlap = overlap
-        self._servers: dict[str, Server] = {}
-        self._started = False
+        super().__init__(server_config, clock, sleep)
         self.reset_metrics()
-
-    # -- registration ----------------------------------------------------------
 
     def register(
         self,
         name: str,
         model,
         input_shapes: tuple | list = ((3, 32, 32),),
-        config: ServingPolicy | None = None,
         **build_kwargs,
-    ) -> Server:
-        """Add a model under ``name``; returns its dedicated server.
+    ) -> None:
+        """Add a model under ``name``.
 
         ``model`` is either a built ``repro.nn`` module or a registry model
         name (``"mobilenet"``, ``"resnet18"``, ...) resolved through
         :func:`repro.models.build_serving_model` with ``build_kwargs``.
         Plan pre-building for the configured buckets runs here, attributed
-        to ``name`` in the shared cache.  Registering on a started router
-        starts the new server's worker immediately.
+        to ``name`` in the shared cache.
         """
-        if name in self._servers:
+        if name in self._models:
             raise ValueError(f"model {name!r} already registered")
-        if isinstance(model, str):
-            from repro.models import build_serving_model
-
-            with plan_owner(name):
-                model = build_serving_model(model, **build_kwargs)
-        elif build_kwargs:
-            raise ValueError(
-                "build_kwargs only apply when model is a registry name, "
-                f"got kwargs {sorted(build_kwargs)} with a built model"
-            )
-        server = Server(
-            model,
-            input_shapes=input_shapes,
-            config=config or self._default_config,
-            clock=self._clock,
-            name=name,
-            sleep=self._sleep,
-        )
-        self._servers[name] = server
-        # Open the new model's metrics window *after* its registration
-        # pre-builds, so a model registered mid-window reports only served
-        # traffic — consistent with models registered before reset_metrics.
-        self._owner_base[name] = self._owner_snapshot(name)
-        if self._started:
-            server.start()
-        return server
-
-    def models(self) -> tuple[str, ...]:
-        return tuple(self._servers)
-
-    def server(self, name: str) -> Server:
-        return self._servers[name]
-
-    def _require(self, name: str) -> Server:
-        try:
-            return self._servers[name]
-        except KeyError:
-            raise KeyError(
-                f"no model {name!r} registered; have {sorted(self._servers)}"
-            ) from None
-
-    # -- request lifecycle -----------------------------------------------------
+        # The model's cache window opens *after* its registration pre-builds,
+        # so a model registered mid-window reports only served traffic.
+        self._add(name, resolve_model(name, model, build_kwargs), input_shapes)
 
     def submit(
         self, model: str, image: np.ndarray, deadline: float | None = None
     ) -> RouterHandle:
-        """Route one ``(C, H, W)`` image to ``model``'s server.
+        """Route one ``(C, H, W)`` image to ``model`` (see ``SyncTransport._submit``)."""
+        return RouterHandle(model, self._submit(model, image, deadline))
 
-        Raises :class:`~repro.serve.server.QueueFull` when that model's
-        admission bound is reached (the request is shed, never enqueued).
-        ``deadline`` is an absolute clock reading forwarded to the server
-        (see :meth:`Server.submit`).
-        """
-        return RouterHandle(model, self._require(model).submit(image, deadline))
-
-    def result(self, handle: RouterHandle) -> RequestResult | None:
-        return self._require(handle.model).result(handle.request_id)
-
-    def status(self, handle: RouterHandle) -> RequestStatus:
-        """Lifecycle state of a routed request (see :meth:`Server.status`)."""
-        return self._require(handle.model).status(handle.request_id)
-
-    def wait_result(self, handle: RouterHandle, timeout: float = 10.0) -> RequestResult:
-        return self._require(handle.model).wait_result(handle.request_id, timeout)
-
-    def was_shed(self, handle: RouterHandle) -> bool:
-        return self._require(handle.model).was_shed(handle.request_id)
-
-    def poll(self, now: float | None = None) -> int:
-        """Flush every model's due buckets; returns batches executed.
-
-        With ``overlap`` enabled the per-model drains run on the shared
-        worker pool, so one slow model's batches no longer delay the rest.
-        """
-        return self._drain(lambda server: server.poll(now))
-
-    def flush(self) -> int:
-        """Run every pending request of every model (overlapped when enabled)."""
-        return self._drain(lambda server: server.flush())
-
-    def _drain(self, drain_one: Callable[[Server], int]) -> int:
-        servers = list(self._servers.values())
-        if self.overlap:
-            return sum(parallel_map(drain_one, servers, op="router.drain"))
-        return sum(drain_one(server) for server in servers)
-
-    # -- threaded mode ---------------------------------------------------------
-
-    def start(self) -> "Router":
-        """Start every registered server's background worker."""
-        if self._started:
-            raise RuntimeError("router already started")
-        self._started = True
-        for server in self._servers.values():
-            server.start()
-        return self
-
-    def stop(self, drain: bool = True) -> None:
-        """Stop every server (see :meth:`Server.stop` for drain semantics)."""
-        self._started = False
-        for server in self._servers.values():
-            server.stop(drain=drain)
+    def _rid(self, handle: RouterHandle) -> int:
+        self._require(handle.model)
+        return handle.request_id
 
     # -- metrics ---------------------------------------------------------------
 
-    def _owner_snapshot(self, name: str) -> dict[str, int]:
-        acc = PLAN_CACHE.owner_stats().get(name, {})
-        return {key: acc.get(key, 0) for key in _MONOTONIC_CACHE_KEYS}
-
     def reset_metrics(self) -> None:
         """Fresh measurement window across all models and the shared cache."""
-        for server in self._servers.values():
-            server.reset_metrics()
+        super().reset_metrics()
         base = plan_cache_stats()
-        self._cache_base = {key: base[key] for key in _MONOTONIC_CACHE_KEYS}
-        self._owner_base = {
-            name: self._owner_snapshot(name) for name in self._servers
-        }
+        self._cache_base = {key: base[key] for key in _CACHE_KEYS}
 
     def metrics(self) -> RouterMetrics:
         """Aggregate + per-model statistics since :meth:`reset_metrics`.
@@ -304,57 +167,37 @@ class Router:
         A ``clear_plan_cache()`` in the window zeroes the cache's counters;
         attribution then restarts from the clear (never negative deltas).
         """
-        per_model = {name: srv.metrics() for name, srv in self._servers.items()}
+        with self._lock:
+            per_model_cache = {name: runtime.cache_window()
+                               for name, runtime in self._models.items()}
+            per_model = {name: runtime.metrics(self.core.bucket_target(name),
+                                               per_model_cache[name])
+                         for name, runtime in self._models.items()}
+            begun = [rt.started for rt in self._models.values() if rt.started is not None]
+            done = [rt.finished for rt in self._models.values() if rt.finished is not None]
         cache = plan_cache_stats()
-        if any(cache[key] < base for key, base in self._cache_base.items()):
-            self._cache_base = {key: 0 for key in self._cache_base}
-        hits = cache["hits"] - self._cache_base["hits"]
-        misses = cache["misses"] - self._cache_base["misses"]
-
-        owners = PLAN_CACHE.owner_stats()
-        per_model_cache: dict[str, dict] = {}
-        for name in self._servers:
-            now = owners.get(name, {})
-            base = self._owner_base.get(name, {})
-            if any(now.get(key, 0) < base.get(key, 0)
-                   for key in _MONOTONIC_CACHE_KEYS):
-                base = self._owner_base[name] = {}
-            delta = {
-                key: now.get(key, 0) - base.get(key, 0)
-                for key in _MONOTONIC_CACHE_KEYS
-            }
-            delta["size"] = now.get("size", 0)
-            accesses = delta["hits"] + delta["misses"]
-            delta["hit_rate"] = delta["hits"] / accesses if accesses else 1.0
-            per_model_cache[name] = delta
-
+        window = cache_delta(cache, self._cache_base)
         # Window span: earliest submit to latest completion across models.
-        spans = [srv.window_span() for srv in self._servers.values()]
-        begun = [s for s, _ in spans if s is not None]
-        done = [f for _, f in spans if f is not None]
         elapsed = (max(done) - min(begun)) if begun and done else 0.0
-        completed = sum(m.completed for m in per_model.values())
+        models = per_model.values()
+        completed = sum(m.completed for m in models)
         return RouterMetrics(
             completed=completed,
-            rejected=sum(m.rejected for m in per_model.values()),
-            shed=sum(m.shed for m in per_model.values()),
+            rejected=sum(m.rejected for m in models),
+            shed=sum(m.shed for m in models),
             throughput=completed / elapsed if elapsed > 0 else 0.0,
-            aggregate_hit_rate=hits / (hits + misses) if hits + misses else 1.0,
-            plan_builds=cache["builds"] - self._cache_base["builds"],
+            aggregate_hit_rate=window["hit_rate"],
+            plan_builds=window["builds"],
             cache_size=cache["size"],
-            cache_evictions=cache["evictions"] - self._cache_base["evictions"],
+            cache_evictions=window["evictions"],
             per_model=per_model,
             per_model_cache=per_model_cache,
-            fused_layers=sum(m.fused_layers for m in per_model.values()),
-            shed_deadline=sum(m.shed_deadline for m in per_model.values()),
-            deadline_misses=sum(m.deadline_misses for m in per_model.values()),
-            failed=sum(m.failed for m in per_model.values()),
-            retries=sum(m.retries for m in per_model.values()),
-            unavailable=sum(m.unavailable for m in per_model.values()),
-            breaker_opens=sum(m.breaker_opens for m in per_model.values()),
-            breakers={
-                name: snap
-                for name, srv in self._servers.items()
-                if (snap := srv.breaker_snapshot()) is not None
-            },
+            fused_layers=sum(m.fused_layers for m in models),
+            shed_deadline=sum(m.shed_deadline for m in models),
+            deadline_misses=sum(m.deadline_misses for m in models),
+            failed=sum(m.failed for m in models),
+            retries=sum(m.retries for m in models),
+            unavailable=sum(m.unavailable for m in models),
+            breaker_opens=sum(m.breaker_opens for m in models),
+            breakers=self.breaker_snapshots(),
         )

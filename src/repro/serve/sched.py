@@ -5,39 +5,30 @@ takes ``now`` explicitly (or consumes clock *readings* recorded by the
 caller), so a policy's full decision sequence is replayable from a request
 trace — unit tests and the ``bench_async_gateway`` simulations drive these
 classes with a virtual clock and get bit-identical schedules on any
-machine.  The transports (:class:`repro.serve.server.Server`, the asyncio
-:class:`repro.serve.gateway.AsyncGateway`) own the locks/event loops and
-consult the core for every decision:
+machine.  Every transport — the sync transport behind
+:class:`repro.serve.server.Server` and :class:`repro.serve.router.Router`,
+and the asyncio :class:`repro.serve.gateway.AsyncGateway` — drives one
+:class:`SchedCore`, owns only its locks or event loop, and consults the
+core for every decision:
 
-- :class:`AdmissionPolicy` — bounded pending queue + backpressure: reject
-  (shed at the door) instead of letting an overloaded queue grow without
-  bound;
+- :class:`AdmissionPolicy` — bounded pending queue: reject at the door
+  instead of letting an overloaded queue grow without bound;
 - :class:`BucketPolicy` — batch-size selection; in ``adaptive`` mode the
-  target bucket follows an EWMA of the observed arrival rate (the expected
-  number of batch-mates one flush window supplies): small buckets under
-  light load for latency, large under heavy load for throughput — the
-  MLPerf single-stream vs server scenario trade expressed as one knob;
-- :class:`ShedPolicy` — deadline-aware load shedding: drop requests whose
-  latency budget is already blown (``deadline < now + exec_estimate``)
-  rather than the newest arrival, which still has its whole budget ahead
-  of it;
+  target bucket follows an EWMA of the arrival rate: small buckets under
+  light load for latency, large under heavy load for throughput;
+- :class:`ShedPolicy` — deadline-aware shedding: drop requests whose
+  budget is already blown (``deadline < now + exec_estimate``) rather than
+  the newest arrival, which still has its whole budget ahead of it;
 - :class:`FairnessPolicy` — deficit round robin between models, so a heavy
-  model's long batches cannot monopolise the execution lane and ruin a
-  light model's p95 (``fifo`` mode is the ablation baseline: strict
-  arrival order, no isolation);
-- :class:`RetryPolicy` — bounded retries with exponential backoff and
-  *deterministic* jitter (hash-seeded, not ``random``), so transient
-  kernel/pool faults are absorbed without thundering-herd retries and
-  without a single nondeterministic sleep in tests;
-- :class:`CircuitBreaker` — per-model fail-fast: a windowed error rate
-  past the threshold opens the breaker, submits shed immediately with
-  :class:`~repro.serve.server.ModelUnavailable` instead of wasting pool
-  capacity on a broken model, and after a cooldown a half-open probe
-  decides between closing and re-opening;
+  model's long batches cannot ruin a light model's p95 (``fifo`` is the
+  ablation baseline);
+- :class:`RetryPolicy` — bounded exponential backoff with *deterministic*
+  (hash-seeded) jitter;
+- :class:`CircuitBreaker` — per-model fail-fast on a windowed error rate,
+  with a half-open probe after the cooldown;
 - :class:`SchedCore` — the composite the transports drive: per-model
   shape-keyed queues, admission with deadline-aware displacement,
-  fairness-ordered batch formation, and the next-timer computation an
-  event loop needs.
+  fairness-ordered batch formation, and the next event a loop sleeps to.
 """
 from __future__ import annotations
 
@@ -80,13 +71,12 @@ class SchedRequest:
 @dataclass
 class Batch:
     """One schedulable unit: requests of one (model, shape) padded to
-    ``bucket`` slots, costed for the fairness accounting."""
+    ``bucket`` slots."""
 
     model: str
     shape: tuple
     requests: list[SchedRequest]
     bucket: int
-    cost: float
 
 
 @dataclass
@@ -133,8 +123,7 @@ class BucketPolicy:
     """Batch-size selection, optionally adapted to the arrival rate.
 
     Fixed mode (``adaptive=False``) always targets the largest configured
-    bucket — the original :class:`~repro.serve.server.Server` behaviour,
-    preserved bit-for-bit.  Adaptive mode tracks an EWMA of the
+    bucket.  Adaptive mode tracks an EWMA of the
     inter-arrival gap and targets the smallest configured bucket that the
     expected arrivals of one flush window (``rate * max_latency``) can
     fill: under light load a request stops waiting for batch-mates that
@@ -329,12 +318,6 @@ class FairnessPolicy:
             self._ptr = (self._ptr + 1) % count
         raise RuntimeError("DRR failed to converge")  # pragma: no cover
 
-    def charge(self, model: str, cost: float) -> None:
-        """Charge out-of-band work (a transport that executed without
-        :meth:`select`, e.g. an inline full-bucket flush)."""
-        if model in self._deficit:
-            self._deficit[model] -= cost
-
 
 class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
@@ -506,10 +489,8 @@ class _ModelState:
     buckets: BucketPolicy
     request_cost: float
     exec_estimate: float
-    # Auto-calibration (exec_estimate=None at registration): the estimate
-    # follows an EWMA of measured batch execution spans fed in through
-    # SchedCore.observe_exec.  exec_seen gates the first observation (it
-    # seeds the EWMA rather than averaging against the 0.0 placeholder).
+    # exec_estimate=None at registration: follow observe_exec's EWMA, seeded
+    # by the first observation (exec_seen) rather than the 0.0 placeholder.
     exec_auto: bool = False
     exec_seen: bool = False
     queues: dict[tuple, deque] = field(default_factory=dict)
@@ -521,10 +502,10 @@ class SchedCore:
     """The composite scheduling brain the transports drive.
 
     Holds per-model shape-keyed queues and the four policies; every method
-    is synchronous, lock-free and takes ``now`` — the asyncio gateway calls
-    it from its (single-threaded) event loop, the deterministic benchmarks
-    call it from a virtual-clock simulation, and both observe the identical
-    schedule.
+    is synchronous, lock-free and takes ``now`` — the sync transport calls
+    it under its lock, the asyncio gateway from its event loop, the
+    deterministic benchmarks from a virtual-clock simulation, and all
+    observe the identical schedule.
     """
 
     def __init__(
@@ -537,7 +518,6 @@ class SchedCore:
         fairness: str = "drr",
         quantum: float | None = None,
         alpha: float = 0.25,
-        retry: RetryPolicy | None = None,
     ) -> None:
         self._defaults = dict(
             bucket_sizes=tuple(bucket_sizes),
@@ -546,10 +526,6 @@ class SchedCore:
             adaptive=adaptive_buckets,
             alpha=alpha,
         )
-        # The transports' backoff policy for transient batch faults; held
-        # here beside the other policies so one SchedCore fully describes a
-        # deployment's scheduling *and* resilience behaviour.
-        self.retry = retry
         self.shed = ShedPolicy(policy=shed_policy)
         self.fairness = FairnessPolicy(
             mode=fairness,
@@ -563,9 +539,7 @@ class SchedCore:
     def add_model(
         self,
         name: str,
-        bucket_sizes: tuple[int, ...] | None = None,
         max_latency: float | None = None,
-        max_pending: int | None = None,
         request_cost: float = 1.0,
         exec_estimate: float | None = 0.0,
     ) -> None:
@@ -590,11 +564,9 @@ class SchedCore:
         defaults = self._defaults
         self._models[name] = _ModelState(
             name=name,
-            admission=AdmissionPolicy(
-                defaults["max_pending"] if max_pending is None else max_pending
-            ),
+            admission=AdmissionPolicy(defaults["max_pending"]),
             buckets=BucketPolicy(
-                bucket_sizes or defaults["bucket_sizes"],
+                defaults["bucket_sizes"],
                 max_latency if max_latency is not None else defaults["max_latency"],
                 adaptive=defaults["adaptive"],
                 alpha=defaults["alpha"],
@@ -760,10 +732,7 @@ class SchedCore:
         queue = state.queues[shape]
         requests = [queue.popleft() for _ in range(take)]
         state.pending -= take
-        return Batch(
-            model=winner, shape=shape, requests=requests, bucket=bucket,
-            cost=candidates[winner][0],
-        )
+        return Batch(model=winner, shape=shape, requests=requests, bucket=bucket)
 
     # -- introspection ---------------------------------------------------------
 
@@ -792,9 +761,6 @@ class SchedCore:
 
     def bucket_target(self, model: str) -> int:
         return self._require(model).buckets.target_bucket()
-
-    def arrival_rate(self, model: str) -> float:
-        return self._require(model).buckets.arrival_rate()
 
     def stats(self, model: str) -> dict:
         state = self._require(model)

@@ -89,11 +89,17 @@ class HashRing:
 # Shard worker process
 # ---------------------------------------------------------------------------
 
-def _shard_main(conn, shard_index: int, overlap: bool) -> None:
+# The Router methods a shard proxies (the pipe protocol).
+_COMMANDS = frozenset({
+    "register", "submit", "flush", "poll", "result", "wait_result", "status",
+    "was_shed", "metrics", "reset_metrics", "stop",
+})
+
+
+def _shard_main(conn, shard_index: int, config: ServingPolicy | None) -> None:
     """One shard process: a full Router driven by a pipe command loop."""
-    # The fork inherited the parent's pool/executor globals; their worker
-    # threads do not exist in this process, so reset to a serial in-process
-    # configuration — cross-shard processes are the parallelism here.
+    # The forked pool/executor globals have no threads here; the shard
+    # processes are the parallelism (see the module docstring).
     from repro.backend.parallel import set_executor, set_num_workers
     from repro.faults import active_faults, install_faults
 
@@ -103,51 +109,22 @@ def _shard_main(conn, shard_index: int, overlap: bool) -> None:
     if inherited is not None:
         install_faults(inherited.for_worker(shard_index))
 
-    router = Router(overlap=overlap)
+    router = Router(server_config=config)
     running = True
     while running:
         try:
-            message = conn.recv()
+            cmd, args, kwargs = conn.recv()
         except EOFError:
             break
-        cmd, args = message[0], message[1:]
         try:
-            if cmd == "register":
-                name, model, input_shapes, config, build_kwargs = args
-                router.register(name, model, input_shapes=input_shapes,
-                                config=config, **build_kwargs)
-                reply: tuple[str, Any] = ("ok", None)
-            elif cmd == "submit":
-                name, image, deadline = args
-                handle = router.submit(name, image, deadline)
-                reply = ("ok", handle.request_id)
-            elif cmd == "flush":
-                reply = ("ok", router.flush())
-            elif cmd == "poll":
-                reply = ("ok", router.poll(args[0]))
-            elif cmd == "result":
-                name, request_id = args
-                reply = ("ok", router.result(RouterHandle(name, request_id)))
-            elif cmd == "wait_result":
-                name, request_id, timeout = args
-                reply = ("ok", router.wait_result(
-                    RouterHandle(name, request_id), timeout))
-            elif cmd == "status":
-                name, request_id = args
-                reply = ("ok", router.status(RouterHandle(name, request_id)))
-            elif cmd == "was_shed":
-                name, request_id = args
-                reply = ("ok", router.was_shed(RouterHandle(name, request_id)))
-            elif cmd == "metrics":
-                reply = ("ok", router.metrics())
-            elif cmd == "reset_metrics":
-                router.reset_metrics()
-                reply = ("ok", None)
-            elif cmd == "stop":
-                running = False
-                reply = ("ok", None)
-            else:  # pragma: no cover - protocol mismatch guard
+            if cmd not in _COMMANDS:  # pragma: no cover - protocol mismatch guard
                 raise ValueError(f"unknown shard command {cmd!r}")
+            value = getattr(router, cmd)(*args, **kwargs)
+            if cmd == "stop":
+                # Drained before exiting: hand back the final accounting,
+                # so nothing submitted is left unaccounted.
+                running, value = False, router.metrics()
+            reply: tuple[str, Any] = ("ok", value)
         except BaseException as exc:  # noqa: BLE001 - proxied to the parent
             reply = ("err", exc)
         try:
@@ -168,11 +145,9 @@ class ShardedRouter:
     weights are rebuilt deterministically per process instead of shipping
     arrays; pass ``seed=...`` in ``build_kwargs`` to pin them.
 
-    Per-model configuration rides along as a pickled
-    :class:`~repro.serve.policy.ServingPolicy` (legacy ``ServerConfig``
-    shims work too — see ``config=``), and a
-    fault injector installed before construction is inherited and
-    re-seeded per shard.  Use as a context manager to guarantee worker
+    Every shard's Router serves under ``server_config`` (inherited by the
+    fork), and a fault injector installed before construction is inherited
+    and re-seeded per shard.  Use as a context manager to guarantee worker
     teardown.
     """
 
@@ -181,11 +156,9 @@ class ShardedRouter:
         shards: int = 2,
         server_config: ServingPolicy | None = None,
         replicas: int = 64,
-        overlap: bool = False,
     ) -> None:
         self.ring = HashRing(shards, replicas)
         self.shards = shards
-        self._default_config = server_config
         self._models: dict[str, int] = {}
         self._lock = threading.Lock()
         try:
@@ -198,7 +171,7 @@ class ShardedRouter:
             parent_conn, child_conn = ctx.Pipe()
             proc = ctx.Process(
                 target=_shard_main,
-                args=(child_conn, index, overlap),
+                args=(child_conn, index, server_config),
                 daemon=True,
                 name=f"repro-shard-{index}",
             )
@@ -207,13 +180,14 @@ class ShardedRouter:
             self._conns.append(parent_conn)
             self._procs.append(proc)
         self._stopped = False
+        self._final: list | None = None   # shards' last metrics, after stop()
 
     # -- RPC plumbing ----------------------------------------------------------
 
-    def _call(self, shard: int, cmd: str, *args: Any) -> Any:
+    def _call(self, shard: int, cmd: str, *args: Any, **kwargs: Any) -> Any:
         with self._lock:
             conn = self._conns[shard]
-            conn.send((cmd, *args))
+            conn.send((cmd, args, kwargs))
             status, value = conn.recv()
         if status == "err":
             raise value
@@ -223,7 +197,7 @@ class ShardedRouter:
         """Send to every shard, then collect — shard work overlaps for real."""
         with self._lock:
             for conn in self._conns:
-                conn.send((cmd, *args))
+                conn.send((cmd, args, {}))
             replies = [conn.recv() for conn in self._conns]
         results = []
         for status, value in replies:
@@ -239,7 +213,6 @@ class ShardedRouter:
         name: str,
         model: str,
         input_shapes: tuple | list = ((3, 32, 32),),
-        config: ServingPolicy | None = None,
         **build_kwargs: Any,
     ) -> int:
         """Register registry model ``model`` under ``name``; returns its shard."""
@@ -254,7 +227,7 @@ class ShardedRouter:
             raise ValueError(f"model {name!r} already registered")
         shard = self.ring.owner(name)
         self._call(shard, "register", name, model, tuple(input_shapes),
-                   config or self._default_config, dict(build_kwargs))
+                   **build_kwargs)
         self._models[name] = shard
         return shard
 
@@ -275,9 +248,8 @@ class ShardedRouter:
     def submit(
         self, model: str, image: np.ndarray, deadline: float | None = None
     ) -> RouterHandle:
-        request_id = self._call(self.shard_of(model), "submit",
-                                model, np.asarray(image), deadline)
-        return RouterHandle(model, request_id)
+        return self._call(self.shard_of(model), "submit",
+                          model, np.asarray(image), deadline)
 
     def flush(self) -> int:
         """Drain every shard's pending requests (overlapped across processes)."""
@@ -287,20 +259,16 @@ class ShardedRouter:
         return sum(self._broadcast("poll", now))
 
     def result(self, handle: RouterHandle):
-        return self._call(self.shard_of(handle.model), "result",
-                          handle.model, handle.request_id)
+        return self._call(self.shard_of(handle.model), "result", handle)
 
     def wait_result(self, handle: RouterHandle, timeout: float = 10.0):
-        return self._call(self.shard_of(handle.model), "wait_result",
-                          handle.model, handle.request_id, timeout)
+        return self._call(self.shard_of(handle.model), "wait_result", handle, timeout)
 
     def status(self, handle: RouterHandle):
-        return self._call(self.shard_of(handle.model), "status",
-                          handle.model, handle.request_id)
+        return self._call(self.shard_of(handle.model), "status", handle)
 
     def was_shed(self, handle: RouterHandle) -> bool:
-        return self._call(self.shard_of(handle.model), "was_shed",
-                          handle.model, handle.request_id)
+        return self._call(self.shard_of(handle.model), "was_shed", handle)
 
     # -- observability ---------------------------------------------------------
 
@@ -313,8 +281,9 @@ class ShardedRouter:
         Counters sum across shards; ``throughput`` sums shard rates (each
         shard's wall window is its own — the processes genuinely overlap);
         ``aggregate_hit_rate`` re-weights by each shard's cache traffic.
+        After :meth:`stop` this is the shards' final accounting.
         """
-        shard_metrics = self._broadcast("metrics")
+        shard_metrics = self._final or self._broadcast("metrics")
         completed = sum(m.completed for m in shard_metrics)
         per_model: dict[str, dict] = {}
         for m in shard_metrics:
@@ -347,23 +316,32 @@ class ShardedRouter:
     # -- lifecycle -------------------------------------------------------------
 
     def stop(self) -> None:
-        """Stop every shard process (idempotent); joins with a grace period."""
+        """Stop every shard process (idempotent); joins with a grace period.
+
+        Each shard first stops its Router, draining whatever is still
+        queued, and returns its final metrics, which :meth:`metrics`
+        reports from then on.
+        """
         if self._stopped:
             return
         self._stopped = True
+        final = []
         with self._lock:
             for conn in self._conns:
                 try:
-                    conn.send(("stop",))
+                    conn.send(("stop", (), {}))
                 except (BrokenPipeError, OSError):
                     pass
             for conn in self._conns:
                 try:
-                    if conn.poll(5.0):
-                        conn.recv()
+                    if conn.poll(30.0):
+                        status, value = conn.recv()
+                        if status == "ok":
+                            final.append(value)
                 except (EOFError, OSError):
                     pass
                 conn.close()
+        self._final = final if len(final) == self.shards else None
         for proc in self._procs:
             proc.join(timeout=5.0)
             if proc.is_alive():  # pragma: no cover - teardown backstop

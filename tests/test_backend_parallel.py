@@ -475,27 +475,27 @@ def test_model_on_threaded_backend_bitwise_equals_numpy():
 
 def test_router_overlapped_flush_matches_serial_results():
     from repro.models import build_serving_model
-    from repro.serve import Router, ServerConfig
+    from repro.serve import Router, ServingPolicy
 
     rng = np.random.default_rng(15)
     images = [rng.standard_normal((3, 12, 12)).astype(np.float32)
               for _ in range(12)]
-    reference: dict[bool, list[np.ndarray]] = {}
-    for overlap in (False, True):
-        router = Router(server_config=ServerConfig(bucket_sizes=(1, 2, 4),
-                                                   max_latency=60.0),
-                        overlap=overlap)
-        for name, seed in (("a", 21), ("b", 22)):
-            router.register(name, build_serving_model(
-                "mobilenet", width_mult=0.25, seed=seed),
-                input_shapes=[(3, 12, 12)])
-        handles = [router.submit(("a", "b")[i % 2], img)
-                   for i, img in enumerate(images)]
-        router.flush()
+    reference: dict[int, list[np.ndarray]] = {}
+    for workers in (1, 2):   # serial drain, then models overlapped on the pool
+        with num_workers(workers):
+            router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4),
+                                                        max_latency=60.0))
+            for name, seed in (("a", 21), ("b", 22)):
+                router.register(name, build_serving_model(
+                    "mobilenet", width_mult=0.25, seed=seed),
+                    input_shapes=[(3, 12, 12)])
+            handles = [router.submit(("a", "b")[i % 2], img)
+                       for i, img in enumerate(images)]
+            router.flush()
         outs = [router.result(h).output for h in handles]
         assert all(o is not None for o in outs)
-        reference[overlap] = outs
-    for serial_out, overlap_out in zip(reference[False], reference[True]):
+        reference[workers] = outs
+    for serial_out, overlap_out in zip(reference[1], reference[2]):
         assert np.array_equal(serial_out, overlap_out)
 
 

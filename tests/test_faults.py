@@ -28,7 +28,6 @@ from repro.models import build_model
 from repro.serve import (
     AsyncGateway,
     CircuitBreaker,
-    GatewayConfig,
     ModelExecutor,
     ModelUnavailable,
     RequestFailed,
@@ -37,7 +36,7 @@ from repro.serve import (
     RetryPolicy,
     Router,
     Server,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.utils import seed_all
 
@@ -319,7 +318,7 @@ def test_server_surfaces_request_failed_and_accounts_it():
     clock, sleep, t = _virtual_time()
     server = Server(
         _model(), input_shapes=[INPUT],
-        config=ServerConfig(bucket_sizes=(4,), max_latency=1.0,
+        config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0,
                             retry=RetryPolicy(max_attempts=2, base_delay=0.0)),
         clock=clock, sleep=sleep, name="m",
     )
@@ -341,7 +340,7 @@ def test_server_surfaces_request_failed_and_accounts_it():
 
 def test_wait_result_timeout_raises_typed_result_timeout():
     server = Server(_model(), input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=10.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=10.0))
     rid = server.submit(_images(1)[0])
     with pytest.raises(ResultTimeout) as exc_info:
         server.wait_result(rid, timeout=0.05)
@@ -358,7 +357,7 @@ def test_server_breaker_opens_sheds_and_recloses():
     clock, sleep, t = _virtual_time()
     server = Server(
         _model(), input_shapes=[INPUT],
-        config=ServerConfig(bucket_sizes=(4,), max_latency=1.0,
+        config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0,
                             breaker_window=16, breaker_min_samples=4,
                             breaker_threshold=0.5, breaker_cooldown=0.5),
         clock=clock, sleep=sleep, name="broken",
@@ -393,13 +392,13 @@ def test_server_breaker_opens_sheds_and_recloses():
 
 def _soak_router(clock, sleep):
     router = Router(
-        server_config=ServerConfig(
+        server_config=ServingPolicy(
             bucket_sizes=(4,), max_latency=0.05,
             retry=RetryPolicy(max_attempts=3, base_delay=0.001, seed=11),
             breaker_window=32, breaker_min_samples=8,
             breaker_threshold=0.5, breaker_cooldown=0.5,
         ),
-        clock=clock, overlap=False, sleep=sleep,
+        clock=clock, sleep=sleep,
     )
     router.register("healthy", _model(), input_shapes=[INPUT])
     return router
@@ -428,19 +427,17 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
     reference = [router.result(h).output for h in handles]
 
     # Chaos run: 5% transient kernel faults + two poisoned requests, plus a
-    # scripted outage on a co-registered broken model.
+    # scripted outage on a co-registered broken model.  The broken model is
+    # served under the router's policy (3 attempts per span), so failing a
+    # batch of 4 completely takes 3 + 2*3 + 4*3 = 21 fires; two such
+    # batches give the breaker its 8 samples.
     clock, sleep, t = _virtual_time()
     router = _soak_router(clock, sleep)
-    router.register(
-        "broken", _model(), input_shapes=[INPUT],
-        config=ServerConfig(bucket_sizes=(4,), max_latency=0.05,
-                            breaker_window=16, breaker_min_samples=4,
-                            breaker_threshold=0.5, breaker_cooldown=0.5),
-    )
+    router.register("broken", _model(), input_shapes=[INPUT])
     inj = FaultInjector(
         [
             FaultSpec(site="kernel", rate=0.05, models=("healthy",)),
-            FaultSpec(site="kernel", rate=1.0, max_fires=7,
+            FaultSpec(site="kernel", rate=1.0, max_fires=42,
                       models=("broken",)),
         ],
         seed=13,
@@ -450,7 +447,7 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
         handles = _drive_soak(router, images, t)
 
         # Break the broken model, observe the breaker open, recover it.
-        broken_ids = [router.submit("broken", im) for im in _images(4, seed=14)]
+        broken_ids = [router.submit("broken", im) for im in _images(8, seed=14)]
         router.flush()
         with pytest.raises(ModelUnavailable):
             router.submit("broken", _images(1)[0])
@@ -458,7 +455,6 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
         probe = router.submit("broken", _images(1, seed=15)[0])
         router.flush()
 
-    healthy = router.server("healthy")
     poisoned_ids = {rid for _, rid in poison}
     succeeded = failed = 0
     for handle in handles:
@@ -468,7 +464,7 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
         elif status == RequestStatus.FAILED:
             failed += 1
             # Zero silent drops: every failure carries a typed exception.
-            assert isinstance(healthy.failure(handle.request_id), RequestFailed)
+            assert isinstance(router.failure(handle), RequestFailed)
         else:  # no third state may exist for an executed trace
             raise AssertionError(f"unaccounted request: {status}")
     assert succeeded + failed == len(images)
@@ -510,8 +506,8 @@ def test_chaos_soak_goodput_bitwise_and_breaker_visibility():
 
 def test_gateway_drain_resolves_every_future_of_a_raising_batch():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=30.0,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=30.0,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         inj = FaultInjector([FaultSpec(site="kernel", rate=1.0, models=("m",))])
         with use_faults(inj):
@@ -536,8 +532,8 @@ def test_gateway_breaker_opens_sheds_and_recloses():
     async def main():
         t = [0.0]
         gw = AsyncGateway(
-            GatewayConfig(bucket_sizes=(4,), max_latency=0.005,
-                          adaptive_buckets=False, breaker_window=16,
+            ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                          shed_policy="deadline", breaker_window=16,
                           breaker_min_samples=4, breaker_threshold=0.5,
                           breaker_cooldown=0.5),
             clock=lambda: t[0],

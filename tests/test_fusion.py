@@ -235,10 +235,10 @@ def test_model_plan_reports_fused_layers():
 
 
 def test_server_metrics_report_fused_layers():
-    from repro.serve import Server, ServerConfig
+    from repro.serve import Server, ServingPolicy
 
     server = Server(_tiny_fused_model(19), input_shapes=[(3, 8, 8)],
-                    config=ServerConfig(bucket_sizes=(1,), max_latency=60.0))
+                    config=ServingPolicy(bucket_sizes=(1,), max_latency=60.0))
     assert server.fused_layers == 2
     rng = np.random.default_rng(20)
     server.submit(rng.standard_normal((3, 8, 8)).astype(np.float32))
@@ -247,12 +247,12 @@ def test_server_metrics_report_fused_layers():
 
 
 def test_router_metrics_sum_fused_layers_and_set_owner_floor():
-    from repro.serve import Router, ServerConfig
+    from repro.serve import Router, ServingPolicy
 
     previous_floor = PLAN_CACHE.owner_floor
     try:
-        router = Router(server_config=ServerConfig(bucket_sizes=(1,),
-                                                   max_latency=60.0),
+        router = Router(server_config=ServingPolicy(bucket_sizes=(1,),
+                                                    max_latency=60.0),
                         cache_owner_floor=2)
         assert PLAN_CACHE.owner_floor == 2
         router.register("a", _tiny_fused_model(21), input_shapes=[(3, 8, 8)])

@@ -14,11 +14,10 @@ from repro.models import build_model
 from repro.serve import (
     AsyncGateway,
     DeadlineExceeded,
-    GatewayConfig,
     QueueFull,
     RequestShed,
     Server,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.utils import seed_all
 
@@ -49,14 +48,14 @@ def test_gateway_outputs_bitwise_equal_sync_server_and_per_request():
 
     # Sync server, coalesced.
     server = Server(_model(), input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     ids = [server.submit(im) for im in images]
     server.flush()
     sync_out = [server.result(i).output for i in ids]
 
     # Sync server, per-request (each rides its own padded bucket).
     solo_server = Server(_model(), input_shapes=[INPUT],
-                         config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                         config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     solo_out = []
     for im in images:
         rid = solo_server.submit(im)
@@ -67,8 +66,9 @@ def test_gateway_outputs_bitwise_equal_sync_server_and_per_request():
     # splits the stream into batches, every batch pads to bucket 4, so the
     # outputs must be bit-identical to both sync modes.
     async def run_gateway():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=0.005,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                                        adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         results = await asyncio.gather(
             *[gw.submit("m", im, budget=30.0) for im in images]
@@ -88,7 +88,9 @@ def test_gateway_outputs_bitwise_equal_sync_server_and_per_request():
 
 def test_blown_budget_resolves_with_deadline_exceeded():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(4,), max_latency=0.005))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         # A budget that is already blown at submission: deterministic shed
         # on the scheduler's first pass, no timing assumptions.
@@ -106,8 +108,9 @@ def test_blown_budget_resolves_with_deadline_exceeded():
 
 def test_admission_backpressure_raises_queue_full():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(8,), max_latency=30.0,
-                                        max_pending=2, adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(8,), max_latency=30.0,
+                                        max_pending=2, adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         images = _images(3, seed=3)
         # Enqueue two (bucket 8 + long flush window: nothing dispatches);
@@ -128,8 +131,9 @@ def test_admission_backpressure_raises_queue_full():
 
 def test_stop_without_drain_sheds_awaiters():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(8,), max_latency=30.0,
-                                        adaptive_buckets=False))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(8,), max_latency=30.0,
+                                        adaptive_buckets=False,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         waiters = [asyncio.ensure_future(gw.submit("m", im, budget=60.0))
                    for im in _images(3, seed=4)]
@@ -143,9 +147,10 @@ def test_stop_without_drain_sheds_awaiters():
 
 def test_async_context_manager_drains_on_exit():
     async def main():
-        async with AsyncGateway(GatewayConfig(bucket_sizes=(8,),
+        async with AsyncGateway(ServingPolicy(bucket_sizes=(8,),
                                               max_latency=30.0,
-                                              adaptive_buckets=False)) as gw:
+                                              adaptive_buckets=False,
+                                              shed_policy="deadline")) as gw:
             gw.register("m", _model(), input_shapes=[INPUT])
             waiter = asyncio.ensure_future(
                 gw.submit("m", _images(1, seed=5)[0], budget=60.0)
@@ -176,8 +181,10 @@ def test_gateway_validation_errors():
 
 def test_gateway_metrics_split_and_fairness_accounting():
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(1, 2, 4),
-                                        max_latency=0.005))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2, 4),
+                                        max_latency=0.005,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("a", _model(), input_shapes=[INPUT], request_cost=1.0)
         gw.register("b", _model(), input_shapes=[INPUT], request_cost=4.0)
         results = await asyncio.gather(
@@ -208,8 +215,10 @@ def test_gateway_soak_every_submission_is_accounted_for():
     # (result, DeadlineExceeded, RequestShed or QueueFull) — the gateway's
     # nothing-silently-dropped contract under churn.
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(1, 2, 4),
-                                        max_latency=0.002, max_pending=16))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2, 4),
+                                        max_latency=0.002, max_pending=16,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("small", _model(), input_shapes=[INPUT], request_cost=1.0)
         gw.register("large", _model(), input_shapes=[INPUT], request_cost=2.0)
         rng = np.random.default_rng(8)
@@ -261,8 +270,9 @@ def test_gateway_runs_with_threaded_kernel_backend_without_deadlock():
     from repro.backend import num_workers
 
     async def main():
-        gw = AsyncGateway(GatewayConfig(bucket_sizes=(2,), max_latency=0.005,
-                                        max_concurrent_batches=2))
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(2,), max_latency=0.005,
+                                        adaptive_buckets=True,
+                                        shed_policy="deadline"))
         gw.register("m", _model(), input_shapes=[INPUT])
         results = await asyncio.gather(
             *[gw.submit("m", im, budget=30.0) for im in _images(4, seed=9)]
@@ -274,3 +284,56 @@ def test_gateway_runs_with_threaded_kernel_backend_without_deadlock():
         results = asyncio.run(main())
     assert len(results) == 4
     assert all(r.output.shape == (10,) for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Metrics: one stats record shared with the sync transports
+# ---------------------------------------------------------------------------
+
+def test_gateway_metrics_report_owner_plan_cache_deltas():
+    # An unseen shape builds its plans cold on first sight; the gateway
+    # reports that through the per-owner plan-cache counters.  Plans are
+    # shared by geometry, so the shape is one no other test serves.
+    async def main():
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(2,), max_latency=0.005))
+        gw.register("m", _model(), input_shapes=[INPUT])
+        await asyncio.gather(*[gw.submit("m", im)
+                               for im in _images(2, shape=(3, 6, 6), seed=11)])
+        await gw.stop()
+        return gw.metrics()["m"]
+
+    metrics = asyncio.run(main())
+    assert metrics.completed == 2
+    assert metrics.plan_builds > 0
+    assert metrics.plan_cache_hit_rate < 1.0
+
+
+def test_gateway_deadline_sheds_are_not_shutdown_sheds():
+    async def main():
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=0.005,
+                                        shed_policy="deadline"))
+        gw.register("m", _model(), input_shapes=[INPUT])
+        with pytest.raises(DeadlineExceeded):
+            await gw.submit("m", _images(1)[0], budget=-1.0)
+        await gw.stop()
+        return gw.metrics()["m"]
+
+    metrics = asyncio.run(main())
+    assert metrics.shed_deadline == 1
+    assert metrics.shed == 0
+
+
+def test_gateway_stop_without_drain_counts_shutdown_sheds():
+    async def main():
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(8,), max_latency=30.0))
+        gw.register("m", _model(), input_shapes=[INPUT])
+        waiters = [asyncio.ensure_future(gw.submit("m", im))
+                   for im in _images(3, seed=12)]
+        await asyncio.sleep(0)
+        await gw.stop(drain=False)
+        await asyncio.gather(*waiters, return_exceptions=True)
+        return gw.metrics()["m"]
+
+    metrics = asyncio.run(main())
+    assert metrics.shed == 3 and metrics.shed_deadline == 0
+    assert metrics.completed == 0

@@ -18,8 +18,7 @@ from repro.serve import (
     RequestShed,
     Router,
     RouterHandle,
-    Server,
-    ServerConfig,
+    ServingPolicy,
 )
 from repro.tensor import Tensor, no_grad
 from repro.utils import seed_all
@@ -38,7 +37,7 @@ def _images(n, shape=INPUT, seed=0):
 
 
 def _router(bucket_sizes=(1, 2, 4), max_latency=5.0, **config_kwargs):
-    router = Router(server_config=ServerConfig(
+    router = Router(server_config=ServingPolicy(
         bucket_sizes=bucket_sizes, max_latency=max_latency, **config_kwargs))
     router.register("narrow", "mobilenet", input_shapes=[INPUT],
                     scheme="scc", width_mult=0.25, seed=11)
@@ -52,8 +51,15 @@ def _router(bucket_sizes=(1, 2, 4), max_latency=5.0, **config_kwargs):
 # ---------------------------------------------------------------------------
 
 def test_bucket1_routed_outputs_equal_direct_forward_bitwise():
-    router = _router(bucket_sizes=(1,))
-    models = {name: router.server(name).model for name in router.models()}
+    router = Router(server_config=ServingPolicy(bucket_sizes=(1,), max_latency=5.0))
+    models = {
+        "narrow": build_serving_model("mobilenet", scheme="scc",
+                                      width_mult=0.25, seed=11),
+        "wide": build_serving_model("mobilenet", scheme="scc",
+                                    width_mult=0.5, seed=12),
+    }
+    for name, model in models.items():
+        router.register(name, model, input_shapes=[INPUT])
     for name in router.models():
         for image in _images(3, seed=hash(name) % 1000):
             handle = router.submit(name, image)
@@ -104,10 +110,9 @@ def test_interleaved_models_do_not_perturb_each_other():
 # ---------------------------------------------------------------------------
 
 def test_register_accepts_built_model_and_rejects_duplicates():
-    router = Router(server_config=ServerConfig(bucket_sizes=(2,)))
+    router = Router(server_config=ServingPolicy(bucket_sizes=(2,)))
     model = build_serving_model("mobilenet", scheme="scc", width_mult=0.25, seed=3)
-    server = router.register("m", model, input_shapes=[INPUT])
-    assert isinstance(server, Server) and server.name == "m"
+    router.register("m", model, input_shapes=[INPUT])
     assert router.models() == ("m",)
     with pytest.raises(ValueError, match="already registered"):
         router.register("m", model, input_shapes=[INPUT])
@@ -147,12 +152,11 @@ def test_admission_control_sheds_on_overload_and_counts_rejections():
 
 def test_pending_count_tracks_queue_and_drains():
     router = _router(bucket_sizes=(4,), max_pending=8)
-    server = router.server("narrow")
     for im in _images(3, seed=6):
         router.submit("narrow", im)
-    assert server.pending_count() == 3
+    assert router.pending_count("narrow") == 3
     router.flush()
-    assert server.pending_count() == 0
+    assert router.pending_count("narrow") == 0
 
 
 # ---------------------------------------------------------------------------
@@ -324,9 +328,9 @@ def test_router_status_passthrough():
 def test_router_forwards_deadlines_and_aggregates_slo_metrics():
     clock = [0.0]
     router = Router(
-        server_config=ServerConfig(bucket_sizes=(4,), max_latency=10.0,
+        server_config=ServingPolicy(bucket_sizes=(4,), max_latency=10.0,
                                    shed_policy="deadline"),
-        clock=lambda: clock[0], overlap=False,
+        clock=lambda: clock[0],
     )
     router.register("narrow", "mobilenet", input_shapes=[INPUT],
                     scheme="scc", width_mult=0.25, seed=11)

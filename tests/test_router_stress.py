@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.backend import PLAN_CACHE, clear_plan_cache, plan_cache_stats
-from repro.serve import Router, ServerConfig
+from repro.serve import Router, ServingPolicy
 from repro.utils import seed_all
 
 pytestmark = pytest.mark.slow
@@ -47,7 +47,7 @@ def tiny_global_cache():
 def _three_model_router(**config_kwargs):
     seed_all(57)
     config_kwargs.setdefault("max_latency", 0.01)
-    config = ServerConfig(bucket_sizes=(1, 2, 4), **config_kwargs)
+    config = ServingPolicy(bucket_sizes=(1, 2, 4), **config_kwargs)
     router = Router(server_config=config)
     router.register("mnet-a", "mobilenet", input_shapes=[INPUT],
                     scheme="scc", width_mult=0.25, seed=71)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.serve import Server, ServerConfig
+from repro.serve import Server, ServingPolicy
+from repro.serve import server as server_module
 from repro.tensor import Tensor, no_grad
 from repro.utils import seed_all
 
@@ -44,7 +45,7 @@ def _images(n, shape=INPUT, seed=0):
 def test_bucketed_outputs_bitwise_equal_per_request(impl, backend):
     model = _model(impl=impl, backend=backend)
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     images = _images(4)
 
     # Coalesced: all four requests share one bucket.
@@ -65,7 +66,7 @@ def test_bucketed_outputs_bitwise_equal_per_request(impl, backend):
 def test_partial_bucket_padding_does_not_leak_between_requests():
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
     images = _images(3, seed=4)
     # Same three requests next to different batch-mates: identical outputs.
     first_ids = [server.submit(im) for im in images]
@@ -83,7 +84,7 @@ def test_partial_bucket_padding_does_not_leak_between_requests():
 def test_server_outputs_match_naive_unbatched_inference():
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2, 4), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(1, 2, 4), max_latency=1.0))
     images = _images(6, seed=7)
     ids = [server.submit(im) for im in images]
     server.flush()
@@ -102,7 +103,7 @@ def test_full_bucket_flushes_immediately_partial_waits_for_deadline():
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(2, 4), max_latency=0.5),
+                    config=ServingPolicy(bucket_sizes=(2, 4), max_latency=0.5),
                     clock=lambda: clock[0])
     images = _images(6, seed=1)
 
@@ -126,26 +127,24 @@ def test_full_bucket_flushes_immediately_partial_waits_for_deadline():
 def test_flush_drains_queue_larger_than_max_bucket():
     # Regression: flush()/stop() used to run one max-size batch and strand
     # the sub-bucket remainder when a burst outran the worker thread.
-    from repro.serve.server import Request
-
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2, 4), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(1, 2, 4), max_latency=1.0))
     images = _images(10, seed=13)
     with server._lock:  # simulate a threaded-mode burst the worker missed
-        queue = server._pending.setdefault(INPUT, [])
-        for i, image in enumerate(images):
-            queue.append(Request(id=1000 + i, image=image, submitted_at=0.0))
+        ids = [server.core.submit(server.name, INPUT, 0.0, payload=image).request.id
+               for image in images]
     assert server.flush() == 3  # 4 + 4 + 2
-    assert all(server.result(1000 + i) is not None for i in range(10))
+    assert all(server.result(rid) is not None for rid in ids)
     assert server.metrics().completed == 10
 
 
-def test_unread_result_retention_is_bounded():
+def test_unread_result_retention_is_bounded(monkeypatch):
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 4)
+    monkeypatch.setattr(server_module, "METRICS_WINDOW", 6)
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(2,), max_latency=1.0,
-                                        result_capacity=4, metrics_window=6))
+                    config=ServingPolicy(bucket_sizes=(2,), max_latency=1.0))
     ids = [server.submit(im) for im in _images(10, seed=14)]
     server.flush()
     # Oldest unread results are evicted; recent ones and the aggregate
@@ -155,20 +154,18 @@ def test_unread_result_retention_is_bounded():
     metrics = server.metrics()
     assert metrics.completed == 10
     assert metrics.latency_p50 > 0
-    with pytest.raises(ValueError, match="result_capacity"):
-        ServerConfig(result_capacity=0)
 
 
-def test_waited_results_survive_capacity_eviction():
+def test_waited_results_survive_capacity_eviction(monkeypatch):
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 4)
     # A result someone is blocked in wait_result() on must not be evicted
-    # by result_capacity — otherwise the waiter times out on a request
+    # by RESULT_CAPACITY — otherwise the waiter times out on a request
     # that actually completed.
     from tests.helpers import wait_for
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(8,), max_latency=5.0,
-                                        result_capacity=4))
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0))
     ids = [server.submit(im) for im in _images(7, seed=20)]  # queued, < bucket
     got = {}
     waiter = threading.Thread(
@@ -191,7 +188,7 @@ def test_waited_results_survive_capacity_eviction():
 def test_requests_of_unseen_shape_build_cold_plans_but_complete():
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(2,), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(2,), max_latency=1.0))
     server.reset_metrics()
     other = (3, 8, 8)
     ids = [server.submit(im) for im in _images(2, shape=other, seed=3)]
@@ -205,7 +202,7 @@ def test_requests_of_unseen_shape_build_cold_plans_but_complete():
 def test_metrics_warm_serving_window():
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2, 4), max_latency=1.0))
+                    config=ServingPolicy(bucket_sizes=(1, 2, 4), max_latency=1.0))
     # Warmup traffic, then measure a clean window.
     for im in _images(4, seed=8):
         server.submit(im)
@@ -229,10 +226,10 @@ def test_metrics_warm_serving_window():
 
 def test_server_config_validation():
     with pytest.raises(ValueError, match="bucket_sizes"):
-        ServerConfig(bucket_sizes=())
+        ServingPolicy(bucket_sizes=())
     with pytest.raises(ValueError, match="max_latency"):
-        ServerConfig(max_latency=0)
-    config = ServerConfig(bucket_sizes=(8, 2, 2, 4))
+        ServingPolicy(max_latency=0)
+    config = ServingPolicy(bucket_sizes=(8, 2, 2, 4))
     assert config.bucket_sizes == (2, 4, 8)
     assert config.bucket_for(1) == 2 and config.bucket_for(5) == 8
     assert config.bucket_for(64) == 8
@@ -254,7 +251,7 @@ def test_stop_drains_requests_racing_shutdown():
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2, 4), max_latency=0.005))
+                    config=ServingPolicy(bucket_sizes=(1, 2, 4), max_latency=0.005))
     server.start()
     ids = []
     lock = threading.Lock()
@@ -288,7 +285,7 @@ def test_stop_without_drain_sheds_pending_and_reports_them():
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(8,), max_latency=5.0))
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0))
     executed = server.submit(_images(1, seed=30)[0])
     server.flush()
     pending = [server.submit(im) for im in _images(3, seed=31)]
@@ -306,13 +303,13 @@ def test_stop_without_drain_sheds_pending_and_reports_them():
     server.stop()
 
 
-def test_shed_id_retention_is_bounded():
+def test_shed_id_retention_is_bounded(monkeypatch):
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 4)
     # Like unread results, shed-id bookkeeping must not grow forever on a
     # long-lived server that repeatedly stops without draining.
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(8,), max_latency=5.0,
-                                        result_capacity=4))
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0))
     first_batch = [server.submit(im) for im in _images(3, seed=34)]
     server.stop(drain=False)
     second_batch = [server.submit(im) for im in _images(4, seed=35)]
@@ -329,7 +326,7 @@ def test_shed_wakes_blocked_waiters():
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(8,), max_latency=5.0))
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0))
     rid = server.submit(_images(1, seed=32)[0])
     caught = []
     waiter = threading.Thread(
@@ -354,7 +351,7 @@ def test_admission_control_bounds_server_queue():
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(8,), max_latency=5.0,
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0,
                                         max_pending=2))
     images = _images(4, seed=33)
     accepted = [server.submit(im) for im in images[:2]]
@@ -367,24 +364,24 @@ def test_admission_control_bounds_server_queue():
     metrics = server.metrics()
     assert metrics.rejected == 1 and metrics.completed == 3
     with pytest.raises(ValueError, match="max_pending"):
-        ServerConfig(max_pending=0)
+        ServingPolicy(max_pending=0)
 
 
 # ---------------------------------------------------------------------------
 # Request lifecycle: status(), deadlines, queue-wait split, adaptive buckets
 # ---------------------------------------------------------------------------
 
-def test_status_disambiguates_result_none():
+def test_status_disambiguates_result_none(monkeypatch):
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 4)
     # result() is None both for still-pending and for evicted-unread
     # requests; status() tells them apart (plus DONE and SHED).
     from repro.serve import RequestStatus
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(2,), max_latency=5.0,
-                                        result_capacity=4))
+                    config=ServingPolicy(bucket_sizes=(2,), max_latency=5.0))
     # Each full pair flushes inline: 8 complete, the 9th stays queued, and
-    # result_capacity=4 evicts the 4 oldest unread results.
+    # RESULT_CAPACITY=4 evicts the 4 oldest unread results.
     ids = [server.submit(im) for im in _images(9, seed=40)]
     assert server.result(ids[0]) is None
     assert server.status(ids[0]) == RequestStatus.EVICTED
@@ -405,7 +402,7 @@ def test_deadline_shed_raises_deadline_exceeded():
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=10.0,
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=10.0,
                                         shed_policy="deadline"),
                     clock=lambda: clock[0])
     images = _images(2, seed=41)
@@ -435,7 +432,7 @@ def test_completion_exactly_at_deadline_is_not_a_miss():
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2), max_latency=10.0),
+                    config=ServingPolicy(bucket_sizes=(1, 2), max_latency=10.0),
                     clock=lambda: clock[0])
     rid = server.submit(_images(1, seed=42)[0], deadline=0.0)
     server.flush()                     # executes at t=0.0: done == deadline
@@ -459,7 +456,7 @@ def test_shed_then_wait_result_race():
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(4,), max_latency=10.0,
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=10.0,
                                         shed_policy="deadline"),
                     clock=lambda: clock[0])
     rid = server.submit(_images(1, seed=44)[0], deadline=0.5)
@@ -475,7 +472,7 @@ def test_metrics_split_queue_wait_vs_exec():
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(2,), max_latency=1.0),
+                    config=ServingPolicy(bucket_sizes=(2,), max_latency=1.0),
                     clock=lambda: clock[0])
     rid = server.submit(_images(1, seed=45)[0])
     clock[0] = 2.0
@@ -498,7 +495,7 @@ def test_adaptive_server_shrinks_bucket_under_light_load():
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 4), max_latency=1.0,
+                    config=ServingPolicy(bucket_sizes=(1, 4), max_latency=1.0,
                                         adaptive_buckets=True),
                     clock=lambda: clock[0])
     images = _images(3, seed=46)
@@ -514,7 +511,7 @@ def test_adaptive_server_shrinks_bucket_under_light_load():
     assert all(r.bucket_size == 1 for r in outs)
 
     fixed = Server(_model(), input_shapes=[INPUT],
-                   config=ServerConfig(bucket_sizes=(1, 4), max_latency=1.0))
+                   config=ServingPolicy(bucket_sizes=(1, 4), max_latency=1.0))
     for im, adaptive_result in zip(images, outs):
         rid = fixed.submit(im)
         fixed.flush()
@@ -524,7 +521,7 @@ def test_adaptive_server_shrinks_bucket_under_light_load():
 
 def test_server_config_rejects_unknown_shed_policy():
     with pytest.raises(ValueError, match="shed_policy"):
-        ServerConfig(shed_policy="oldest")
+        ServingPolicy(shed_policy="oldest")
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +533,7 @@ def test_threaded_server_serves_concurrent_clients():
 
     model = _model()
     server = Server(model, input_shapes=[INPUT],
-                    config=ServerConfig(bucket_sizes=(1, 2, 4), max_latency=0.02))
+                    config=ServingPolicy(bucket_sizes=(1, 2, 4), max_latency=0.02))
     base = plan_cache_stats()
     server.start()
     try:
