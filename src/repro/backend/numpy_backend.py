@@ -7,6 +7,10 @@ the data-grad scatter runs as ``KH*KW`` strided accumulations, and every
 contraction fetches its ``np.einsum_path`` plan from the execution-plan
 cache instead of re-searching per call.
 
+Depthwise convs (one input channel per group) run a few elementwise array
+calls per kernel tap instead of one einsum call per channel; see the
+comment above :func:`depthwise_fwd_block`.
+
 SCC kernels implement all three of the paper's execution strategies behind
 one registered op pair (``scc_forward`` / ``scc_backward``) parameterised by
 ``strategy``; see :mod:`repro.core.scc_kernels` for the paper mapping.
@@ -105,27 +109,191 @@ def _dense_gradw(plan: Conv2dPlan, grad: np.ndarray, patches: np.ndarray):
     )
 
 
-@register_kernel("conv2d", "numpy")
-def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
-    kh, kw = plan.kernel
-    xp = _pad2d(x, plan.padding)
-    patches = _patch_view(xp, kh, kw, plan.stride)
+# Depthwise (one input channel per group) convs skip the per-group einsum
+# loop.  Each of the KH*KW taps is one strided elementwise multiply-add over
+# a whole block of groups, in channels-last layout so the innermost loop runs
+# over (Wo, channels) rather than over one short output row.  The batch is
+# walked in chunks of about ``_DW_CHUNK_BYTES`` of output so a chunk's
+# buffers stay in cache.  Grad-weight sums each channel's products by
+# repeated halving (:func:`_fold_rows`): per chunk, then across chunks.
+# Every step is elementwise per channel and the chunks depend only on the
+# layer's geometry, so a channel gets the same bits whatever group block it
+# is computed in: the ``threaded`` backend shards these functions over group
+# blocks and stays bit-identical to this backend, which runs them once over
+# all groups.  Forward and grad-input also equal ``reference`` bit for bit
+# (the same operations in the same order per element).
+
+_DW_CHUNK_BYTES = 1 << 18
+
+
+def _channels_last(a: np.ndarray) -> np.ndarray:
+    """Contiguous (N, H, W, C) copy of an NCHW array."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1))
+
+
+def _window(a: np.ndarray, i: int, j: int, ho: int, wo: int, stride: int) -> np.ndarray:
+    """The (N, Ho, Wo, ...) view that tap ``(i, j)`` reads of channels-last ``a``."""
+    return a[:, i : i + ho * stride : stride, j : j + wo * stride : stride]
+
+
+def _tap_weights(weight: np.ndarray, groups: int, gsl: slice, wo: int) -> np.ndarray:
+    """(KH, KW, Wo, block groups, multiplier) copy of the block's weights,
+    repeated along Wo so each tap multiplies as one flat loop."""
+    cout, _, kh, kw = weight.shape
+    wb = weight.reshape(groups, cout // groups, kh, kw)[gsl].transpose(2, 3, 0, 1)
+    return np.ascontiguousarray(np.broadcast_to(wb[:, :, None], (kh, kw, wo) + wb.shape[2:]))
+
+
+def _batch_chunks(out_shape: tuple, itemsize: int) -> list[slice]:
+    """Batch chunks of about ``_DW_CHUNK_BYTES`` of (all-channel) output."""
+    n, cout, ho, wo = out_shape
+    return tile_slices(n, max(1, _DW_CHUNK_BYTES // (cout * ho * wo * itemsize)))
+
+
+def _fold_rows(rows: np.ndarray) -> np.ndarray:
+    """Column sums of ``rows`` (M, K) by repeated halving, in place.
+
+    Each step adds the last half of the remaining rows onto the first half
+    with one elementwise add, so a column's sum depends on that column
+    alone; ``einsum`` or ``sum`` over the leading axis may change order with
+    the number of columns.  Accuracy is that of pairwise summation.
+    Returns a view of row 0.
+    """
+    m = rows.shape[0]
+    while m > 1:
+        half = m // 2
+        np.add(rows[:half], rows[m - half : m], out=rows[:half])
+        m -= half
+    return rows[0]
+
+
+def depthwise_fwd_block(
+    xp: np.ndarray,
+    weight: np.ndarray,
+    out: np.ndarray,
+    gsl: slice,
+    stride: int,
+    epilogue: EpilogueArgs | None = None,
+) -> None:
+    """Depthwise forward of the groups ``gsl`` of padded ``xp`` into
+    ``out``, taps in canonical ``(i, j)`` order, the epilogue applied to
+    each chunk while it is cache-hot."""
+    _, cout, ho, wo = out.shape
+    groups = xp.shape[1]
+    og = cout // groups
+    kh, kw = weight.shape[2], weight.shape[3]
+    csl = slice(gsl.start * og, gsl.stop * og)
+    wt = _tap_weights(weight, groups, gsl, wo)       # (KH, KW, Wo, Gb, og)
+    for nsl in _batch_chunks(out.shape, out.itemsize):
+        xl = _channels_last(xp[nsl, gsl])[..., None]   # (Nc, Hp, Wp, Gb, 1)
+        acc = np.empty((xl.shape[0], ho, wo) + wt.shape[3:], dtype=out.dtype)
+        tmp = np.empty_like(acc)
+        np.multiply(_window(xl, 0, 0, ho, wo, stride), wt[0, 0], out=acc)
+        for i in range(kh):
+            for j in range(kw):
+                if i or j:
+                    np.multiply(_window(xl, i, j, ho, wo, stride), wt[i, j], out=tmp)
+                    np.add(acc, tmp, out=acc)
+        block = out[nsl, csl]
+        block[...] = acc.reshape(acc.shape[:3] + (-1,)).transpose(0, 3, 1, 2)
+        if epilogue is not None:
+            epilogue.apply(block, csl)
+
+
+def depthwise_bwd_block(
+    xp: np.ndarray,
+    weight: np.ndarray,
+    grad: np.ndarray,
+    grad_x: np.ndarray | None,
+    grad_w: np.ndarray | None,
+    gsl: slice,
+    stride: int,
+    padding: int,
+) -> None:
+    """Depthwise grad-input (unpadded, into ``grad_x``) and grad-weight of
+    the groups ``gsl``.  Grad-input accumulates the taps in canonical order
+    per multiplier index; grad-weight folds each tap's products."""
+    _, cout, ho, wo = grad.shape
+    groups = xp.shape[1]
+    og = cout // groups
+    kh, kw = weight.shape[2], weight.shape[3]
+    csl = slice(gsl.start * og, gsl.stop * og)
+    wt = _tap_weights(weight, groups, gsl, wo)
+    chunks = _batch_chunks(grad.shape, grad.itemsize)
+    partials = []
+    for nsl in chunks:
+        gl = _channels_last(grad[nsl, csl]).reshape(-1, ho, wo, wt.shape[3], og)
+        if grad_x is not None:
+            gxl = np.zeros((gl.shape[0],) + xp.shape[2:] + (wt.shape[3],), grad_x.dtype)
+            tmp = np.empty(gl.shape[:4], dtype=grad_x.dtype)
+            for k in range(og):
+                for i in range(kh):
+                    for j in range(kw):
+                        cell = _window(gxl, i, j, ho, wo, stride)
+                        np.multiply(gl[..., k], wt[i, j, ..., k], out=tmp)
+                        np.add(cell, tmp, out=cell)
+            h, w = grad_x.shape[2], grad_x.shape[3]
+            grad_x[nsl, gsl] = gxl[:, padding : padding + h, padding : padding + w].transpose(
+                0, 3, 1, 2
+            )
+        if grad_w is not None:
+            xl = _channels_last(xp[nsl, gsl])[..., None]
+            prod = np.empty(gl.shape, dtype=np.result_type(grad, xp))
+            rows = prod.reshape(-1, csl.stop - csl.start)
+            sums = np.empty((kh, kw, rows.shape[1]), dtype=prod.dtype)
+            for i in range(kh):
+                for j in range(kw):
+                    np.multiply(gl, _window(xl, i, j, ho, wo, stride), out=prod)
+                    sums[i, j] = _fold_rows(rows)
+            partials.append(sums)
+    if grad_w is not None:
+        total = _fold_rows(np.stack(partials).reshape(len(chunks), -1))
+        grad_w[csl, 0] = total.reshape(kh, kw, -1).transpose(2, 0, 1)
+
+
+def _conv_forward(
+    plan: Conv2dPlan, xp: np.ndarray, weight: np.ndarray,
+    epilogue: EpilogueArgs | None = None,
+) -> np.ndarray:
+    """Forward of any conv geometry; ``epilogue`` runs per output slab."""
     groups = plan.groups
+    if plan.depthwise:
+        out = np.empty(plan.out_shape, dtype=xp.dtype)
+        depthwise_fwd_block(xp, weight, out, slice(0, groups), plan.stride, epilogue)
+        return out
+    kh, kw = plan.kernel
+    patches = _patch_view(xp, kh, kw, plan.stride)
     if groups == 1:
         out = _dense_forward(plan, patches, weight)
-    else:
-        n, cout = plan.out_shape[0], plan.out_shape[1]
-        out = np.empty(plan.out_shape, dtype=x.dtype)
-        og = cout // groups
-        cg = plan.x_shape[1] // groups
-        for g in range(groups):
-            out[:, g * og : (g + 1) * og] = np.einsum(
-                "nchwij,ocij->nohw",
-                patches[:, g * cg : (g + 1) * cg],
-                weight[g * og : (g + 1) * og],
-                optimize=plan.fwd_path,
-            )
-    return out, {"xp": xp, "w": weight}
+        if epilogue is not None:
+            epilogue.apply(out)
+        return out
+    out = np.empty(plan.out_shape, dtype=xp.dtype)
+    og = plan.out_shape[1] // groups
+    cg = plan.x_shape[1] // groups
+    for g in range(groups):
+        gsl = slice(g * og, (g + 1) * og)
+        out[:, gsl] = np.einsum(
+            "nchwij,ocij->nohw",
+            patches[:, g * cg : (g + 1) * cg],
+            weight[gsl],
+            optimize=plan.fwd_path,
+        )
+        if epilogue is not None:
+            epilogue.apply(out[:, gsl], gsl)
+    return out
+
+
+def _unpad_grad(grad_xp: np.ndarray | None, padding: int) -> np.ndarray | None:
+    if grad_xp is None or not padding:
+        return grad_xp
+    return np.ascontiguousarray(grad_xp[:, :, padding:-padding, padding:-padding])
+
+
+@register_kernel("conv2d", "numpy")
+def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
+    xp = _pad2d(x, plan.padding)
+    return _conv_forward(plan, xp, weight), {"xp": xp, "w": weight}
 
 
 @register_kernel("conv2d_backward", "numpy")
@@ -137,16 +305,22 @@ def conv2d_backward(
     need_weight_grad: bool = True,
 ):
     xp, weight = ctx["xp"], ctx["w"]
-    stride, padding, groups = plan.stride, plan.padding, plan.groups
+    stride, groups = plan.stride, plan.groups
+    if plan.depthwise:
+        grad_x = np.empty(plan.x_shape, dtype=xp.dtype) if need_input_grad else None
+        grad_w = np.empty_like(weight) if need_weight_grad else None
+        depthwise_bwd_block(
+            xp, weight, grad, grad_x, grad_w, slice(0, groups), stride, plan.padding
+        )
+        return grad_x, grad_w
+    grad_w = np.zeros_like(weight) if need_weight_grad else None
+    grad_xp = np.zeros_like(xp) if need_input_grad else None
+
     cout, _, kh, kw = weight.shape
     ho, wo = grad.shape[2], grad.shape[3]
-
     patches = _patch_view(xp, kh, kw, stride)
     cg = xp.shape[1] // groups
     og = cout // groups
-
-    grad_w = np.zeros_like(weight) if need_weight_grad else None
-    grad_xp = np.zeros_like(xp) if need_input_grad else None
 
     if need_weight_grad and groups == 1:
         grad_w[:] = _dense_gradw(plan, grad, patches)
@@ -172,16 +346,7 @@ def conv2d_backward(
                         i : i + ho * stride : stride,
                         j : j + wo * stride : stride,
                     ] += contrib
-
-    grad_x = None
-    if need_input_grad:
-        if padding:
-            grad_x = np.ascontiguousarray(
-                grad_xp[:, :, padding:-padding, padding:-padding]
-            )
-        else:
-            grad_x = grad_xp
-    return grad_x, grad_w
+    return _unpad_grad(grad_xp, plan.padding), grad_w
 
 
 @register_kernel("conv2d_fused", "numpy")
@@ -192,28 +357,7 @@ def conv2d_fused(
     slab while it is cache-hot — no intermediate bias/BN/activation tensors
     are materialized.  Returns the output only (no backward context)."""
     plan = fplan.base
-    kh, kw = plan.kernel
-    xp = _pad2d(x, plan.padding)
-    patches = _patch_view(xp, kh, kw, plan.stride)
-    groups = plan.groups
-    if groups == 1:
-        out = _dense_forward(plan, patches, weight)
-        epilogue.apply(out)
-    else:
-        n, cout = plan.out_shape[0], plan.out_shape[1]
-        out = np.empty(plan.out_shape, dtype=x.dtype)
-        og = cout // groups
-        cg = plan.x_shape[1] // groups
-        for g in range(groups):
-            gsl = slice(g * og, (g + 1) * og)
-            out[:, gsl] = np.einsum(
-                "nchwij,ocij->nohw",
-                patches[:, g * cg : (g + 1) * cg],
-                weight[gsl],
-                optimize=plan.fwd_path,
-            )
-            epilogue.apply(out[:, gsl], gsl)
-    return out
+    return _conv_forward(plan, _pad2d(x, plan.padding), weight, epilogue)
 
 
 # ---------------------------------------------------------------------------

@@ -208,6 +208,12 @@ class Conv2dPlan:
         return self.w_shape[2], self.w_shape[3]
 
     @property
+    def depthwise(self) -> bool:
+        """One input channel per group (``groups > 1``): the backends run
+        the per-tap elementwise path instead of per-group contractions."""
+        return self.groups > 1 and self.w_shape[1] == 1
+
+    @property
     def resolved_executor(self) -> str | None:
         """Human-readable ``backend@workers`` this plan dispatches under."""
         return _resolved_executor(self.resolved_backend, self.resolved_workers)

@@ -12,24 +12,34 @@ some shapes, which perturbs the last ulp — so regions are only cut along
 axes where each task runs the *identical* contraction calls the ``numpy``
 backend runs, on the identical operands, writing disjoint outputs:
 
-- ``conv2d`` forward / weight-grad shard over **groups** (each group is
-  already an independent einsum in the ``numpy`` kernel); at ``groups == 1``
-  the lone contraction is sharded over **schedule-table tiles** of the
-  contracted axis: each tile runs the identical ``planned_einsum`` partial
-  the ``numpy`` backend computes serially, and the partials are combined in
-  the canonical fixed-order pairwise tree
-  (:func:`~repro.backend.plan.combine_partials_tree`) — bitwise-equal by
-  construction on any worker count.  Under ``REPRO_PRECISION=fast`` the
-  partials instead accumulate in completion order under a lock (allclose
-  tier, never bitwise);
-- the ``conv2d`` data-grad tap scatter shards over **disjoint tap groups**:
-  taps with equal ``(group, i % stride, j % stride)`` write the same
-  strided lattice and different keys never touch the same cell, so groups
-  run concurrently while each group applies its taps in the canonical
-  ``(i, j)`` order.  When only one tap group exists (``groups == 1``,
-  ``stride == 1``) the per-tap *contractions* are computed in parallel
-  waves and applied serially in canonical order — accumulation order per
-  cell is preserved either way;
+- depthwise ``conv2d`` (one input channel per group) forward, backward and
+  fused forward shard over **channel blocks**: each block runs the shared
+  tap kernels (:func:`~repro.backend.numpy_backend.depthwise_fwd_block` /
+  ``depthwise_bwd_block``) that the ``numpy`` backend runs once over all
+  channels.  Taps are elementwise multiply-adds, so slicing channels is
+  exact.  Grad-weight is a reduction, and ``einsum("nchw,nchw->c")`` over
+  a channel slice does not give the full call's bits; the kernels instead
+  sum each channel's products with elementwise halving steps
+  (``_fold_rows``), in batch chunks set by the layer's full geometry, so a
+  channel's sum never depends on the block it is in;
+- other grouped ``conv2d`` forward / weight-grad shard over **groups**
+  (each group is already an independent einsum in the ``numpy`` kernel);
+  at ``groups == 1`` the lone contraction is sharded over
+  **schedule-table tiles** of the contracted axis: each tile runs the
+  identical ``planned_einsum`` partial the ``numpy`` backend computes
+  serially, and the partials are combined in the canonical fixed-order
+  pairwise tree (:func:`~repro.backend.plan.combine_partials_tree`) —
+  bitwise-equal by construction on any worker count.  Under
+  ``REPRO_PRECISION=fast`` the partials instead accumulate in completion
+  order under a lock (allclose tier, never bitwise);
+- the other ``conv2d`` data-grad tap scatters shard over **disjoint tap
+  groups**: taps with equal ``(group, i % stride, j % stride)`` write the
+  same strided lattice and different keys never touch the same cell, so
+  groups run concurrently while each group applies its taps in the
+  canonical ``(i, j)`` order.  When only one tap group exists
+  (``groups == 1``, ``stride == 1``) the per-tap *contractions* are
+  computed in parallel waves and applied serially in canonical order —
+  accumulation order per cell is preserved either way;
 - SCC kernels shard the **segment loops over cycle positions** (each cycle
   position owns the disjoint output interleave ``out[:, p::cd]``); the
   channel-stack gather and both push-style scatters (``np.add.at``) shard
@@ -59,8 +69,11 @@ from repro.backend.numpy_backend import (
     _count_push_scatter,
     _pad2d,
     _patch_view,
+    _unpad_grad,
     dense_fwd_partial,
     dense_gradw_partial,
+    depthwise_bwd_block,
+    depthwise_fwd_block,
     pull_gemm_partial,
 )
 from repro.backend.parallel import get_num_workers, parallel_map, shard_slices
@@ -130,30 +143,52 @@ def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
     )
 
 
-@register_kernel("conv2d", "threaded")
-def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
-    kh, kw = plan.kernel
-    xp = _pad2d(x, plan.padding)
-    patches = _patch_view(xp, kh, kw, plan.stride)
+def _conv_forward(
+    plan: Conv2dPlan, xp: np.ndarray, weight: np.ndarray,
+    epilogue: EpilogueArgs | None = None,
+) -> np.ndarray:
+    """Forward of any conv geometry, sharded per the module docstring; the
+    epilogue runs per output slab inside the worker that wrote it (after
+    the tree combine for dense)."""
     groups = plan.groups
+    if plan.depthwise:
+        out = np.empty(plan.out_shape, dtype=xp.dtype)
+        parallel_map(
+            lambda gsl: depthwise_fwd_block(xp, weight, out, gsl, plan.stride, epilogue),
+            shard_slices(groups, get_num_workers()),
+            op="conv2d.fwd.depthwise",
+        )
+        return out
+    kh, kw = plan.kernel
+    patches = _patch_view(xp, kh, kw, plan.stride)
     if groups == 1:
         out = _dense_forward(plan, patches, weight)
-    else:
-        cout = plan.out_shape[1]
-        out = np.empty(plan.out_shape, dtype=x.dtype)
-        og = cout // groups
-        cg = plan.x_shape[1] // groups
+        if epilogue is not None:
+            epilogue.apply(out)
+        return out
+    out = np.empty(plan.out_shape, dtype=xp.dtype)
+    og = plan.out_shape[1] // groups
+    cg = plan.x_shape[1] // groups
 
-        def run_group(g: int) -> None:
-            out[:, g * og : (g + 1) * og] = np.einsum(
-                "nchwij,ocij->nohw",
-                patches[:, g * cg : (g + 1) * cg],
-                weight[g * og : (g + 1) * og],
-                optimize=plan.fwd_path,
-            )
+    def run_group(g: int) -> None:
+        gsl = slice(g * og, (g + 1) * og)
+        out[:, gsl] = np.einsum(
+            "nchwij,ocij->nohw",
+            patches[:, g * cg : (g + 1) * cg],
+            weight[gsl],
+            optimize=plan.fwd_path,
+        )
+        if epilogue is not None:
+            epilogue.apply(out[:, gsl], gsl)
 
-        parallel_map(run_group, range(groups), op="conv2d.fwd.groups")
-    return out, {"xp": xp, "w": weight}
+    parallel_map(run_group, range(groups), op="conv2d.fwd.groups")
+    return out
+
+
+@register_kernel("conv2d", "threaded")
+def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
+    xp = _pad2d(x, plan.padding)
+    return _conv_forward(plan, xp, weight), {"xp": xp, "w": weight}
 
 
 @register_kernel("conv2d_backward", "threaded")
@@ -165,16 +200,26 @@ def conv2d_backward(
     need_weight_grad: bool = True,
 ):
     xp, weight = ctx["xp"], ctx["w"]
-    stride, padding, groups = plan.stride, plan.padding, plan.groups
+    stride, groups = plan.stride, plan.groups
+    if plan.depthwise:
+        grad_x = np.empty(plan.x_shape, dtype=xp.dtype) if need_input_grad else None
+        grad_w = np.empty_like(weight) if need_weight_grad else None
+        parallel_map(
+            lambda gsl: depthwise_bwd_block(
+                xp, weight, grad, grad_x, grad_w, gsl, stride, plan.padding
+            ),
+            shard_slices(groups, get_num_workers()),
+            op="conv2d.bwd.depthwise",
+        )
+        return grad_x, grad_w
+    grad_w = np.zeros_like(weight) if need_weight_grad else None
+    grad_xp = np.zeros_like(xp) if need_input_grad else None
+
     cout, _, kh, kw = weight.shape
     ho, wo = grad.shape[2], grad.shape[3]
-
     patches = _patch_view(xp, kh, kw, stride)
     cg = xp.shape[1] // groups
     og = cout // groups
-
-    grad_w = np.zeros_like(weight) if need_weight_grad else None
-    grad_xp = np.zeros_like(xp) if need_input_grad else None
 
     if need_weight_grad:
         if groups == 1:
@@ -247,15 +292,7 @@ def conv2d_backward(
                 for tap, contrib in zip(wave, contribs):
                     tap_apply(tap, contrib)
 
-    grad_x = None
-    if need_input_grad:
-        if padding:
-            grad_x = np.ascontiguousarray(
-                grad_xp[:, :, padding:-padding, padding:-padding]
-            )
-        else:
-            grad_x = grad_xp
-    return grad_x, grad_w
+    return _unpad_grad(grad_xp, plan.padding), grad_w
 
 
 @register_kernel("conv2d_fused", "threaded")
@@ -263,35 +300,9 @@ def conv2d_fused(
     fplan: FusedConv2dPlan, x: np.ndarray, weight: np.ndarray, epilogue: EpilogueArgs
 ):
     """Inference-only conv2d + staged epilogue (see the numpy kernel): the
-    contraction is tiled/sharded exactly like ``conv2d``, and the epilogue
-    runs per output slab while it is cache-hot (inside each group worker for
-    grouped convs, after the tree combine for dense)."""
+    contraction is tiled/sharded exactly like ``conv2d``."""
     plan = fplan.base
-    kh, kw = plan.kernel
-    xp = _pad2d(x, plan.padding)
-    patches = _patch_view(xp, kh, kw, plan.stride)
-    groups = plan.groups
-    if groups == 1:
-        out = _dense_forward(plan, patches, weight)
-        epilogue.apply(out)
-    else:
-        cout = plan.out_shape[1]
-        out = np.empty(plan.out_shape, dtype=x.dtype)
-        og = cout // groups
-        cg = plan.x_shape[1] // groups
-
-        def run_group(g: int) -> None:
-            gsl = slice(g * og, (g + 1) * og)
-            out[:, gsl] = np.einsum(
-                "nchwij,ocij->nohw",
-                patches[:, g * cg : (g + 1) * cg],
-                weight[gsl],
-                optimize=plan.fwd_path,
-            )
-            epilogue.apply(out[:, gsl], gsl)
-
-        parallel_map(run_group, range(groups), op="conv2d_fused.groups")
-    return out
+    return _conv_forward(plan, _pad2d(x, plan.padding), weight, epilogue)
 
 
 # ---------------------------------------------------------------------------

@@ -310,6 +310,7 @@ CONV_CASES = [
     (4, 8, 10, 12, 3, 1, 0, 1),     # standard conv, unpadded
     (4, 8, 10, 16, 3, 2, 1, 2),     # grouped, strided
     (3, 8, 9, 8, 3, 1, 1, 8),       # depthwise
+    (3, 8, 11, 16, 5, 2, 2, 8),     # depthwise, strided, multiplier 2
 ]
 
 

@@ -15,7 +15,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.backend import ShardError, parallel_map, submit_pooled
+from repro.backend import ShardError, backend_override, parallel_map, submit_pooled
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -282,30 +282,33 @@ def test_repeated_kernel_faults_demote_workload_and_recover():
     # "numpy is broken": faults fire only while the resolved backend is
     # numpy, so demoting the workload to the threaded backend (bitwise
     # numpy sharded on the pool) makes them stop — observable recovery.
-    executor = ModelExecutor(
-        _model(), input_shapes=[INPUT], bucket_sizes=(2,),
-        degrade_after=2, degrade_chain=("numpy", "threaded"),
-    )
-    inj = FaultInjector([FaultSpec(site="kernel", rate=1.0,
-                                   backends=("numpy",))])
-    images = _images(2, seed=6)
-    clean = ModelExecutor(_model(), input_shapes=[INPUT], bucket_sizes=(2,))
-    clean_rows, _, _, _ = clean.run_resilient(images, 2)
-    clock, sleep, _ = _virtual_time()
-    with use_faults(inj):
-        for _ in range(2):  # two consecutive non-poison kernel faults
-            _, errors, _, _ = executor.run_resilient(
-                images, 2, clock=clock, sleep=sleep, isolate=False)
-            assert errors
-        events = executor.degraded()
-        assert len(events) == 1
-        assert events[0]["backend"] == "threaded"
-        assert events[0]["bucket"] == 2
-        # Demoted: the backend filter no longer matches, batches succeed —
-        # and bitwise-identically (threaded shards the same numpy kernels).
-        rows, errors, _, _ = executor.run_resilient(
-            images, 2, clock=clock, sleep=sleep)
-        assert not errors
+    # The executors start on numpy whatever REPRO_BACKEND says, so the
+    # backend filter below matches before the demotion.
+    with backend_override("numpy"):
+        executor = ModelExecutor(
+            _model(), input_shapes=[INPUT], bucket_sizes=(2,),
+            degrade_after=2, degrade_chain=("numpy", "threaded"),
+        )
+        inj = FaultInjector([FaultSpec(site="kernel", rate=1.0,
+                                       backends=("numpy",))])
+        images = _images(2, seed=6)
+        clean = ModelExecutor(_model(), input_shapes=[INPUT], bucket_sizes=(2,))
+        clean_rows, _, _, _ = clean.run_resilient(images, 2)
+        clock, sleep, _ = _virtual_time()
+        with use_faults(inj):
+            for _ in range(2):  # two consecutive non-poison kernel faults
+                _, errors, _, _ = executor.run_resilient(
+                    images, 2, clock=clock, sleep=sleep, isolate=False)
+                assert errors
+            events = executor.degraded()
+            assert len(events) == 1
+            assert events[0]["backend"] == "threaded"
+            assert events[0]["bucket"] == 2
+            # Demoted: the backend filter no longer matches, batches succeed —
+            # and bitwise-identically (threaded shards the same numpy kernels).
+            rows, errors, _, _ = executor.run_resilient(
+                images, 2, clock=clock, sleep=sleep)
+            assert not errors
     for row, clean_row in zip(rows, clean_rows):
         np.testing.assert_array_equal(row, clean_row)
 
