@@ -13,7 +13,10 @@ comment above :func:`depthwise_fwd_block`.
 
 SCC kernels implement all three of the paper's execution strategies behind
 one registered op pair (``scc_forward`` / ``scc_backward``) parameterised by
-``strategy``; see :mod:`repro.core.scc_kernels` for the paper mapping.
+``strategy``; see :mod:`repro.core.scc_kernels` for the paper mapping.  The
+DSXplore strategy's segment GEMMs and input-centric pull GEMM are direct
+batched ``np.matmul`` calls on the zero-copy views; see the comment above
+:func:`segment_fwd_gemm`.
 """
 from __future__ import annotations
 
@@ -82,11 +85,6 @@ def dense_fwd_partial(patches: np.ndarray, weight: np.ndarray, sl: slice) -> np.
 def dense_gradw_partial(grad: np.ndarray, patches: np.ndarray, sl: slice) -> np.ndarray:
     """One batch tile of the dense grad-weight contraction (see above)."""
     return planned_einsum("nohw,nchwij->ocij", grad[sl], patches[sl])
-
-
-def pull_gemm_partial(grad_out: np.ndarray, w_full: np.ndarray, sl: slice) -> np.ndarray:
-    """One contracted output-channel tile of the SCC pull-GEMM (see above)."""
-    return planned_einsum("nohw,oc->nchw", grad_out[:, sl], w_full[sl])
 
 
 def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
@@ -420,9 +418,11 @@ def _count_push_scatter(plan: SCCPlan, stats: KernelStats, total_updates: int) -
 
 
 def _channel_stack_forward(plan, x, w, stats, epilogue=None):
-    # Steps 1-3 of Pytorch-Base: one fancy-index gather == slice+concat of
-    # every window into the (N, Cout, gw, H, W) stacked tensor.
-    stacked = x[:, plan.windows]
+    # Steps 1-3 of Pytorch-Base: one gather == slice+concat of every window
+    # into the (N, Cout, gw, H, W) stacked tensor.  ``np.take`` writes it
+    # C-contiguous; ``x[:, windows]`` may put the batch axis innermost, and
+    # the grouped GEMM's bits depend on the layout.
+    stacked = np.take(x, plan.windows, axis=1)
     stats.bytes_materialized += stacked.nbytes
     stats.gemm_calls += 1
     # Step 4: grouped convolution with groups == Cout.
@@ -451,62 +451,144 @@ def _channel_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
     return grad_x, grad_w
 
 
+# SCC segment GEMMs.  Each DSXplore contraction is a plain batched
+# ``np.matmul`` over ``(N, C, H*W)`` reshapes of the zero-copy channel
+# views: a reshape of ``x[:, chan_slice]`` (or of ``grad_out[:, p::cd]``)
+# merges only the contiguous H, W axes, so it stays a view.  ``einsum``
+# would copy each segment to channels-last first and hand back a permuted
+# result.  Each helper depends only on its operands' shapes and strides,
+# so the ``numpy`` and ``threaded`` backends, which call the same helper
+# on the same views, get the same bits.
+
+def segment_fwd_gemm(x_seg: np.ndarray, w_seg: np.ndarray) -> np.ndarray:
+    """``w_seg (O, C) . x_seg (N, C, H, W)`` as an (N, O, H, W) array."""
+    n, c, h, w = x_seg.shape
+    return np.matmul(w_seg, x_seg.reshape(n, c, h * w)).reshape(n, -1, h, w)
+
+
+def segment_gradw_gemm(grad_seg: np.ndarray, x_seg: np.ndarray) -> np.ndarray:
+    """(O, C) weight gradient ``sum_n grad_seg[n] . x_seg[n]^T``: one
+    matmul per batch row, then a sum over ``n`` in batch order."""
+    n, c, h, w = x_seg.shape
+    per_row = np.matmul(
+        grad_seg.reshape(n, -1, h * w), x_seg.reshape(n, c, h * w).transpose(0, 2, 1)
+    )
+    return per_row.sum(axis=0)
+
+
+def pull_gemm(grad_out: np.ndarray, w_full: np.ndarray) -> np.ndarray:
+    """The input-centric pull GEMM ``w_full^T (C, O) . grad_out (N, O, H, W)``."""
+    n, o, h, w = grad_out.shape
+    return np.matmul(w_full.T, grad_out.reshape(n, o, h * w)).reshape(n, -1, h, w)
+
+
+def pull_gemm_partial(grad_out: np.ndarray, w_full: np.ndarray, sl: slice) -> np.ndarray:
+    """One contracted output-channel tile of the pull GEMM."""
+    return pull_gemm(grad_out[:, sl], w_full[sl])
+
+
+# Per-cycle-position blocks.  Cycle position ``p`` owns the output
+# interleave ``out[:, p::cd]`` (and the weight rows ``w[p::cd]``), so the
+# blocks of different ``p`` write disjoint memory: this backend runs them
+# over every ``p`` in order, ``threaded`` maps them over ``p``.  Counters go
+# to ``stats``, which the threaded backend gives each block separately.
+
+def conv_stack_fwd_block(plan, x, w, out, gathered, p, stats, epilogue=None) -> None:
+    """Gather cycle position ``p``'s window and run its grouped GEMM."""
+    cd = plan.cyclic_dist
+    win = x[:, plan.cycle_index[p]]                   # (N, gw, H, W) copy
+    stats.bytes_materialized += win.nbytes
+    gathered[p] = win
+    out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
+    stats.gemm_calls += 1
+    if epilogue is not None:
+        epilogue.apply(out[:, p::cd], slice(p, None, cd))
+
+
+def conv_stack_bwd_block(plan, w, gathered, grad_out, grad_w, contribs, p, stats) -> None:
+    """Cycle position ``p``'s weight gradient (into ``grad_w``) and window
+    data-grad contribution (into ``contribs[p]``); either may be ``None``."""
+    cd = plan.cyclic_dist
+    g = grad_out[:, p::cd]
+    if grad_w is not None:
+        grad_w[p::cd] = planned_einsum("nohw,nghw->og", g, gathered[p])
+        stats.gemm_calls += 1
+    if contribs is not None:
+        contrib = planned_einsum("nohw,og->nghw", g, w[p::cd])
+        stats.bytes_materialized += contrib.nbytes
+        stats.gemm_calls += 1
+        contribs[p] = contrib
+
+
+def apply_conv_stack_contribs(plan, grad_x, contribs, stats) -> None:
+    """Scatter the window contributions into ``grad_x`` in cycle order.
+
+    Within one cycle position the window channels are distinct, so a
+    fancy-index ``+=`` is conflict-free; conflicts across cycle positions
+    are resolved by this serial loop (framework-level serialisation, the
+    paper's point about composed-operator implementations).
+    """
+    for p, contrib in enumerate(contribs):
+        grad_x[:, plan.cycle_index[p]] += contrib
+        stats.scatter_adds += contrib.size
+
+
+def dsxplore_fwd_block(plan, x, w, out, p, stats, epilogue=None) -> None:
+    """Cycle position ``p``'s segment GEMMs, summed into ``out[:, p::cd]``
+    in segment order.  ``x[:, chan_slice]`` is a view: zero bytes copied."""
+    cd = plan.cyclic_dist
+    out_p = out[:, p::cd]
+    wp = w[p::cd]
+    for k, (chan_slice, col_slice) in enumerate(plan.segments[p]):
+        prod = segment_fwd_gemm(x[:, chan_slice], wp[:, col_slice])
+        if k:
+            out_p += prod
+        else:
+            out_p[...] = prod
+        stats.gemm_calls += 1
+    if epilogue is not None:
+        epilogue.apply(out_p, slice(p, None, cd))
+
+
+def dsxplore_gradw_block(plan, x, grad_out, grad_w, p, stats) -> None:
+    """Cycle position ``p``'s segment weight gradients into ``grad_w``."""
+    cd = plan.cyclic_dist
+    g = grad_out[:, p::cd]
+    for chan_slice, col_slice in plan.segments[p]:
+        grad_w[p::cd, col_slice] = segment_gradw_gemm(g, x[:, chan_slice])
+        stats.gemm_calls += 1
+
+
 def _conv_stack_forward(plan, x, w, stats, epilogue=None):
     cfg = plan.config
-    cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
     out = np.empty((n, cfg.out_channels, h, wdt), dtype=x.dtype)
-    gathered = []
-    for p, idx in enumerate(plan.cycle_index):
-        win = x[:, idx]                               # (N, gw, H, W) copy
-        stats.bytes_materialized += win.nbytes
-        gathered.append(win)
-        out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
-        stats.gemm_calls += 1
-        if epilogue is not None:
-            epilogue.apply(out[:, p::cd], slice(p, None, cd))
+    gathered = [None] * plan.cyclic_dist
+    for p in range(plan.cyclic_dist):
+        conv_stack_fwd_block(plan, x, w, out, gathered, p, stats, epilogue)
     return out, {"x": x, "w": w, "gathered": gathered}
 
 
 def _conv_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
     cd = plan.cyclic_dist
-    w, gathered = saved["w"], saved["gathered"]
-    grad_x = np.zeros_like(saved["x"]) if need_x else None
-    grad_w = np.empty_like(w) if need_w else None
-    for p, idx in enumerate(plan.cycle_index):
-        g = grad_out[:, p::cd]
-        if need_w:
-            grad_w[p::cd] = planned_einsum("nohw,nghw->og", g, gathered[p])
-            stats.gemm_calls += 1
-        if need_x:
-            contrib = planned_einsum("nohw,og->nghw", g, w[p::cd])
-            stats.bytes_materialized += contrib.nbytes
-            stats.gemm_calls += 1
-            # Within one cycle position the window channels are distinct, so
-            # a fancy-index += is conflict-free; conflicts across cycle
-            # positions are resolved by this serial per-p loop
-            # (framework-level serialisation, the paper's point about
-            # composed-operator implementations).
-            grad_x[:, idx] += contrib
-            stats.scatter_adds += contrib.size
+    grad_w = np.empty_like(saved["w"]) if need_w else None
+    contribs = [None] * cd if need_x else None
+    for p in range(cd):
+        conv_stack_bwd_block(
+            plan, saved["w"], saved["gathered"], grad_out, grad_w, contribs, p, stats
+        )
+    grad_x = None
+    if need_x:
+        grad_x = np.zeros_like(saved["x"])
+        apply_conv_stack_contribs(plan, grad_x, contribs, stats)
     return grad_x, grad_w
 
 
 def _dsxplore_forward(plan, x, w, stats, epilogue=None):
-    cfg = plan.config
-    cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
-    out = np.zeros((n, cfg.out_channels, h, wdt), dtype=x.dtype)
-    for p, segments in enumerate(plan.segments):
-        wp = w[p::cd]
-        for chan_slice, col_slice in segments:
-            # x[:, chan_slice] is a view — zero bytes materialised.
-            out[:, p::cd] += planned_einsum(
-                "nchw,oc->nohw", x[:, chan_slice], wp[:, col_slice]
-            )
-            stats.gemm_calls += 1
-        if epilogue is not None:
-            epilogue.apply(out[:, p::cd], slice(p, None, cd))
+    out = np.empty((n, plan.config.out_channels, h, wdt), dtype=x.dtype)
+    for p in range(plan.cyclic_dist):
+        dsxplore_fwd_block(plan, x, w, out, p, stats, epilogue)
     return out, {"x": x, "w": w}
 
 
@@ -515,30 +597,28 @@ def _pull_gemm(plan: SCCPlan, grad_out: np.ndarray, w_full: np.ndarray) -> np.nd
     axis in the canonical order (shared partials + fixed pairwise tree)."""
     o_slices = tile_slices(w_full.shape[0], effective_pull_tile(plan.pull_tile))
     if len(o_slices) == 1:
-        return planned_einsum("nohw,oc->nchw", grad_out, w_full)
+        return pull_gemm(grad_out, w_full)
     return combine_partials_tree(
         [pull_gemm_partial(grad_out, w_full, sl) for sl in o_slices]
     )
 
 
-def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_design):
+def check_backward_design(backward_design: str) -> None:
     if backward_design not in ("input_centric", "output_centric"):
         raise ValueError(
             f"backward_design must be 'input_centric' or 'output_centric', "
             f"got {backward_design!r}"
         )
+
+
+def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_design):
+    check_backward_design(backward_design)
     x, w = saved["x"], saved["w"]
-    cd = plan.cyclic_dist
     grad_w = None
     if need_w:
         grad_w = np.empty_like(w)
-        for p, segments in enumerate(plan.segments):
-            g = grad_out[:, p::cd]
-            for chan_slice, col_slice in segments:
-                grad_w[p::cd, col_slice] = planned_einsum(
-                    "nohw,nchw->oc", g, x[:, chan_slice]
-                )
-                stats.gemm_calls += 1
+        for p in range(plan.cyclic_dist):
+            dsxplore_gradw_block(plan, x, grad_out, grad_w, p, stats)
     grad_x = None
     if need_x:
         if backward_design == "input_centric":

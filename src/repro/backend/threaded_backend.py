@@ -40,14 +40,16 @@ backend runs, on the identical operands, writing disjoint outputs:
   (``groups == 1``, ``stride == 1``) the per-tap *contractions* are
   computed in parallel waves and applied serially in canonical order —
   accumulation order per cell is preserved either way;
-- SCC kernels shard the **segment loops over cycle positions** (each cycle
-  position owns the disjoint output interleave ``out[:, p::cd]``); the
-  channel-stack gather and both push-style scatters (``np.add.at``) shard
-  over **batch rows**, which moves bytes without re-associating any
-  reduction.  The input-centric pull GEMM shards over output-channel tiles
-  with the same canonical tree combine as dense ``conv2d``; only the
-  channel-stack grouped GEMM stays inline (its contraction axis is the
-  group width — too small to tile).
+- SCC kernels map the numpy backend's **per-cycle-position blocks**
+  (``dsxplore_fwd_block`` / ``dsxplore_gradw_block`` and the conv-stack
+  pair) over cycle positions ``p``: each owns the disjoint output
+  interleave ``out[:, p::cd]``, and the numpy backend runs the same blocks
+  over every ``p`` in order; the channel-stack gather and both push-style
+  scatters (``np.add.at``) shard over **batch rows**, which moves bytes
+  without re-associating any reduction.  The input-centric pull GEMM
+  shards over output-channel tiles with the same canonical tree combine as
+  dense ``conv2d``; only the channel-stack grouped GEMM stays inline (its
+  contraction axis is the group width — too small to tile).
 
 **Stats contract.**  Counters report the same *logical* quantities as the
 ``numpy`` backend — bit-for-bit equal totals — so the gpusim crosscheck is
@@ -70,10 +72,17 @@ from repro.backend.numpy_backend import (
     _pad2d,
     _patch_view,
     _unpad_grad,
+    apply_conv_stack_contribs,
+    check_backward_design,
+    conv_stack_bwd_block,
+    conv_stack_fwd_block,
     dense_fwd_partial,
     dense_gradw_partial,
     depthwise_bwd_block,
     depthwise_fwd_block,
+    dsxplore_fwd_block,
+    dsxplore_gradw_block,
+    pull_gemm,
     pull_gemm_partial,
 )
 from repro.backend.parallel import get_num_workers, parallel_map, shard_slices
@@ -333,7 +342,7 @@ def _channel_stack_forward(plan, x, w, stats, epilogue=None):
 
     def gather(i: int) -> None:
         sl = shards[i]
-        stacked[sl] = x[sl][:, plan.windows]
+        np.take(x[sl], plan.windows, axis=1, out=stacked[sl])
         deltas[i].bytes_materialized += stacked[sl].nbytes
 
     parallel_map(gather, range(len(shards)), op="scc.channel_stack.gather")
@@ -374,96 +383,64 @@ def _conv_stack_forward(plan, x, w, stats, epilogue=None):
     out = np.empty((n, cfg.out_channels, h, wdt), dtype=x.dtype)
     gathered: list = [None] * cd
     deltas = [KernelStats() for _ in range(cd)]
-
-    def run(p: int) -> None:
-        win = x[:, plan.cycle_index[p]]
-        gathered[p] = win
-        deltas[p].bytes_materialized += win.nbytes
-        out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
-        deltas[p].gemm_calls += 1
-        if epilogue is not None:
-            epilogue.apply(out[:, p::cd], slice(p, None, cd))
-
-    parallel_map(run, range(cd), op="scc.conv_stack.fwd")
+    parallel_map(
+        lambda p: conv_stack_fwd_block(plan, x, w, out, gathered, p, deltas[p], epilogue),
+        range(cd),
+        op="scc.conv_stack.fwd",
+    )
     _merge_deltas(stats, deltas)
     return out, {"x": x, "w": w, "gathered": gathered}
 
 
 def _conv_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
     cd = plan.cyclic_dist
-    w, gathered = saved["w"], saved["gathered"]
-    grad_x = np.zeros_like(saved["x"]) if need_x else None
-    grad_w = np.empty_like(w) if need_w else None
+    grad_w = np.empty_like(saved["w"]) if need_w else None
+    contribs = [None] * cd if need_x else None
     deltas = [KernelStats() for _ in range(cd)]
-    contribs: list = [None] * cd
-
-    def run(p: int) -> None:
-        g = grad_out[:, p::cd]
-        if need_w:
-            grad_w[p::cd] = planned_einsum("nohw,nghw->og", g, gathered[p])
-            deltas[p].gemm_calls += 1
-        if need_x:
-            contrib = planned_einsum("nohw,og->nghw", g, w[p::cd])
-            contribs[p] = contrib
-            deltas[p].bytes_materialized += contrib.nbytes
-            deltas[p].gemm_calls += 1
-
-    parallel_map(run, range(cd), op="scc.conv_stack.bwd")
+    parallel_map(
+        lambda p: conv_stack_bwd_block(
+            plan, saved["w"], saved["gathered"], grad_out, grad_w, contribs, p, deltas[p]
+        ),
+        range(cd),
+        op="scc.conv_stack.bwd",
+    )
     _merge_deltas(stats, deltas)
+    grad_x = None
     if need_x:
-        # Ordered serial apply: windows overlap *across* cycle positions, so
-        # the cross-p conflicts stay serialised in the numpy kernel's order
-        # (contributions above were computed in parallel, bitwise-identical).
-        for p in range(cd):
-            grad_x[:, plan.cycle_index[p]] += contribs[p]
-            stats.scatter_adds += contribs[p].size
+        # Windows overlap *across* cycle positions, so the contributions
+        # computed in parallel above are applied in the numpy kernel's order.
+        grad_x = np.zeros_like(saved["x"])
+        apply_conv_stack_contribs(plan, grad_x, contribs, stats)
     return grad_x, grad_w
 
 
 def _dsxplore_forward(plan, x, w, stats, epilogue=None):
-    cfg = plan.config
     cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
-    out = np.zeros((n, cfg.out_channels, h, wdt), dtype=x.dtype)
+    out = np.empty((n, plan.config.out_channels, h, wdt), dtype=x.dtype)
     deltas = [KernelStats() for _ in range(cd)]
-
-    def run(p: int) -> None:
-        wp = w[p::cd]
-        for chan_slice, col_slice in plan.segments[p]:
-            out[:, p::cd] += planned_einsum(
-                "nchw,oc->nohw", x[:, chan_slice], wp[:, col_slice]
-            )
-            deltas[p].gemm_calls += 1
-        if epilogue is not None:
-            epilogue.apply(out[:, p::cd], slice(p, None, cd))
-
-    parallel_map(run, range(cd), op="scc.dsxplore.fwd")
+    parallel_map(
+        lambda p: dsxplore_fwd_block(plan, x, w, out, p, deltas[p], epilogue),
+        range(cd),
+        op="scc.dsxplore.fwd",
+    )
     _merge_deltas(stats, deltas)
     return out, {"x": x, "w": w}
 
 
 def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_design):
-    if backward_design not in ("input_centric", "output_centric"):
-        raise ValueError(
-            f"backward_design must be 'input_centric' or 'output_centric', "
-            f"got {backward_design!r}"
-        )
+    check_backward_design(backward_design)
     x, w = saved["x"], saved["w"]
     cd = plan.cyclic_dist
     grad_w = None
     if need_w:
         grad_w = np.empty_like(w)
         deltas = [KernelStats() for _ in range(cd)]
-
-        def run_gradw(p: int) -> None:
-            g = grad_out[:, p::cd]
-            for chan_slice, col_slice in plan.segments[p]:
-                grad_w[p::cd, col_slice] = planned_einsum(
-                    "nohw,nchw->oc", g, x[:, chan_slice]
-                )
-                deltas[p].gemm_calls += 1
-
-        parallel_map(run_gradw, range(cd), op="scc.dsxplore.gradw")
+        parallel_map(
+            lambda p: dsxplore_gradw_block(plan, x, grad_out, grad_w, p, deltas[p]),
+            range(cd),
+            op="scc.dsxplore.gradw",
+        )
         _merge_deltas(stats, deltas)
     grad_x = None
     if need_x:
@@ -476,7 +453,7 @@ def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_de
                 w_full.shape[0], effective_pull_tile(plan.pull_tile)
             )
             if len(o_slices) == 1:
-                grad_x = planned_einsum("nohw,oc->nchw", grad_out, w_full)
+                grad_x = pull_gemm(grad_out, w_full)
             else:
                 pull_shape = (grad_out.shape[0], w_full.shape[1]) + grad_out.shape[2:]
                 grad_x = _parallel_tiled(

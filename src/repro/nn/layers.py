@@ -54,13 +54,17 @@ class BatchNorm2d(Module):
             )
         if self.training:
             fn = conv_ops.BatchNorm2d()
-            out = _apply_with_ctx(fn, x, self.weight, self.bias, eps=self.eps)
+            out = fn(x, self.weight, self.bias, eps=self.eps)
+            # Unbiased batch variance, as PyTorch keeps it; a one-value
+            # batch has no spread to correct, so it stays as computed.
+            n = x.size // self.num_features
+            unbiased = fn.batch_var * (n / max(n - 1, 1))
             m = self.momentum
             self._buffers["running_mean"] = (
                 (1 - m) * self._buffers["running_mean"] + m * fn.batch_mean
             ).astype(np.float32)
             self._buffers["running_var"] = (
-                (1 - m) * self._buffers["running_var"] + m * fn.batch_var
+                (1 - m) * self._buffers["running_var"] + m * unbiased
             ).astype(np.float32)
             object.__setattr__(self, "running_mean", self._buffers["running_mean"])
             object.__setattr__(self, "running_var", self._buffers["running_var"])
@@ -72,22 +76,6 @@ class BatchNorm2d(Module):
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
-
-
-def _apply_with_ctx(fn, *args, **kwargs) -> Tensor:
-    """Like Function.apply but on a pre-built instance (to read side outputs)."""
-    from repro.tensor.tensor import Tensor as T, is_grad_enabled
-
-    tensor_inputs = [a for a in args if isinstance(a, T)]
-    raw = [a.data if isinstance(a, T) else a for a in args]
-    out_data = fn.forward(*raw, **kwargs)
-    requires = is_grad_enabled() and any(t.requires_grad for t in tensor_inputs)
-    out = T(out_data, requires_grad=requires)
-    if requires:
-        fn.inputs = tuple(tensor_inputs)
-        fn.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
-        out._ctx = fn
-    return out
 
 
 class ReLU(Module):

@@ -126,7 +126,13 @@ class BatchNorm2d(Function):
     """Training-mode batch normalisation over (N, H, W) per channel.
 
     A fused kernel (rather than composing mean/var ops) because BN sits in
-    every residual block and dominates graph-node count otherwise.
+    every residual block and dominates graph-node count otherwise.  Both
+    passes work on the ``(N, C, H*W)`` view: forward takes the per-channel
+    mean, then the sum of squares of the centred values, and normalises
+    those in place; backward reuses its ``grad_gamma`` / ``grad_beta`` sums
+    as the two reductions of ``grad_x``, so each pass reduces twice.  All
+    arithmetic stays in the input's dtype.  ``batch_mean`` / ``batch_var``
+    (biased) are left on the node for the module's running statistics.
     """
 
     def forward(
@@ -136,35 +142,36 @@ class BatchNorm2d(Function):
         beta: np.ndarray,
         eps: float = 1e-5,
     ) -> np.ndarray:
-        axes = (0, 2, 3)
-        mean = x.mean(axis=axes, keepdims=True)
-        var = x.var(axis=axes, keepdims=True)
+        n, c = x.shape[:2]
+        xv = x.reshape(n, c, -1)
+        m = xv.shape[0] * xv.shape[2]
+        mean = xv.mean(axis=(0, 2))
+        xhat = xv - mean[:, None]
+        var = np.einsum("ncl,ncl->c", xhat, xhat) / m
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std[:, None]
+        out = xhat * gamma.astype(x.dtype, copy=False)[:, None]
+        out += beta.astype(x.dtype, copy=False)[:, None]
         self.save_for_backward(xhat, inv_std, gamma)
-        self.batch_mean = mean.reshape(-1)
-        self.batch_var = var.reshape(-1)
-        return gamma.reshape(1, -1, 1, 1) * xhat + beta.reshape(1, -1, 1, 1)
+        self.batch_mean = mean
+        self.batch_var = var
+        return out.reshape(x.shape)
 
     def backward(self, grad: np.ndarray):
         xhat, inv_std, gamma = self.saved
-        axes = (0, 2, 3)
-        m = grad.shape[0] * grad.shape[2] * grad.shape[3]
-        grad_gamma = (grad * xhat).sum(axis=axes)
-        grad_beta = grad.sum(axis=axes)
-        g = grad * gamma.reshape(1, -1, 1, 1)
-        grad_x = (
-            inv_std
-            / m
-            * (
-                m * g
-                - g.sum(axis=axes, keepdims=True)
-                - xhat * (g * xhat).sum(axis=axes, keepdims=True)
-            )
-        ).astype(grad.dtype)
-        results = [grad_x]
+        n, c = grad.shape[:2]
+        gv = grad.reshape(n, c, -1)
+        m = gv.shape[0] * gv.shape[2]
+        grad_beta = gv.sum(axis=(0, 2))
+        grad_gamma = np.einsum("ncl,ncl->c", gv, xhat)
+        # grad_x = gamma * inv_std * (grad - grad_beta / m - xhat * grad_gamma / m)
+        grad_x = xhat * (grad_gamma / m)[:, None]
+        grad_x += (grad_beta / m)[:, None]
+        np.subtract(gv, grad_x, out=grad_x)
+        grad_x *= (gamma * inv_std).astype(grad.dtype, copy=False)[:, None]
+        results = [grad_x.reshape(grad.shape)]
         if len(self.needs_input_grad) > 1:
-            results.append(grad_gamma.astype(grad.dtype))
+            results.append(grad_gamma)
         if len(self.needs_input_grad) > 2:
-            results.append(grad_beta.astype(grad.dtype))
+            results.append(grad_beta)
         return tuple(results)

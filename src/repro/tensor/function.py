@@ -1,9 +1,10 @@
 """Differentiable-operation base class and graph bookkeeping.
 
 A :class:`Function` instance is one node in the reverse-mode graph.  Calling
-``SomeOp.apply(*inputs)`` runs the forward kernel and, when gradients are
-enabled and at least one input requires them, records the node so
-``Tensor.backward`` can replay the chain rule in reverse topological order.
+``SomeOp.apply(*inputs)`` (or ``SomeOp()(*inputs)``, which keeps the node in
+hand) runs the forward kernel and, when gradients are enabled and at least
+one input requires them, records the node so ``Tensor.backward`` can replay
+the chain rule in reverse topological order.
 
 The contract mirrors ``torch.autograd.Function`` closely on purpose: the
 paper integrates its CUDA SCC kernels into PyTorch through exactly this
@@ -46,22 +47,29 @@ class Function:
         raise NotImplementedError
 
     # -- graph construction ------------------------------------------------
-    @classmethod
-    def apply(cls, *args: Any, **kwargs: Any) -> "Tensor":
+    def __call__(self, *args: Any, **kwargs: Any) -> "Tensor":
+        """Run ``forward`` on this node and record it in the graph.
+
+        Calling an instance (rather than :meth:`apply`) leaves the node in
+        the caller's hands, to read side outputs ``forward`` set on it.
+        """
         from repro.tensor.tensor import Tensor, is_grad_enabled
 
-        ctx = cls()
         tensor_inputs = [a for a in args if isinstance(a, Tensor)]
         raw_args = [a.data if isinstance(a, Tensor) else a for a in args]
-        out_data = ctx.forward(*raw_args, **kwargs)
+        out_data = self.forward(*raw_args, **kwargs)
 
         requires = is_grad_enabled() and any(t.requires_grad for t in tensor_inputs)
         out = Tensor(out_data, requires_grad=requires)
         if requires:
-            ctx.inputs = tuple(tensor_inputs)
-            ctx.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
-            out._ctx = ctx
+            self.inputs = tuple(tensor_inputs)
+            self.needs_input_grad = tuple(t.requires_grad for t in tensor_inputs)
+            out._ctx = self
         return out
+
+    @classmethod
+    def apply(cls, *args: Any, **kwargs: Any) -> "Tensor":
+        return cls()(*args, **kwargs)
 
 
 def unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
