@@ -39,7 +39,6 @@ from bench_tiled_gemm import report_tiled_gemm
 from bench_async_gateway import report_async_gateway
 from bench_plan_tuner import report_plan_tuner
 from bench_fault_tolerance import report_fault_tolerance
-from bench_sharded_router import report_sharded_router
 
 REPORTS = [
     ("Table I", report_table1),
@@ -66,7 +65,6 @@ REPORTS = [
     ("Serving: async gateway", report_async_gateway),
     ("Backend: plan auto-tuner", report_plan_tuner),
     ("Serving: fault tolerance", report_fault_tolerance),
-    ("Serving: sharded router", report_sharded_router),
 ]
 
 

@@ -4,7 +4,6 @@ The execution environment is offline with setuptools 65.5 and no ``wheel``
 package, so PEP 660 editable installs (which need ``bdist_wheel``) fail.
 This shim lets ``pip install -e . --no-use-pep517 --no-build-isolation``
 (and plain ``pip install -e .`` via the fallback path) work offline.
-Metadata lives in pyproject.toml; keep the two in sync.
 """
 from setuptools import find_packages, setup
 
@@ -15,5 +14,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10"],
+    install_requires=["numpy>=1.24"],
 )

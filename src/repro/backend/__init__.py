@@ -14,8 +14,6 @@ Kernel registry (``repro.backend.registry``)
     numpy         einsum / ``as_strided`` fast paths fed by cached plans
     threaded      numpy kernels sharded over the shared worker pool
                   (``REPRO_NUM_WORKERS``); bitwise-identical to numpy
-    numba         optional JIT of the segment/tap loops; registers only
-                  when numba imports (bare containers fall back silently)
     default       auto-selects the preferred available backend (numpy,
                   or ``REPRO_BACKEND`` when set — with per-op fallback)
     ============  =======================================================
@@ -128,20 +126,13 @@ from repro.backend.schedule import (
 )
 
 from repro.backend.parallel import (
-    EXECUTOR_TIERS,
-    Executor,
-    InlineExecutor,
     ShardError,
-    ThreadExecutor,
     default_num_workers,
-    get_executor,
     get_num_workers,
     num_workers,
     parallel_map,
-    set_executor,
     set_num_workers,
     submit_pooled,
-    use_executor,
     worker_limit,
 )
 from repro.backend.registry import env_backend_order
@@ -150,13 +141,11 @@ from repro.backend.registry import env_backend_order
 from repro.backend import numpy_backend as _numpy_backend  # noqa: F401
 from repro.backend import reference as _reference          # noqa: F401
 from repro.backend import threaded_backend as _threaded_backend  # noqa: F401
-from repro.backend import numba_backend as _numba_backend  # noqa: F401
 
-NUMBA_AVAILABLE = _numba_backend.NUMBA_AVAILABLE
-
-# REPRO_BACKEND overrides the "default" preference order (with silent
-# per-op fallback to numpy when the named backend is absent — see
-# env_backend_order).  Applied after registration so resolution is complete.
+# REPRO_BACKEND overrides the "default" preference order (with per-op
+# fallback for ops the named backend lacks; an unregistered name raises —
+# see env_backend_order).  Applied after registration so resolution is
+# complete.
 REGISTRY.default_order = env_backend_order()
 
 __all__ = [
@@ -169,20 +158,12 @@ __all__ = [
     "get_kernel",
     "register_kernel",
     "ShardError",
-    "NUMBA_AVAILABLE",
-    "EXECUTOR_TIERS",
-    "Executor",
-    "InlineExecutor",
-    "ThreadExecutor",
     "default_num_workers",
-    "get_executor",
     "get_num_workers",
     "num_workers",
     "parallel_map",
-    "set_executor",
     "set_num_workers",
     "submit_pooled",
-    "use_executor",
     "worker_limit",
     "KernelStats",
     "scc_conflict_fraction",

@@ -1,32 +1,15 @@
-"""Pluggable execution tiers behind one pooled-parallelism surface.
+"""The shared worker pool behind every host-parallel consumer.
 
 Every host-parallel consumer in the process — the ``threaded`` kernel
-backend (:mod:`repro.backend.threaded_backend`), the multi-model serving
-router's cross-model batch overlap (:meth:`repro.serve.router.Router.flush`)
-and the async gateway's batch offload — funnels through three calls:
-:func:`parallel_map`, :func:`submit_pooled` and :func:`trace_parallel`.
-Behind that surface sits an :class:`Executor` *tier* selected by
-``REPRO_EXECUTOR``:
+backend (:mod:`repro.backend.threaded_backend`), the serving transports'
+batch drain and the async gateway's batch offload — funnels through three
+calls: :func:`parallel_map`, :func:`submit_pooled` and
+:func:`trace_parallel`.  Behind them sits one lazily-created shared
+:class:`~concurrent.futures.ThreadPoolExecutor`, sized by
+``REPRO_NUM_WORKERS`` (else the usable CPU count); :func:`num_workers`
+re-sizes it and :func:`worker_limit` caps one thread's regions.
 
-============  =============================================================
-``thread``    the default — one lazily-created shared
-              :class:`~concurrent.futures.ThreadPoolExecutor`, sized by
-              ``REPRO_NUM_WORKERS`` (else the usable CPU count);
-              bit-for-bit the historical behavior
-``process``   :class:`repro.backend.procpool.ProcessExecutor` — a
-              fork-based process pool that ships *process-safe* tasks
-              (registered module-level functions over ndarrays) through
-              shared-memory transport, escaping the GIL; everything else
-              transparently runs on the in-process thread lane, so results
-              stay bitwise-identical at every process count
-``inline``    no pool at all: every region runs serially on the calling
-              thread (debugging, signal-clean profiling)
-============  =============================================================
-
-:func:`get_executor` resolves the tier lazily; :func:`set_executor` /
-:func:`use_executor` override it at runtime.
-
-Three properties every tier preserves (the kernel backend depends on them):
+Three properties the kernel backend depends on:
 
 - **owner propagation** — :func:`parallel_map` captures the submitting
   thread's :func:`~repro.backend.workload.plan_owner` tag and re-installs it
@@ -61,29 +44,19 @@ from repro.backend.workload import current_plan_owner, plan_owner
 from repro.faults import active_faults
 
 __all__ = [
-    "EXECUTOR_TIERS",
-    "Executor",
-    "InlineExecutor",
     "ShardError",
-    "ThreadExecutor",
     "default_num_workers",
-    "get_executor",
     "get_num_workers",
-    "set_executor",
     "set_num_workers",
     "num_workers",
     "parallel_map",
     "shard_slices",
     "submit_pooled",
     "trace_parallel",
-    "use_executor",
     "worker_limit",
     "RegionTrace",
     "makespan",
 ]
-
-#: The execution substrates ``REPRO_EXECUTOR`` may name.
-EXECUTOR_TIERS = ("thread", "process", "inline")
 
 
 def _describe_item(item: Any) -> str:
@@ -193,9 +166,8 @@ def get_num_workers() -> int:
     """The worker count parallel regions shard for (resolved lazily).
 
     Honours the innermost :func:`worker_limit` cap on the calling thread —
-    a plan-recorded ``workers`` field or a sharded front-end pinning its
-    drain width sees the capped value, while the pool itself stays sized by
-    :func:`_base_num_workers`.
+    a plan-recorded ``workers`` field sees the capped value, while the pool
+    itself stays sized by :func:`_base_num_workers`.
     """
     base = _base_num_workers()
     limit = getattr(_WORKER_LIMIT, "limit", None)
@@ -210,7 +182,7 @@ def set_num_workers(workers: int) -> None:
     Safe against concurrent regions: the stale pool is shut down without
     cancelling its queued tasks (in-flight regions finish there), and a
     region caught mid-submission resumes its remaining tasks on the fresh
-    pool (see the retry loop in :func:`parallel_map`).
+    pool (see the retry loop in :func:`_submit`).
     """
     if workers < 1:
         raise ValueError(f"num_workers must be >= 1, got {workers}")
@@ -361,19 +333,17 @@ def _is_terminal_submit_error(exc: RuntimeError, executor: ThreadPoolExecutor) -
     return _executor() is executor
 
 
-def _pooled_run(fn: Callable[..., Any], args: tuple) -> Callable[[], Any]:
-    """Wrap ``fn(*args)`` with the pooled-worker discipline.
+def _pooled(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Wrap ``fn`` with the pooled-worker discipline.
 
     The submitting thread's plan-cache owner tag is captured here and
     re-installed inside the task, and the task is marked as a pooled worker
     so any nested parallel region runs inline on its own lane (no
-    pool-starvation deadlock).  Every executor tier submits through this
-    wrapper for in-process execution, which is what keeps the discipline
-    tier-invariant.
+    pool-starvation deadlock).
     """
     owner = current_plan_owner()
 
-    def run() -> Any:
+    def run(*args: Any) -> Any:
         _IN_WORKER.active = True
         try:
             with plan_owner(owner):
@@ -384,220 +354,27 @@ def _pooled_run(fn: Callable[..., Any], args: tuple) -> Callable[[], Any]:
     return run
 
 
-class Executor:
-    """One execution substrate behind the pooled-parallelism surface.
+def _submit(run: Callable[..., Any], *args: Any) -> concurrent.futures.Future:
+    """Submit one task to the shared pool, surviving a concurrent resize.
 
-    The protocol the ``REPRO_EXECUTOR`` tiers implement; consumers never
-    see it directly — they call :func:`parallel_map` / :func:`submit_pooled`
-    and the active tier decides *where* tasks run.  Implementations:
-
-    - :class:`ThreadExecutor` (``thread``) — the shared thread pool;
-    - :class:`repro.backend.procpool.ProcessExecutor` (``process``) — a
-      process pool with shared-memory ndarray transport and an in-process
-      thread lane for non-shippable tasks;
-    - :class:`InlineExecutor` (``inline``) — serial execution on the
-      calling thread.
-
-    ``serial`` declares that parallel regions should not fan out at all;
-    :func:`parallel_map` then takes its inline path, which is what makes
-    the tier trivially bitwise-equal to every other.
+    A :func:`set_num_workers` rebuild shuts the stale pool down (making its
+    ``submit`` raise ``RuntimeError``) but never cancels already-queued
+    tasks, so a raise re-fetches the pool and retries there.  A terminal
+    failure (interpreter shutdown, or a dead pool nobody rebuilt)
+    propagates instead of spinning forever — see
+    :func:`_is_terminal_submit_error`.
     """
-
-    name: str = "executor"
-    #: When True, :func:`parallel_map` runs regions inline (no futures).
-    serial: bool = False
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.Future:
-        """Schedule one task; returns its future (:func:`submit_pooled`)."""
-        raise NotImplementedError
-
-    def map_region(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        run: Callable[[int, Any], Any],
-    ) -> list[concurrent.futures.Future]:
-        """Futures (one per task, in order) for a :func:`parallel_map` region.
-
-        ``run(index, item)`` is the fully-wrapped in-process task (owner
-        propagation, nested-region marking, :class:`ShardError`
-        attribution); ``fn`` and ``tasks`` are the *raw* region so a
-        cross-process tier can ship them without closure baggage when they
-        qualify.  Every task must be scheduled exactly once.
-        """
-        raise NotImplementedError
-
-    def shutdown(self, wait: bool = False) -> None:
-        """Release tier-owned resources (worker processes, private pools)."""
-
-    def describe(self) -> dict:
-        """Introspection block for benchmarks/metrics env stamps."""
-        return {"tier": self.name, "workers": get_num_workers()}
-
-
-class ThreadExecutor(Executor):
-    """The default tier: the process-wide shared thread pool.
-
-    Submission retries transparently across a concurrent
-    :func:`set_num_workers` rebuild and propagates terminal failures
-    (interpreter shutdown, a dead pool nobody rebuilt) — see
-    :func:`_is_terminal_submit_error`.  Bit-for-bit the historical
-    behavior of this module before execution tiers existed.
-    """
-
-    name = "thread"
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.Future:
-        run = _pooled_run(fn, args)
-        while True:
-            executor = _executor()
-            try:
-                return executor.submit(run)
-            except RuntimeError as exc:
-                # Pool resized mid-submit: re-fetch and retry.  A terminal
-                # failure (interpreter shutdown, or a dead pool nobody
-                # rebuilt) propagates instead of spinning forever.
-                if _is_terminal_submit_error(exc, executor):
-                    raise
-                continue
-
-    def map_region(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        run: Callable[[int, Any], Any],
-    ) -> list[concurrent.futures.Future]:
-        # Exactly-once submission that survives a concurrent
-        # set_num_workers(): a resize shuts the stale pool down (making
-        # further submits raise RuntimeError) but never cancels
-        # already-queued tasks, so on a raise we resume submitting the
-        # *remainder* on the fresh pool.  Terminal submit failures
-        # (interpreter shutdown) propagate — see _is_terminal_submit_error —
-        # after waiting out whatever was already queued, so no in-flight
-        # shard outlives the caller.
-        futures: list[concurrent.futures.Future] = []
-        remaining = list(enumerate(tasks))
-        while remaining:
-            executor = _executor()
-            try:
-                while remaining:
-                    futures.append(executor.submit(run, *remaining[0]))
-                    remaining.pop(0)
-            except RuntimeError as exc:  # pool resized mid-loop?
-                if _is_terminal_submit_error(exc, executor):
-                    concurrent.futures.wait(futures)
-                    raise
-                continue
-        return futures
-
-
-class InlineExecutor(Executor):
-    """The no-pool tier: every task runs serially on the calling thread.
-
-    ``serial`` short-circuits :func:`parallel_map` into its inline path;
-    :meth:`submit` still honours the future-returning contract (the async
-    gateway awaits batch futures regardless of tier) by resolving the
-    future synchronously.
-    """
-
-    name = "inline"
-    serial = True
-
-    def submit(self, fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.Future:
-        future: concurrent.futures.Future = concurrent.futures.Future()
-        run = _pooled_run(fn, args)
+    while True:
+        executor = _executor()
         try:
-            future.set_result(run())
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-    def map_region(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Any],
-        run: Callable[[int, Any], Any],
-    ) -> list[concurrent.futures.Future]:
-        futures: list[concurrent.futures.Future] = []
-        for index, item in enumerate(tasks):
-            future: concurrent.futures.Future = concurrent.futures.Future()
-            try:
-                future.set_result(run(index, item))
-            except BaseException as exc:
-                future.set_exception(exc)
-            futures.append(future)
-        return futures
-
-
-# ---------------------------------------------------------------------------
-# The process-wide active tier (REPRO_EXECUTOR)
-# ---------------------------------------------------------------------------
-
-_TIER_LOCK = threading.Lock()
-_ACTIVE_TIER: Executor | None = None   # None = resolve from env on next use
-
-
-def _make_executor(name: str) -> Executor:
-    tier = name.strip().lower() or "thread"
-    if tier == "thread":
-        return ThreadExecutor()
-    if tier == "inline":
-        return InlineExecutor()
-    if tier == "process":
-        from repro.backend.procpool import ProcessExecutor
-
-        return ProcessExecutor()
-    raise ValueError(
-        f"REPRO_EXECUTOR must be one of {EXECUTOR_TIERS}, got {name!r}"
-    )
-
-
-def get_executor() -> Executor:
-    """The active execution tier (resolved lazily from ``REPRO_EXECUTOR``)."""
-    global _ACTIVE_TIER
-    with _TIER_LOCK:
-        if _ACTIVE_TIER is None:
-            _ACTIVE_TIER = _make_executor(os.environ.get("REPRO_EXECUTOR", "thread"))
-        return _ACTIVE_TIER
-
-
-def set_executor(executor: "Executor | str | None") -> "Executor | None":
-    """Install the process-wide execution tier; returns the previous one.
-
-    A tier name (``"thread"`` / ``"process"`` / ``"inline"``) builds the
-    implementation; ``None`` resets to lazy ``REPRO_EXECUTOR`` resolution.
-    The previous tier is returned un-shutdown so callers (and
-    :func:`use_executor`) can restore it.
-    """
-    if isinstance(executor, str):
-        executor = _make_executor(executor)
-    global _ACTIVE_TIER
-    with _TIER_LOCK:
-        previous, _ACTIVE_TIER = _ACTIVE_TIER, executor
-    return previous
-
-
-@contextmanager
-def use_executor(executor: "Executor | str") -> Iterator[Executor]:
-    """Scoped :func:`set_executor` (tests, benchmarks): restores on exit.
-
-    When given a tier *name* the built implementation is also shut down on
-    exit (its worker processes must not outlive the block); a caller-owned
-    :class:`Executor` instance is handed back untouched.
-    """
-    built = isinstance(executor, str)
-    tier = _make_executor(executor) if built else executor
-    previous = set_executor(tier)
-    try:
-        yield tier
-    finally:
-        set_executor(previous)
-        if built:
-            tier.shutdown()
+            return executor.submit(run, *args)
+        except RuntimeError as exc:
+            if _is_terminal_submit_error(exc, executor):
+                raise
 
 
 def submit_pooled(fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.Future:
-    """Submit one task to the active execution tier; returns its future.
+    """Submit one task to the shared worker pool; returns its future.
 
     The single-task sibling of :func:`parallel_map`, for consumers that
     need a *future* rather than blocking results — the asyncio serving
@@ -606,8 +383,8 @@ def submit_pooled(fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.F
     ``parallel_map`` task: the submitting thread's plan-cache owner tag is
     re-installed inside the task, the task is marked as a pooled worker so
     any nested parallel region runs inline on its own worker (no
-    pool-starvation deadlock), and thread-tier submission retries
-    transparently across a concurrent :func:`set_num_workers` rebuild.
+    pool-starvation deadlock), and submission retries transparently across
+    a concurrent :func:`set_num_workers` rebuild.
     """
     inj = active_faults()
     if inj is not None:
@@ -616,25 +393,24 @@ def submit_pooled(fn: Callable[..., Any], /, *args: Any) -> concurrent.futures.F
             key=(getattr(fn, "__qualname__", str(fn)),),
             attempt=next(_SUBMIT_SEQ),
         )
-    return get_executor().submit(fn, *args)
+    return _submit(_pooled(fn), *args)
 
 
 def parallel_map(
     fn: Callable[[Any], Any], items: Sequence[Any], op: str = "region"
 ) -> list[Any]:
-    """Run ``fn`` over ``items``, on the active execution tier when it helps.
+    """Run ``fn`` over ``items``, on the shared worker pool when it helps.
 
     Falls back to an inline serial loop when the region is trivial
     (``<= 1`` task), the pool is sized (or :func:`worker_limit`-capped) to
     one worker, the caller is itself a pooled task (nested regions run on
-    their own worker — see module docstring), the active tier is serial
-    (``inline``), or a :func:`trace_parallel` block is active.  The first
-    task exception propagates to the caller either way — wrapped in
-    :class:`ShardError` naming the region, shard index and item, so a
-    fault deep in a threaded shard is attributable without a debugger; in
-    the pooled case remaining tasks still run to completion first (futures
-    are not cancelled), so shared output buffers are never abandoned
-    half-written to a racing shard.
+    their own worker — see module docstring), or a :func:`trace_parallel`
+    block is active.  The first task exception propagates to the caller
+    either way — wrapped in :class:`ShardError` naming the region, shard
+    index and item, so a fault deep in a threaded shard is attributable
+    without a debugger; in the pooled case remaining tasks still run to
+    completion first (futures are not cancelled), so shared output buffers
+    are never abandoned half-written to a racing shard.
     """
     tasks = list(items)
 
@@ -659,37 +435,19 @@ def parallel_map(
         len(tasks) <= 1
         or getattr(_IN_WORKER, "active", False)
         or get_num_workers() == 1
-        or get_executor().serial
     ):
         return [call(index, item) for index, item in enumerate(tasks)]
 
-    owner = current_plan_owner()
-
-    def run(index: int, item: Any) -> Any:
-        _IN_WORKER.active = True
-        try:
-            with plan_owner(owner):
-                return call(index, item)
-        finally:
-            _IN_WORKER.active = False
-
-    futures = get_executor().map_region(fn, tasks, run)
-    results = []
+    run = _pooled(call)
+    futures: list[concurrent.futures.Future] = []
     try:
-        for index, future in enumerate(futures):
-            try:
-                results.append(future.result())
-            except ShardError:
-                raise
-            except Exception as exc:
-                # A task shipped across a process boundary surfaces its
-                # original exception; attribute it here exactly as the
-                # in-process wrapper would have.
-                raise ShardError(op, index, len(tasks), tasks[index], exc) from exc
-        return results
+        for index, item in enumerate(tasks):
+            futures.append(_submit(run, index, item))
+        return [future.result() for future in futures]
     except BaseException:
-        # A shard failed: wait out the rest before propagating, so no
-        # worker is still writing a shared output buffer after the caller
-        # has resumed (and possibly reused or freed it).
+        # A shard failed, or the pool refused work for good: wait out the
+        # rest before propagating, so no worker is still writing a shared
+        # output buffer after the caller has resumed (and possibly reused
+        # or freed it).
         concurrent.futures.wait(futures)
         raise

@@ -13,8 +13,8 @@ names.  Callers dispatch with :func:`get_kernel`:
 
 The registry is intentionally dumb: a two-level dict plus a preference
 order.  Backends self-register at import time via the
-:func:`register_kernel` decorator, so adding a backend (numba, threaded,
-...) is one new module that never touches call sites.
+:func:`register_kernel` decorator, so adding a backend (such as
+``threaded``) is one new module that never touches call sites.
 """
 from __future__ import annotations
 
@@ -67,16 +67,22 @@ def env_backend_order(
 ) -> tuple[str, ...]:
     """The ``default`` preference order, honouring ``REPRO_BACKEND``.
 
-    A set ``REPRO_BACKEND`` (e.g. ``threaded``, ``numba``) is *prepended*
-    to the base order rather than replacing it: resolution falls through to
-    the next registered backend per op, so ``REPRO_BACKEND=numba`` on a
-    host without numba (where the numba module registers nothing) silently
-    selects ``numpy`` instead of failing — an optional accelerator must
-    never break the bare container.
+    A set ``REPRO_BACKEND`` (e.g. ``threaded``) is *prepended* to the base
+    order rather than replacing it: resolution falls through to the next
+    registered backend per op, so ``REPRO_BACKEND=threaded`` still
+    dispatches the ops ``threaded`` does not implement.  A name no op
+    registers raises ``ValueError`` — a typo must not silently run the
+    default backend.
     """
     name = (os.environ.get("REPRO_BACKEND", "") if env is None else env).strip()
     if not name or name == "default":
         return default_order
+    registered = sorted({b for op in REGISTRY.ops() for b in REGISTRY.backends(op)})
+    if name not in registered:
+        raise ValueError(
+            f"REPRO_BACKEND={name!r} is not a registered backend; "
+            f"registered: {registered}"
+        )
     return (name,) + tuple(b for b in default_order if b != name)
 
 

@@ -16,7 +16,6 @@ from repro.faults.plane import (
     PoisonedRequest,
     active_faults,
     clear_faults,
-    derive_worker_seed,
     install_faults,
     use_faults,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "PoisonedRequest",
     "active_faults",
     "clear_faults",
-    "derive_worker_seed",
     "install_faults",
     "use_faults",
 ]

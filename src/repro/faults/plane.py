@@ -56,7 +56,6 @@ __all__ = [
     "PoisonedRequest",
     "active_faults",
     "clear_faults",
-    "derive_worker_seed",
     "install_faults",
     "use_faults",
 ]
@@ -152,11 +151,6 @@ def _u01(seed: int, *parts: object) -> float:
     text = ":".join(str(p) for p in parts)
     crc = zlib.crc32(f"{seed}:{text}".encode())
     return crc / 4294967296.0
-
-
-def derive_worker_seed(seed: int, worker_index: int) -> int:
-    """The per-process seed one worker's fault plane derives from the parent's."""
-    return zlib.crc32(f"{seed}:worker:{worker_index}".encode())
 
 
 class FaultInjector:
@@ -255,33 +249,6 @@ class FaultInjector:
         """Explicitly poison one request id (optionally model-scoped)."""
         with self._lock:
             self._poison.add((model, int(request_id)))
-
-    def for_worker(self, worker_index: int) -> "FaultInjector":
-        """A derived injector for one worker/shard process.
-
-        Process-backed execution forks the parent (so every child inherits
-        the installed injector verbatim); without re-seeding, N workers
-        would replay the parent's exact fault sequence N times — correlated
-        chaos, not independent chaos.  The derivation keeps the *config*
-        (specs, explicit poison set, poison rate) identical but re-derives
-        the seed from ``(seed, worker_index)`` through the same CRC-32 hash
-        as every other decision, so each process draws an independent yet
-        fully seed-deterministic sequence.  Explicit poison entries carry
-        over unchanged: poisoning is the deterministic component and must
-        fire identically wherever the poisoned request lands.
-        """
-        derived = FaultInjector(
-            specs=[FaultSpec(site=s.site, rate=s.rate, models=s.models,
-                             backends=s.backends, max_fires=s.max_fires,
-                             delay=s.delay)
-                   for s in self.specs],
-            seed=derive_worker_seed(self.seed, worker_index),
-            poison_rate=self.poison_rate,
-            poison_models=self.poison_models,
-        )
-        with self._lock:
-            derived._poison = set(self._poison)
-        return derived
 
     # -- hooks the stack calls -------------------------------------------------
 

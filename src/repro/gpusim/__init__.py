@@ -37,8 +37,6 @@ from repro.gpusim.timeline import (
 )
 from repro.gpusim.multigpu import (
     data_parallel_step_time,
-    host_fabric_device,
-    host_process_step_time,
     ring_allreduce_time,
 )
 
@@ -65,6 +63,4 @@ __all__ = [
     "plan_build_time",
     "ring_allreduce_time",
     "data_parallel_step_time",
-    "host_fabric_device",
-    "host_process_step_time",
 ]

@@ -55,17 +55,6 @@ class DeviceSpec:
     # own framework pass.
     tile_combine_overhead: float = 0.025
     fusion_stage_discount: float = 0.05
-    # Process-tier (multi-process sharded execution) terms: worker processes
-    # escape the GIL entirely, so python-bound work scales by lane count
-    # rather than by numpy's GIL-release windows — but every request/result
-    # crosses a pipe.  host_ipc_bandwidth/latency are the measured pickle
-    # throughput and RPC round-trip of the shard pipes (calibrated by
-    # bench_sharded_router against live ShardedRouter round trips);
-    # host_process_serial_fraction is the front-end share that stays on the
-    # driving process (hashing, dispatch, result bookkeeping).
-    host_ipc_bandwidth: float = 1.5e9      # bytes/s through one shard pipe
-    host_ipc_latency: float = 2e-4         # seconds per RPC round trip
-    host_process_serial_fraction: float = 0.02
 
     @property
     def cuda_cores(self) -> int:
@@ -118,23 +107,6 @@ class DeviceSpec:
         return max(
             1.0, 1.0 / (s + (1.0 - s) / lanes + c * (workers - 1) + combine)
         )
-
-    def process_speedup(self, processes: int) -> float:
-        """Modelled speedup of the ``process`` execution tier at ``processes``.
-
-        The Amdahl form of :meth:`parallel_speedup` with the tier's two
-        differences: the parallel share covers *GIL-bound* python work too
-        (work that gains nothing from threads scales across processes all
-        the same), and the serial residue is the driving process's dispatch
-        share (``host_process_serial_fraction``) rather than unshardable
-        kernel glue.  IPC transfer costs are charged separately (they scale
-        with payload bytes, not with worker count — see
-        :func:`repro.gpusim.multigpu.host_process_step_time`).
-        """
-        if processes < 1:
-            raise ValueError(f"processes must be positive, got {processes}")
-        s = self.host_process_serial_fraction
-        return max(1.0, 1.0 / (s + (1.0 - s) / processes))
 
     def fused_epilogue_speedup(self, stages: int) -> float:
         """Relative speedup of folding ``stages`` elementwise epilogue ops

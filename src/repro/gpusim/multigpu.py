@@ -1,4 +1,4 @@
-"""Multi-GPU data-parallel timing model (paper Figure 14) + host analogue.
+"""Multi-GPU data-parallel timing model (paper Figure 14).
 
 Synchronous data parallelism on K devices: each device computes a 1/K batch
 shard, then gradients are ring-all-reduced.  Ring all-reduce moves
@@ -7,22 +7,10 @@ latency.  Small K shows sub-linear scaling (communication not yet amortised,
 matching the paper's observation); larger K approaches linear as the compute
 share per device shrinks faster than the (nearly K-independent) all-reduce
 volume grows.
-
-The same machinery now models the **host process tier**
-(:class:`repro.serve.sharded.ShardedRouter` /
-``REPRO_EXECUTOR=process``): worker processes are the "devices", the pipe
-fabric is the "interconnect".  :func:`host_fabric_device` rebinds a
-:class:`DeviceSpec`'s interconnect terms to the measured pipe bandwidth and
-RPC latency, so :func:`ring_allreduce_time` and
-:func:`data_parallel_step_time` price host IPC with the identical formulas
-the GPU model uses — which is exactly how ``bench_sharded_router``
-calibrates the two against each other (drift-gated, like the pool-aware
-calibration before it).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timeline import training_step_time
@@ -73,70 +61,3 @@ def data_parallel_step_time(
     comm = ring_allreduce_time(gradient_bytes, num_devices, device)
     exposed = comm * (1.0 - overlap_fraction) if num_devices > 1 else 0.0
     return ParallelStepTime(compute=compute, communication=exposed, num_devices=num_devices)
-
-
-# ---------------------------------------------------------------------------
-# Host process tier: worker processes as devices, pipes as the interconnect
-# ---------------------------------------------------------------------------
-
-def host_fabric_device(device: DeviceSpec) -> DeviceSpec:
-    """``device`` with its interconnect rebound to the host's pipe fabric.
-
-    After this substitution, :func:`ring_allreduce_time` prices a
-    cross-process gradient exchange and :func:`data_parallel_step_time`
-    prices a data-parallel host step with the *same formulas* the GPU
-    model uses — the calibration contract ``bench_sharded_router`` gates:
-    measured shard-pipe throughput/latency feed
-    ``host_ipc_bandwidth``/``host_ipc_latency``, and the modelled scaling
-    must track the measured one within the standard drift bounds.
-    """
-    return replace(
-        device,
-        interconnect_bandwidth=device.host_ipc_bandwidth,
-        interconnect_latency=device.host_ipc_latency,
-    )
-
-
-def host_process_step_time(
-    task_seconds: Sequence[float],
-    processes: int,
-    device: DeviceSpec,
-    ipc_bytes: float = 0.0,
-    round_trips: int | None = None,
-) -> ParallelStepTime:
-    """Modelled drain time of ``task_seconds`` sharded over ``processes``.
-
-    ``task_seconds`` are clean serial per-task costs (one per model drain /
-    shipped batch, measured under
-    :func:`repro.backend.parallel.trace_parallel`); compute is their LPT
-    makespan over ``processes`` lanes
-    (:func:`repro.backend.parallel.makespan`) plus the driving process's
-    Amdahl residue, matching how :meth:`DeviceSpec.parallel_speedup` treats
-    the thread pool.  Communication charges every RPC round trip at the
-    pipe fabric's latency and the total shipped payload at its bandwidth —
-    the pipes are driven from one front-end thread, so IPC is serial and
-    never overlaps itself (``overlap_fraction`` has no analogue here).
-    """
-    from repro.backend.parallel import makespan
-
-    if processes < 1:
-        raise ValueError(f"processes must be >= 1, got {processes}")
-    if ipc_bytes < 0:
-        raise ValueError(f"ipc_bytes must be >= 0, got {ipc_bytes}")
-    tasks = list(task_seconds)
-    total = sum(tasks)
-    serial = device.host_process_serial_fraction * total
-    compute = serial + makespan(tasks, processes)
-    trips = len(tasks) if round_trips is None else round_trips
-    if trips < 0:
-        raise ValueError(f"round_trips must be >= 0, got {trips}")
-    comm = 0.0
-    if processes > 1:
-        fabric = host_fabric_device(device)
-        comm = (
-            trips * fabric.interconnect_latency
-            + ipc_bytes / fabric.interconnect_bandwidth
-        )
-    return ParallelStepTime(
-        compute=compute, communication=comm, num_devices=processes
-    )

@@ -62,7 +62,6 @@ from repro.serve.server import (
     Server,
     ServingMetrics,
 )
-from repro.serve.sharded import HashRing, ShardedRouter
 
 __all__ = [
     "AdmissionPolicy",
@@ -74,7 +73,6 @@ __all__ = [
     "DeadlineExceeded",
     "ExecStats",
     "FairnessPolicy",
-    "HashRing",
     "ModelExecutor",
     "ModelUnavailable",
     "QueueFull",
@@ -92,5 +90,4 @@ __all__ = [
     "Server",
     "ServingMetrics",
     "ServingPolicy",
-    "ShardedRouter",
 ]

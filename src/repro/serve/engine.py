@@ -99,7 +99,7 @@ class ModelExecutor:
         bucket_sizes: tuple[int, ...] = (1, 2, 4, 8),
         name: str | None = None,
         degrade_after: int | None = None,
-        degrade_chain: tuple[str, ...] = ("numba", "threaded", "numpy"),
+        degrade_chain: tuple[str, ...] = ("threaded", "numpy"),
     ) -> None:
         self.model = model.eval()
         self.name = name

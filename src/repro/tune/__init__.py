@@ -21,9 +21,7 @@ count without re-running anything:
 - ``numpy`` (serial canonical tiles): the traced serial wall;
 - ``threaded`` at ``w`` workers: time outside parallel regions plus the
   LPT :func:`~repro.backend.parallel.makespan` of each region's recorded
-  tasks on ``w`` lanes;
-- ``numba`` (when the op has a registered numba kernel): measured wall
-  after a JIT warmup run.
+  tasks on ``w`` lanes.
 
 This is the same measure-serially/model-the-parallel-schedule move
 ``bench_backend_scaling`` makes, and it is what keeps tuning results
@@ -61,7 +59,6 @@ import numpy as np
 
 from repro.backend import (
     KernelStats,
-    available_backends,
     conv2d_plan,
     get_kernel,
     scc_plan,
@@ -162,7 +159,7 @@ def _measure_combo(run, tiles: dict, repeats: int) -> tuple[float, list, float]:
         for _ in range(repeats):
             with trace_parallel() as regions:
                 start = time.perf_counter()
-                run("threaded")
+                run()
                 wall = time.perf_counter() - start
             if best is None or wall < best[0]:
                 best = (wall, regions)
@@ -203,17 +200,6 @@ def _sweep(
                 makespan(r.task_seconds, w) for r in regions
             )
             candidates.append(Candidate("threaded", w, tiles, modeled))
-
-    if "numba" in available_backends(op):
-        # JIT backends ignore schedule tiles; measure the compiled wall
-        # (first run pays compilation and is discarded).
-        run("numba")
-        start = time.perf_counter()
-        run("numba")
-        candidates.append(
-            Candidate("numba", 1, dict(static_tiles),
-                      time.perf_counter() - start)
-        )
 
     best = min(candidates, key=lambda c: c.score_s)
     static = min(
@@ -285,9 +271,9 @@ def tune_conv2d(
     cout, _, kh, _ = w_shape
     off_table = (cin, cout, kh, stride) not in CONV_SCHEDULES
 
-    def run(backend: str):
-        out, ctx = get_kernel("conv2d", backend)(plan, x, w)
-        get_kernel("conv2d_backward", backend)(plan, ctx, grad)
+    def run():
+        out, ctx = get_kernel("conv2d", "threaded")(plan, x, w)
+        get_kernel("conv2d_backward", "threaded")(plan, ctx, grad)
 
     return _sweep(
         name or f"conv2d-{cin}x{cout}k{kh}s{stride}n{n}",
@@ -341,8 +327,8 @@ def tune_pull_gemm(
     )
     off_table = (config.in_channels, config.out_channels) not in PULL_SCHEDULES
 
-    def run(backend: str):
-        get_kernel("scc_backward", backend)(
+    def run():
+        get_kernel("scc_backward", "threaded")(
             plan, {"x": x, "w": w}, grad,
             strategy="dsxplore", backward_design="input_centric",
             need_weight_grad=False, stats=KernelStats(),

@@ -42,7 +42,7 @@ def test_registry_has_reference_and_numpy_for_every_op():
 
     for op in CORE_OPS:
         assert op in REGISTRY.ops()
-        # Superset, not equality: additional backends (numba, threaded, ...)
+        # Superset, not equality: additional backends (threaded, ...)
         # must be registrable without touching this test.
         assert {"numpy", "reference"} <= set(available_backends(op)), op
 

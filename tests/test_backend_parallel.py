@@ -7,7 +7,6 @@ strategies, both conv paddings and both float dtypes, plus exact equality
 of the merged :class:`KernelStats` totals (the gpusim crosscheck depends on
 counters being backend-invariant).
 """
-import importlib.util
 import os
 import subprocess
 import sys
@@ -35,8 +34,6 @@ from repro.core.channel_map import SCCConfig
 from repro.core.scc_kernels import make_strategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-NUMBA_INSTALLED = importlib.util.find_spec("numba") is not None
 
 
 @pytest.fixture(autouse=True)
@@ -402,48 +399,40 @@ def test_unknown_scc_strategy_rejected_on_threaded():
 
 
 # ---------------------------------------------------------------------------
-# Backend selection: REPRO_BACKEND override and silent numba fallback
+# Backend selection: REPRO_BACKEND override and unknown-name rejection
 # ---------------------------------------------------------------------------
 
 def test_env_backend_order_prepends_and_falls_through():
     assert env_backend_order(env="") == ("numpy", "reference")
     assert env_backend_order(env="default") == ("numpy", "reference")
     assert env_backend_order(env="threaded") == ("threaded", "numpy", "reference")
-    assert env_backend_order(env="numba") == ("numba", "numpy", "reference")
+    assert env_backend_order(env="reference") == ("reference", "numpy")
     assert env_backend_order(env="numpy") == ("numpy", "reference")
 
 
-def _resolve_in_subprocess(extra_env: dict) -> str:
+def _resolve_in_subprocess(extra_env: dict) -> subprocess.CompletedProcess:
     code = ("from repro.backend import REGISTRY; "
             "print(REGISTRY.resolve_name('conv2d', 'default'))")
     env = dict(os.environ)
     env.update(extra_env)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, cwd=REPO_ROOT)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
 
 
 def test_repro_backend_env_selects_threaded():
-    assert _resolve_in_subprocess({"REPRO_BACKEND": "threaded"}) == "threaded"
+    proc = _resolve_in_subprocess({"REPRO_BACKEND": "threaded"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "threaded"
 
 
-def test_repro_backend_numba_falls_back_silently_when_absent():
-    expected = "numba" if NUMBA_INSTALLED else "numpy"
-    assert _resolve_in_subprocess({"REPRO_BACKEND": "numba"}) == expected
-
-
-@pytest.mark.skipif(not NUMBA_INSTALLED, reason="numba not installed")
-def test_numba_backend_matches_numpy_to_tolerance():
-    cfg = SCCConfig(8, 16, 2, 0.5)
-    plan = scc_plan(cfg)
-    rng = np.random.default_rng(8)
-    x = rng.standard_normal((2, 8, 4, 4)).astype(np.float32)
-    w = rng.standard_normal((16, cfg.group_width)).astype(np.float32)
-    out_nb, _ = get_kernel("scc_forward", "numba")(plan, x, w)
-    out_np, _ = get_kernel("scc_forward", "numpy")(plan, x, w)
-    np.testing.assert_allclose(out_nb, out_np, rtol=1e-5, atol=1e-5)
+def test_repro_backend_unknown_name_fails_at_import():
+    # A typo must not silently run (and env-stamp) the default backend.
+    proc = _resolve_in_subprocess({"REPRO_BACKEND": "threadd"})
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
+    assert "'threadd' is not a registered backend" in proc.stderr
+    assert "registered: ['numpy', 'reference'" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

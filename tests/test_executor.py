@@ -1,43 +1,24 @@
-"""Execution tiers: protocol conformance, process shipping, sharded serving.
+"""The shared worker pool: pooled execution is bitwise-equal to serial.
 
-The contract under test is the one the tier table in
-``repro.backend.parallel`` promises: every ``REPRO_EXECUTOR`` tier —
-``thread``, ``process``, ``inline`` — produces **bitwise-identical**
-results through the same ``parallel_map`` / ``submit_pooled`` surface, at
-every worker count.  The process tier earns this either by shipping a
-registered pure function (whose result is location-invariant) or by
-falling back to the in-process thread lane; the sharded router earns it by
-rebuilding registry models deterministically per shard.
+The contract under test is the one ``repro.backend.parallel`` promises:
+``parallel_map`` / ``submit_pooled`` produce **bitwise-identical** results
+at every worker count, keep region results in order, and a tuned plan's
+recorded ``backend`` / ``workers`` apply at dispatch without changing any
+result.
 """
 import concurrent.futures
-import os
 
 import numpy as np
 import pytest
 
 from repro.backend import PLAN_CACHE, dispatch_plan
 from repro.backend.parallel import (
-    EXECUTOR_TIERS,
-    InlineExecutor,
-    ThreadExecutor,
-    get_executor,
     get_num_workers,
     num_workers,
     parallel_map,
-    set_executor,
     submit_pooled,
-    use_executor,
     worker_limit,
 )
-from repro.backend.procpool import (
-    SHM_MIN_BYTES,
-    ProcessExecutor,
-    is_process_safe,
-    process_safe,
-    shippable_args,
-)
-from repro.backend.numpy_backend import dense_fwd_partial
-from repro.faults.plane import derive_worker_seed
 from repro.tensor.conv_ops import Conv2d
 from repro.utils import seed_all
 
@@ -45,8 +26,6 @@ from repro.utils import seed_all
 @pytest.fixture(autouse=True)
 def _seed():
     seed_all(23)
-    yield
-    set_executor(None)  # never leak a tier into other tests
 
 
 def _conv_workload(backend="threaded"):
@@ -77,80 +56,34 @@ def _scc_workload():
 
 
 # ---------------------------------------------------------------------------
-# Tier conformance: thread == process == inline, bitwise, at 1/2/4 workers
+# Pooled == serial, bitwise, at 2 and 4 workers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("workers", [2, 4])
 @pytest.mark.parametrize("workload", [_conv_workload, _scc_workload])
-def test_tiers_bitwise_identical_at_every_worker_count(workload, workers):
-    results = {}
-    for tier in EXECUTOR_TIERS:
-        with use_executor(tier), num_workers(workers):
-            results[tier] = workload()
-    for tier in ("process", "inline"):
-        for ref, got in zip(results["thread"], results[tier]):
-            np.testing.assert_array_equal(
-                ref, got, err_msg=f"tier {tier} diverged at {workers} workers"
-            )
+def test_pooled_bitwise_identical_to_one_worker(workload, workers):
+    with num_workers(1):
+        serial = workload()
+    with num_workers(workers):
+        pooled = workload()
+    for ref, got in zip(serial, pooled):
+        np.testing.assert_array_equal(
+            ref, got, err_msg=f"pool diverged at {workers} workers"
+        )
 
 
-def test_parallel_map_results_ordered_on_every_tier():
+def test_parallel_map_results_ordered():
     items = list(range(17))
-    expect = [i * i for i in items]
-    for tier in EXECUTOR_TIERS:
-        with use_executor(tier), num_workers(4):
-            assert parallel_map(lambda i: i * i, items, op="square") == expect
+    with num_workers(4):
+        assert parallel_map(lambda i: i * i, items, op="square") == [
+            i * i for i in items
+        ]
 
 
-def test_submit_pooled_returns_future_on_every_tier():
-    for tier in EXECUTOR_TIERS:
-        with use_executor(tier):
-            future = submit_pooled(pow, 3, 4)
-            assert isinstance(future, concurrent.futures.Future)
-            assert future.result(timeout=30) == 81
-
-
-# ---------------------------------------------------------------------------
-# Tier selection: env resolution, runtime override, validation
-# ---------------------------------------------------------------------------
-
-def test_env_selects_tier(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "inline")
-    set_executor(None)  # force re-resolution from env
-    try:
-        assert isinstance(get_executor(), InlineExecutor)
-    finally:
-        set_executor(None)
-
-
-def test_invalid_tier_name_rejected(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "gpu")
-    set_executor(None)
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-        get_executor()
-    set_executor(None)
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-        set_executor("fibers")
-
-
-def test_use_executor_restores_previous_tier():
-    base = get_executor()
-    with use_executor("inline") as tier:
-        assert get_executor() is tier
-        assert tier.serial
-    assert get_executor() is base
-
-
-def test_describe_names_tier_and_workers():
-    with use_executor("inline"):
-        info = get_executor().describe()
-        assert info["tier"] == "inline"
-        assert info["workers"] == get_num_workers()
-    proc = ProcessExecutor()
-    try:
-        assert "start_method" in proc.describe()
-    finally:
-        proc.shutdown()
+def test_submit_pooled_returns_future():
+    future = submit_pooled(pow, 3, 4)
+    assert isinstance(future, concurrent.futures.Future)
+    assert future.result(timeout=30) == 81
 
 
 # ---------------------------------------------------------------------------
@@ -174,79 +107,6 @@ def test_worker_limit_caps_and_lifts():
 def test_worker_limit_never_raises_above_pool_size():
     with num_workers(2), worker_limit(16):
         assert get_num_workers() == 2
-
-
-# ---------------------------------------------------------------------------
-# Process tier: shipping rules and shared-memory transport
-# ---------------------------------------------------------------------------
-
-def test_kernel_partials_are_registered_shippable():
-    assert is_process_safe(dense_fwd_partial)
-
-
-def test_process_safe_rejects_non_module_level():
-    with pytest.raises(ValueError, match="module-level"):
-        process_safe(lambda x: x)
-
-
-def test_shippable_args_rules():
-    arr = np.zeros(4)
-    assert shippable_args((arr, 3, "s", slice(0, 2), (1.0, arr)))
-    assert not shippable_args(({"k": 1},))
-    assert not shippable_args(([1, 2],))
-
-
-def test_process_ship_matches_inline_above_and_below_shm_threshold():
-    rng = np.random.default_rng(3)
-    # Big operands ride shared memory, small ones the pickle path; both
-    # must round-trip bit-for-bit.
-    big_n = int(np.ceil((SHM_MIN_BYTES / 4) ** 0.25)) + 2
-    for shape in ((2, 3, 4, 4, 3, 3), (big_n, big_n, big_n, big_n, 3, 3)):
-        patches = rng.standard_normal(shape).astype(np.float32)
-        weight = rng.standard_normal((5, shape[1], 3, 3)).astype(np.float32)
-        expect = dense_fwd_partial(patches, weight, slice(0, shape[1]))
-        proc = ProcessExecutor(max_workers=2)
-        try:
-            got = proc.submit(
-                dense_fwd_partial, patches, weight, slice(0, shape[1])
-            ).result(timeout=120)
-        finally:
-            proc.shutdown(wait=True)
-        np.testing.assert_array_equal(expect, got)
-
-
-def test_process_tier_thread_lane_for_unshippable_tasks():
-    # A closure is not process-safe: it must run in-process (observable
-    # because it mutates enclosing state, which a forked child could not).
-    hits = []
-    proc = ProcessExecutor(max_workers=2)
-    try:
-        proc.submit(hits.append, 1).result(timeout=30)
-    finally:
-        proc.shutdown(wait=True)
-    assert hits == [1]
-
-
-# ---------------------------------------------------------------------------
-# Per-worker fault-seed derivation
-# ---------------------------------------------------------------------------
-
-def test_derive_worker_seed_deterministic_and_distinct():
-    seeds = [derive_worker_seed(123, i) for i in range(8)]
-    assert seeds == [derive_worker_seed(123, i) for i in range(8)]
-    assert len(set(seeds)) == len(seeds)
-    assert derive_worker_seed(124, 0) != seeds[0]
-
-
-def test_for_worker_derives_independent_injector():
-    from repro.faults import FaultInjector
-
-    parent = FaultInjector(seed=5)
-    child_a = parent.for_worker(1)
-    child_b = parent.for_worker(2)
-    assert child_a.seed == derive_worker_seed(5, 1)
-    assert child_b.seed == derive_worker_seed(5, 2)
-    assert child_a.seed != child_b.seed
 
 
 # ---------------------------------------------------------------------------

@@ -72,55 +72,3 @@ def test_communication_zero_on_one_device(dev):
     step = data_parallel_step_time(shapes, 64, 1, dev, 1e9)
     assert step.communication == 0.0
 
-
-# ---------------------------------------------------------------------------
-# Host process tier: worker processes as devices, pipes as the interconnect
-# ---------------------------------------------------------------------------
-
-def test_process_speedup_amdahl_shape(dev):
-    assert dev.process_speedup(1) == pytest.approx(1.0)
-    s2, s4, s8 = (dev.process_speedup(k) for k in (2, 4, 8))
-    assert 1.0 < s2 < s4 < s8
-    # Bounded by the serial dispatch fraction.
-    assert s8 < 1.0 / dev.host_process_serial_fraction
-    with pytest.raises(ValueError):
-        dev.process_speedup(0)
-
-
-def test_host_fabric_rebinds_interconnect(dev):
-    from repro.gpusim import host_fabric_device
-
-    fabric = host_fabric_device(dev)
-    assert fabric.interconnect_bandwidth == dev.host_ipc_bandwidth
-    assert fabric.interconnect_latency == dev.host_ipc_latency
-    # Everything else is untouched; the source spec is not mutated.
-    assert fabric.name == dev.name
-    assert dev.interconnect_bandwidth != dev.host_ipc_bandwidth
-
-
-def test_host_process_step_time_scales_and_charges_ipc(dev):
-    from repro.gpusim import host_process_step_time
-
-    tasks = [0.01] * 8
-    t1 = host_process_step_time(tasks, 1, dev)
-    t4 = host_process_step_time(tasks, 4, dev, ipc_bytes=1e6, round_trips=8)
-    assert t1.communication == 0.0       # no pipes on one process
-    assert t4.compute < t1.compute       # makespan shrinks across lanes
-    expected_comm = (
-        8 * dev.host_ipc_latency + 1e6 / dev.host_ipc_bandwidth
-    )
-    assert t4.communication == pytest.approx(expected_comm)
-    # Amdahl residue keeps scaling sub-linear.
-    assert t1.total / t4.total < 4.0
-    assert t1.total / t4.total > 1.8     # but well past the bench gate ratio
-
-
-def test_host_process_step_time_validation(dev):
-    from repro.gpusim import host_process_step_time
-
-    with pytest.raises(ValueError):
-        host_process_step_time([0.01], 0, dev)
-    with pytest.raises(ValueError):
-        host_process_step_time([0.01], 2, dev, ipc_bytes=-1.0)
-    with pytest.raises(ValueError):
-        host_process_step_time([0.01], 2, dev, round_trips=-1)

@@ -1,8 +1,8 @@
 """ServingPolicy: the one config dataclass every serving transport takes.
 
 The contract: defaults keep the sync transports' historical behaviour,
-validation happens once here, a policy pickles (shard processes receive
-it), and ``AsyncGateway(None)`` keeps the gateway's historical adaptive /
+validation happens once here, a policy pickles, and
+``AsyncGateway(None)`` keeps the gateway's historical adaptive /
 deadline defaults while a bare policy means what it says.
 """
 import pickle

@@ -21,7 +21,6 @@ from repro.serve import (
     Router,
     Server,
     ServingPolicy,
-    ShardedRouter,
 )
 
 SMALL = (3, 10, 10)   # a geometry no other test module serves
@@ -235,19 +234,6 @@ def test_gateway_stop_is_idempotent_without_start():
         assert gw.metrics()["m"].completed == 3
 
     asyncio.run(main())
-
-
-def test_sharded_router_stop_is_idempotent_and_accounts_queued_work():
-    sharded = ShardedRouter(shards=2, server_config=_policy())
-    try:
-        sharded.register("m", "mobilenet", input_shapes=[SMALL],
-                         scheme="scc", width_mult=0.25, seed=63)
-        for k in range(3):
-            sharded.submit("m", _image(k))
-    finally:
-        sharded.stop()
-        sharded.stop()
-    assert sharded.metrics()["completed"] == 3   # drained on the way out
 
 
 def test_threaded_router_stress_accounts_every_request():
