@@ -1,7 +1,7 @@
 """Tiled bitwise-stable contractions (beyond the paper's figures).
 
 The dense ``groups == 1`` conv2d forward and the dsxplore pull-GEMM used to
-run as single lone einsum calls — zero parallel coverage in the ``threaded``
+run as single untiled GEMMs — zero parallel coverage in the ``threaded``
 backend.  The schedule-table tiling (:mod:`repro.backend.schedule`) cuts the
 contraction axis into tiles whose partials are combined through a canonical
 fixed-order pairwise tree, so the result is bit-identical on any worker
@@ -13,7 +13,7 @@ side of that trade:
    gate worker count, and the gpusim ``tiled_speedup`` curve next to the
    modelled one.  Bitwise equality against numpy running the identical
    schedule is asserted at every (tile, workers) grid point first.
-2. **Canonical-order overhead** — tiled-serial vs untiled single-einsum
+2. **Canonical-order overhead** — tiled-serial vs the untiled GEMM's
    numpy wall time: what the deterministic reduction order costs when no
    pool exists to pay it back.
 3. **Fast precision tier** — ``REPRO_PRECISION=fast`` accumulates partials
@@ -153,7 +153,7 @@ def _tile_sweep(workload, device, repeats: int):
 
 
 def _untiled_overhead(workload, repeats: int) -> dict:
-    """Serial cost of the canonical tiled order vs the lone einsum."""
+    """Serial cost of the canonical tiled order vs the untiled GEMM."""
     t_tiled = time_callable(
         lambda: workload.run("numpy"), repeats=repeats, warmup=1
     ).median
@@ -284,8 +284,8 @@ def report_tiled_gemm():
         ["Workload", "tiled serial (ms)", "untiled (ms)", "overhead ratio"],
         [[r["workload"], f"{r['tiled_ms']:.2f}", f"{r['untiled_ms']:.2f}",
           f"{r['overhead_ratio']:.2f}"] for r in overhead],
-        title="Canonical-order serial overhead (schedule-table tile vs lone "
-              "einsum, single-threaded numpy)",
+        title="Canonical-order serial overhead (schedule-table tile vs "
+              "untiled GEMM, single-threaded numpy)",
     )
     table += "\n\n" + format_table(
         ["Workload", "trials", "max abs err", "max rel err", "bounds"],

@@ -11,7 +11,7 @@ Kernel registry (``repro.backend.registry``)
 
     ============  =======================================================
     reference     naive loop kernels; ground truth for every fast path
-    numpy         einsum / ``as_strided`` fast paths fed by cached plans
+    numpy         GEMM / einsum / ``as_strided`` fast paths fed by cached plans
     threaded      numpy kernels sharded over the shared worker pool
                   (``REPRO_NUM_WORKERS``); bitwise-identical to numpy
     default       auto-selects the preferred available backend (numpy,

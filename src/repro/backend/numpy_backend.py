@@ -1,11 +1,12 @@
-"""The ``numpy`` backend: vectorised einsum / ``as_strided`` fast paths.
+"""The ``numpy`` backend: vectorised GEMM / einsum / ``as_strided`` fast paths.
 
-These are the "cuDNN primitives" of the reproduction.  Implementation idiom
-(per the session HPC guides): input patch matrices are zero-copy strided
-*views*, reductions are einsum calls over those views (no im2col buffer),
-the data-grad scatter runs as ``KH*KW`` strided accumulations, and every
-contraction fetches its ``np.einsum_path`` plan from the execution-plan
-cache instead of re-searching per call.
+These are the "cuDNN primitives" of the reproduction.  Input patch
+matrices are zero-copy strided *views*.  Every non-depthwise conv forward
+copies its patch view into im2col columns and runs one batched
+``np.matmul``; see :func:`im2col_gemm`.  The conv backward reduces
+over the views with einsum calls, the data-grad scatter runs as ``KH*KW``
+strided accumulations, and every einsum fetches its ``np.einsum_path``
+plan from the execution-plan cache instead of re-searching per call.
 
 Depthwise convs (one input channel per group) run a few elementwise array
 calls per kernel tap instead of one einsum call per channel; see the
@@ -39,6 +40,7 @@ from repro.backend.schedule import (
     tile_slices,
 )
 from repro.backend.stats import KernelStats, scc_conflict_fraction
+from repro.utils.pad import pad2d
 
 
 def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
@@ -60,40 +62,40 @@ def _patch_view(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     )
 
 
-def _pad2d(x: np.ndarray, padding: int, **kwargs) -> np.ndarray:
-    if padding == 0:
-        return x
-    return np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), **kwargs
-    )
-
-
 # ---------------------------------------------------------------------------
 # conv2d
 # ---------------------------------------------------------------------------
 
-def dense_fwd_partial(patches: np.ndarray, weight: np.ndarray, sl: slice) -> np.ndarray:
-    """One input-channel tile of the dense forward contraction.
+def im2col_gemm(patches: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """The conv forward contraction ``weight (O, C, KH, KW) . patches``
+    as one im2col GEMM.
 
-    Shared verbatim by the ``numpy`` and ``threaded`` backends: identical
-    einsum call, identical operand views, path served from the plan cache —
-    the per-tile results are bitwise-equal across backends by construction.
+    The ``(N, C, Ho, Wo, KH, KW)`` patch view is copied into ``(N,
+    C*KH*KW, Ho*Wo)`` columns (a view for 1x1 stride-1 convs), and one
+    batched ``np.matmul`` against the ``(O, C*KH*KW)`` weight rows gives
+    the ``(N, O, Ho, Wo)`` output, already contiguous NCHW.  The batched
+    ``matmul`` runs one GEMM per batch row, so a row's bits do not depend
+    on the batch size.  Every dense tile and every group of both the
+    ``numpy`` and ``threaded`` backends runs this helper on the same
+    operands, so the two backends agree bit for bit by construction.
     """
-    return planned_einsum("nchwij,ocij->nohw", patches[:, sl], weight[:, sl])
+    n, c, ho, wo, kh, kw = patches.shape
+    cols = patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
+    rows = weight.reshape(weight.shape[0], -1)
+    return np.matmul(rows, cols).reshape(n, -1, ho, wo)
 
 
 def dense_gradw_partial(grad: np.ndarray, patches: np.ndarray, sl: slice) -> np.ndarray:
-    """One batch tile of the dense grad-weight contraction (see above)."""
+    """One batch tile of the dense grad-weight contraction, shared by the
+    ``numpy`` and ``threaded`` backends like :func:`im2col_gemm`."""
     return planned_einsum("nohw,nchwij->ocij", grad[sl], patches[sl])
 
 
 def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
     """Dense (groups == 1) forward: tiled canonical order, serial tiles."""
     k_slices = tile_slices(plan.x_shape[1], effective_k_tile(plan.k_tile))
-    if len(k_slices) == 1:
-        return np.einsum("nchwij,ocij->nohw", patches, weight, optimize=plan.fwd_path)
     return combine_partials_tree(
-        [dense_fwd_partial(patches, weight, sl) for sl in k_slices]
+        [im2col_gemm(patches[:, sl], weight[:, sl]) for sl in k_slices]
     )
 
 
@@ -271,12 +273,7 @@ def _conv_forward(
     cg = plan.x_shape[1] // groups
     for g in range(groups):
         gsl = slice(g * og, (g + 1) * og)
-        out[:, gsl] = np.einsum(
-            "nchwij,ocij->nohw",
-            patches[:, g * cg : (g + 1) * cg],
-            weight[gsl],
-            optimize=plan.fwd_path,
-        )
+        out[:, gsl] = im2col_gemm(patches[:, g * cg : (g + 1) * cg], weight[gsl])
         if epilogue is not None:
             epilogue.apply(out[:, gsl], gsl)
     return out
@@ -290,7 +287,7 @@ def _unpad_grad(grad_xp: np.ndarray | None, padding: int) -> np.ndarray | None:
 
 @register_kernel("conv2d", "numpy")
 def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
-    xp = _pad2d(x, plan.padding)
+    xp = pad2d(x, plan.padding)
     return _conv_forward(plan, xp, weight), {"xp": xp, "w": weight}
 
 
@@ -355,7 +352,7 @@ def conv2d_fused(
     slab while it is cache-hot — no intermediate bias/BN/activation tensors
     are materialized.  Returns the output only (no backward context)."""
     plan = fplan.base
-    return _conv_forward(plan, _pad2d(x, plan.padding), weight, epilogue)
+    return _conv_forward(plan, pad2d(x, plan.padding), weight, epilogue)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +362,7 @@ def conv2d_fused(
 @register_kernel("maxpool2d", "numpy")
 def maxpool2d(plan: Pool2dPlan, x: np.ndarray):
     k = plan.kernel
-    xp = _pad2d(x, plan.padding, constant_values=-np.inf)
+    xp = pad2d(x, plan.padding, fill=-np.inf)
     patches = _patch_view(xp, k, k, plan.stride)
     n, c, ho, wo = patches.shape[:4]
     flat = patches.reshape(n, c, ho, wo, k * k)

@@ -7,8 +7,9 @@ once per :class:`~repro.backend.workload.Workload` and cached in the global
 - :func:`contraction_path` / :func:`planned_einsum` — ``np.einsum_path``
   results keyed by (subscripts, operand shapes, dtype), so the hot loops
   never pay the per-call path search that ``optimize=True`` runs;
-- :func:`conv2d_plan` — padded/output geometry plus the three contraction
-  paths of a (grouped) convolution's forward/backward;
+- :func:`conv2d_plan` — padded/output geometry, tile schedule and the two
+  backward contraction paths (grad-weight, per-tap data-grad) of a
+  (grouped) convolution; its forward is an im2col GEMM with no path;
 - :func:`pool2d_plan` — pooling window geometry;
 - :func:`scc_plan` — the SCC window matrix, channel cycle, per-cycle gather
   indices and contiguous segment table (paper Algorithms 1+2), shared by
@@ -92,7 +93,7 @@ def combine_partials_tree(partials: list[np.ndarray]) -> np.ndarray:
     every tile size and every ``REPRO_NUM_WORKERS``.
 
     Combines in place into the even-indexed partials (each partial is an
-    owned einsum output, never a view of caller data).
+    owned GEMM or einsum output, never a view of caller data).
     """
     parts = list(partials)
     if not parts:
@@ -177,7 +178,7 @@ def dispatch_plan(plan, apply_backend: bool = True) -> Iterator[None]:
 
 @dataclass(frozen=True)
 class Conv2dPlan:
-    """Geometry + contraction paths for one (grouped) conv2d workload."""
+    """Geometry + backward contraction paths for one (grouped) conv2d workload."""
 
     x_shape: tuple
     w_shape: tuple
@@ -186,7 +187,6 @@ class Conv2dPlan:
     groups: int
     dtype: str
     out_shape: tuple          # (N, Cout, Ho, Wo)
-    fwd_path: list            # patches x weight -> out (per group)
     gradw_path: list          # grad x patches -> grad_w (per group)
     gradx_path: list          # grad x weight tap -> grad_x contribution
     # Tile schedule (repro.backend.schedule): the input-channel tile of the
@@ -247,9 +247,6 @@ def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
         groups=groups,
         dtype=wl.dtype,
         out_shape=(n, cout, ho, wo),
-        fwd_path=_build_path(
-            "nchwij,ocij->nohw", (patch_shape, (og, cin_g, kh, kw)), wl.dtype
-        ),
         gradw_path=_build_path(
             "nohw,nchwij->ocij", ((n, og, ho, wo), patch_shape), wl.dtype
         ),

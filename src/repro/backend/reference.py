@@ -15,6 +15,7 @@ import numpy as np
 from repro.backend.plan import Conv2dPlan, Pool2dPlan, SCCPlan
 from repro.backend.registry import register_kernel
 from repro.backend.stats import KernelStats
+from repro.utils.pad import pad2d
 
 
 def scc_forward_loops(x: np.ndarray, w: np.ndarray, windows: np.ndarray) -> np.ndarray:
@@ -94,9 +95,7 @@ def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
     stride, padding, groups = plan.stride, plan.padding, plan.groups
     cout, cin_g, kh, kw = weight.shape
     _, _, ho, wo = plan.out_shape
-    xp = x if padding == 0 else np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    )
+    xp = pad2d(x, padding)
     og = cout // groups
     out = np.zeros(plan.out_shape, dtype=np.result_type(x, weight))
     for o in range(cout):
@@ -155,10 +154,7 @@ def conv2d_backward(
 @register_kernel("maxpool2d", "reference")
 def maxpool2d(plan: Pool2dPlan, x: np.ndarray):
     k, stride, padding = plan.kernel, plan.stride, plan.padding
-    xp = x if padding == 0 else np.pad(
-        x, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-        constant_values=-np.inf,
-    )
+    xp = pad2d(x, padding, fill=-np.inf)
     n, c, ho, wo = plan.out_shape
     out = np.empty(plan.out_shape, dtype=x.dtype)
     argmax = np.empty(plan.out_shape, dtype=np.int64)

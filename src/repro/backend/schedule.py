@@ -145,7 +145,7 @@ def _default_gradw_tile(n: int, min_tile: int = 2, target_tiles: int = 4) -> int
     minimum-extent guard shape as :func:`_default_tile`: a batch too small
     to yield two ``min_tile`` tiles stays untiled, and the tile never drops
     below ``min_tile`` — ``ceil(n/4)`` alone shredded batch 4 into four
-    singleton tiles whose per-tile einsum + combine overhead dominates the
+    singleton tiles whose per-tile contraction + combine overhead dominates the
     tiny contraction it was meant to parallelise."""
     if n < 2 * min_tile:
         return 0
@@ -157,9 +157,9 @@ def _default_gradw_tile(n: int, min_tile: int = 2, target_tiles: int = 4) -> int
 # by (cin, cout, kernel, stride).  Dense (groups == 1) only — grouped convs
 # parallelize over groups and are never K-tiled.  Values were picked from
 # the bench_tiled_gemm tile sweep: ~4 tiles is the sweet spot — a 2-4
-# worker LPT schedule fills its lanes, while each per-tile einsum keeps a
-# large enough contracted extent to run at BLAS efficiency (8+ tiles cut
-# the per-tile K so fine the serial tiled path costs 2-3x the lone einsum
+# worker LPT schedule fills its lanes, while each per-tile contraction keeps
+# a large enough contracted extent to run at BLAS efficiency (8+ tiles cut
+# the per-tile K so fine the serial tiled path costs 2-3x the untiled one
 # and the pool only wins that overhead back).
 CONV_SCHEDULES: dict[tuple[int, int, int, int], TileSchedule] = {
     # bench_backend_scaling / bench_tiled_gemm dense workload

@@ -23,13 +23,15 @@ backend runs, on the identical operands, writing disjoint outputs:
   (``_fold_rows``), in batch chunks set by the layer's full geometry, so a
   channel's sum never depends on the block it is in;
 - other grouped ``conv2d`` forward / weight-grad shard over **groups**
-  (each group is already an independent einsum in the ``numpy`` kernel);
-  at ``groups == 1`` the lone contraction is sharded over
-  **schedule-table tiles** of the contracted axis: each tile runs the
-  identical ``planned_einsum`` partial the ``numpy`` backend computes
-  serially, and the partials are combined in the canonical fixed-order
-  pairwise tree (:func:`~repro.backend.plan.combine_partials_tree`) —
-  bitwise-equal by construction on any worker count.  Under
+  (each group is already an independent contraction in the ``numpy``
+  kernel: one :func:`~repro.backend.numpy_backend.im2col_gemm` forward,
+  one einsum weight-grad); at ``groups == 1`` the lone contraction is
+  sharded over **schedule-table tiles** of the contracted axis: each tile
+  runs the identical partial (``im2col_gemm`` on the tile's channels /
+  ``dense_gradw_partial``) the ``numpy`` backend computes serially, and
+  the partials are combined in the canonical fixed-order pairwise tree
+  (:func:`~repro.backend.plan.combine_partials_tree`) — bitwise-equal by
+  construction on any worker count.  Under
   ``REPRO_PRECISION=fast`` the partials instead accumulate in completion
   order under a lock (allclose tier, never bitwise);
 - the other ``conv2d`` data-grad tap scatters shard over **disjoint tap
@@ -69,19 +71,18 @@ import numpy as np
 from repro.backend import numpy_backend
 from repro.backend.numpy_backend import (
     _count_push_scatter,
-    _pad2d,
     _patch_view,
     _unpad_grad,
     apply_conv_stack_contribs,
     check_backward_design,
     conv_stack_bwd_block,
     conv_stack_fwd_block,
-    dense_fwd_partial,
     dense_gradw_partial,
     depthwise_bwd_block,
     depthwise_fwd_block,
     dsxplore_fwd_block,
     dsxplore_gradw_block,
+    im2col_gemm,
     pull_gemm,
     pull_gemm_partial,
 )
@@ -103,6 +104,7 @@ from repro.backend.schedule import (
     tile_slices,
 )
 from repro.backend.stats import KernelStats
+from repro.utils.pad import pad2d
 
 
 def _chunks(seq: list, size: int):
@@ -142,9 +144,9 @@ def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
     k_slices = tile_slices(plan.x_shape[1], effective_k_tile(plan.k_tile))
     if len(k_slices) == 1:
         # Untiled: one contraction, inline, identical to the numpy kernel.
-        return np.einsum("nchwij,ocij->nohw", patches, weight, optimize=plan.fwd_path)
+        return im2col_gemm(patches, weight)
     return _parallel_tiled(
-        lambda sl: dense_fwd_partial(patches, weight, sl),
+        lambda sl: im2col_gemm(patches[:, sl], weight[:, sl]),
         k_slices,
         plan.out_shape,
         weight.dtype,
@@ -181,12 +183,7 @@ def _conv_forward(
 
     def run_group(g: int) -> None:
         gsl = slice(g * og, (g + 1) * og)
-        out[:, gsl] = np.einsum(
-            "nchwij,ocij->nohw",
-            patches[:, g * cg : (g + 1) * cg],
-            weight[gsl],
-            optimize=plan.fwd_path,
-        )
+        out[:, gsl] = im2col_gemm(patches[:, g * cg : (g + 1) * cg], weight[gsl])
         if epilogue is not None:
             epilogue.apply(out[:, gsl], gsl)
 
@@ -196,7 +193,7 @@ def _conv_forward(
 
 @register_kernel("conv2d", "threaded")
 def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
-    xp = _pad2d(x, plan.padding)
+    xp = pad2d(x, plan.padding)
     return _conv_forward(plan, xp, weight), {"xp": xp, "w": weight}
 
 
@@ -311,7 +308,7 @@ def conv2d_fused(
     """Inference-only conv2d + staged epilogue (see the numpy kernel): the
     contraction is tiled/sharded exactly like ``conv2d``."""
     plan = fplan.base
-    return _conv_forward(plan, _pad2d(x, plan.padding), weight, epilogue)
+    return _conv_forward(plan, pad2d(x, plan.padding), weight, epilogue)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.data.synthetic import SyntheticImageDataset
+from repro.utils.pad import pad2d
 from repro.utils.rng import get_rng
 
 
@@ -35,7 +36,7 @@ def _augment(batch: np.ndarray, rng: np.random.Generator, pad: int = 2) -> np.nd
     out = batch.copy()
     flip = rng.random(n) < 0.5
     out[flip] = out[flip, :, :, ::-1]
-    padded = np.pad(out, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    padded = pad2d(out, pad)
     dy = rng.integers(0, 2 * pad + 1, size=n)
     dx = rng.integers(0, 2 * pad + 1, size=n)
     for i in range(n):

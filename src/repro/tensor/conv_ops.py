@@ -6,12 +6,13 @@ strategies composite (Section IV-A), while the fused DSXplore SCC kernel
 lives in :mod:`repro.core.scc_kernels`.
 
 Execution routes through the :mod:`repro.backend` registry: each Function
-resolves its workload to a cached execution plan (geometry + contraction
-paths, see :mod:`repro.backend.plan`) and dispatches to the selected
-backend — ``"numpy"`` (zero-copy ``as_strided`` patch views + planned
-einsum, the default) or ``"reference"`` (loop kernels).  Repeated-shape
-calls reuse the plan; only the first call of a shape-class pays the
-``np.einsum_path`` search and geometry checks.
+resolves its workload to a cached execution plan (geometry, tile schedule
+and backward contraction paths, see :mod:`repro.backend.plan`) and
+dispatches to the selected backend — ``"numpy"`` (zero-copy ``as_strided``
+patch views; an im2col GEMM forward and planned-einsum backward, the
+default) or ``"reference"`` (loop kernels).  Repeated-shape calls reuse the
+plan; only the first call of a shape-class pays the ``np.einsum_path``
+search and geometry checks.
 """
 from __future__ import annotations
 

@@ -11,6 +11,7 @@ from typing import Any
 import numpy as np
 
 from repro.tensor.function import Function, unbroadcast
+from repro.utils.pad import pad2d
 
 
 class Add(Function):
@@ -217,10 +218,7 @@ class Pad2d(Function):
 
     def forward(self, a: np.ndarray, padding: int) -> np.ndarray:
         self.padding = padding
-        if padding == 0:
-            return a
-        pad_width = [(0, 0)] * (a.ndim - 2) + [(padding, padding), (padding, padding)]
-        return np.pad(a, pad_width)
+        return pad2d(a, padding)
 
     def backward(self, grad: np.ndarray):
         p = self.padding

@@ -4,7 +4,7 @@ import pytest
 
 from repro.tensor import Tensor, tensor, zeros, ones, randn
 from repro.tensor.tensor import cat
-from repro.utils import seed_all
+from repro.utils import pad2d, seed_all
 
 from tests.helpers import assert_grad_close, numerical_grad
 
@@ -214,6 +214,19 @@ def test_pad2d_zero_is_identity():
     assert out.shape == x.shape
     out.sum().backward()
     np.testing.assert_allclose(x.grad, np.ones_like(x.data))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (2, 3, 4), (2, 3, 6, 5)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("fill", [0, -np.inf])
+@pytest.mark.parametrize("padding", [1, 2])
+def test_array_pad2d_equals_np_pad(shape, dtype, fill, padding):
+    x = np.random.default_rng(1).standard_normal(shape).astype(dtype)
+    width = [(0, 0)] * (x.ndim - 2) + [(padding, padding)] * 2
+    want = np.pad(x, width, constant_values=fill)
+    got = pad2d(x, padding, fill=fill)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert pad2d(x, 0, fill=fill) is x
 
 
 def test_constructors():
