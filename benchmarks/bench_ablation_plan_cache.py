@@ -57,9 +57,8 @@ def conv_warm_step(x, w):
 
 
 def report_ablation_plan_cache():
-    # Enough repeats that the sub-millisecond rows' medians are stable: the
-    # perf-trajectory comparator gates CI on these speedups, so measurement
-    # noise must stay well inside its 20% threshold.
+    # Enough repeats that the sub-millisecond rows' medians are stable
+    # against the speedup gate in test_plan_cache_beats_recomputation.
     repeats = 60 if full_mode() else 25
     rows = []
     # Warm-phase cache counters, aggregated across workloads.  Warm is timed

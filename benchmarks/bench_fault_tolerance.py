@@ -7,8 +7,8 @@ Every run drives the actual :class:`~repro.serve.Router` /
 (:mod:`repro.faults`) installed: fire decisions are pure CRC-32 hashes of
 ``(seed, site, key, attempt)`` and every backoff sleep goes through an
 injected virtual clock, so the same seed yields the identical fault
-schedule on any machine — all sections are safe for the perf-trajectory
-comparator to gate on (ratio-named metrics, no wall-clock noise).
+schedule on any machine, and every section asserts its gates as absolute
+bounds (no wall-clock noise).
 
 Reported:
 

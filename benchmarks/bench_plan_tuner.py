@@ -4,13 +4,12 @@ process boundary.
 
 Protocol:
 
-1. **Tune** the gate workload set (the scaling bench's tiled dense conv and
+1. **Tune** the gate workload set (``bench_tiled_gemm``'s dense conv and
    pull-GEMM, plus one deliberately *off-table* conv whose static fallback
    leaves the forward contraction untiled) into a fresh
    :class:`~repro.backend.plan_db.PlanDatabase` file.  Candidates are
-   measured with the same trace-serially / model-the-LPT-schedule protocol
-   as ``bench_backend_scaling`` (see that module's docstring for why that
-   is the only meaningful comparison on a core-starved host).
+   ranked by their traced LPT makespan (the :mod:`repro.tune` module
+   docstring says why, and what that model cannot tell).
 2. **Never-worse gate** — on *every* gate workload the tuned schedule's
    modelled cost must be <= the static schedule's (the static point is in
    the candidate set, so a tuner that loses to it is broken, not unlucky).
@@ -35,9 +34,8 @@ from repro.backend.plan_db import PlanDatabase
 from repro.tune import gate_workloads, tune_workloads
 from repro.utils import format_table
 
-# Modelled target pool size, matching bench_backend_scaling's gate: worker
-# counts are modelled from one serial trace, so tuning "for 4 workers" is
-# meaningful even on a 1-core container.
+# Modelled target pool size: worker counts are modelled from one serial
+# trace, so tuning "for 4 workers" runs even on a 1-core container.
 TUNE_WORKERS = 4
 
 _SRC = Path(__file__).resolve().parents[1] / "src"

@@ -9,8 +9,8 @@ on plan-cache hits and every batch amortises per-layer Python/framework
 overhead across its bucket.
 
 Reported per bucket configuration: throughput vs the naive baseline (the
-ratio is the headline — machine-robust for the perf-trajectory comparator),
-p50/p95 latency, plan-cache hit rate and bucket fill.
+ratio is the headline), p50/p95 latency, plan-cache hit rate and bucket
+fill.  The hit rate and bucket fill are asserted in the report itself.
 """
 import numpy as np
 
@@ -79,6 +79,10 @@ def report_serving_batching():
             "hit_rate": round(metrics.plan_cache_hit_rate, 4),
             "bucket_fill": round(metrics.mean_bucket_fill, 3),
         })
+    # Every bucketed window after warmup serves >= 95% from the plan cache,
+    # and its batches run (nearly) full: the stream is submitted at once.
+    assert all(r["hit_rate"] >= 0.95 for r in rows), rows
+    assert all(r["bucket_fill"] >= 0.8 for r in rows), rows
 
     table = format_table(
         ["Buckets", "req/s", "vs naive", "p50 (ms)", "p95 (ms)",
@@ -107,8 +111,6 @@ def test_bucketed_serving_beats_naive_with_warm_plans():
     _, rows = report_serving_batching()
     best = max(r["throughput_ratio"] for r in rows)
     assert best >= 2.0, rows
-    # Every bucketed window after warmup serves >= 95% from the plan cache.
-    assert all(r["hit_rate"] >= 0.95 for r in rows), rows
 
 
 def test_serving_bucketed_8(benchmark):

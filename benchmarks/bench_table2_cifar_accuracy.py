@@ -3,7 +3,7 @@
 Cost columns (MFLOPs, params) are exact analytic counts on the *full-size*
 architectures at CIFAR geometry — directly comparable to the paper.  The
 accuracy columns come from width-reduced instances trained on the synthetic
-CIFAR-10 stand-in (DESIGN.md section 2); the reproducible shape is the
+CIFAR-10 stand-in (``repro.data``); the reproducible shape is the
 *relative* accuracy drop of DSXplore vs Origin, not the absolute numbers.
 """
 from common import emit, full_mode, reduced_training_setup, train_and_score
@@ -36,7 +36,7 @@ def trained_accuracies(models=("mobilenet", "resnet18")):
 
     Uses the calibrated mini-model protocol (depth/width-reduced instances
     of each architecture on 8-channel synthetic data) so quick-mode numbers
-    land well above chance; see EXPERIMENTS.md for protocol details.
+    land well above chance; ``common.accuracy_protocol`` has the details.
     """
     from common import accuracy_protocol, build_mini
 
@@ -71,7 +71,7 @@ def report_table2(with_accuracy=True):
     text += (
         "\nNote: paper's ResNet18 origin row (255.89 MFLOPs) is inconsistent with its own\n"
         "param count and its DSXplore row; our 555.42 origin count *is* consistent with\n"
-        "the paper's DSXplore 43.99 MFLOPs (see EXPERIMENTS.md).  MobileNet origin params\n"
+        "the paper's DSXplore 43.99 MFLOPs (tests/test_analysis.py).  MobileNet origin params\n"
         "(6.17M in the paper) likewise disagree with the standard architecture (3.22M).\n"
     )
     accs = {}

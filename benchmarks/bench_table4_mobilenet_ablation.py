@@ -47,7 +47,8 @@ def analytic_rows():
 
 
 def trained_rows(configs=None):
-    """Mini-MobileNet protocol, averaged over seeds (see EXPERIMENTS.md)."""
+    """Mini-MobileNet protocol (``common.accuracy_protocol``), averaged over
+    seeds."""
     import numpy as np
 
     from common import accuracy_protocol
@@ -87,7 +88,7 @@ def report_table4(with_accuracy=True):
                              [[l, f"{a:.3f}"] for l, a in trained])
         text += ("\nExpected shape: SCC-cgX >= GPW-cgX at identical cost.  On this"
                  "\nsynthetic proxy the gap is within seed noise (paper's CIFAR gaps"
-                 "\nare 1-3%); see EXPERIMENTS.md for the honest comparison.")
+                 "\nare 1-3%), so a few seeds cannot decide the claim.")
     return emit("table4_mobilenet_ablation", text), rows, trained
 
 

@@ -9,9 +9,7 @@ count *and* the per-tile partials parallelise.  This report quantifies every
 side of that trade:
 
 1. **Tile sweep** — for each tile size (0 = untiled full-K): the numpy
-   serial wall time, the traced-and-LPT-modelled ``threaded`` time at the
-   gate worker count, and the gpusim ``tiled_speedup`` curve next to the
-   modelled one.  Bitwise equality against numpy running the identical
+   serial wall time.  Bitwise equality against numpy running the identical
    schedule is asserted at every (tile, workers) grid point first.
 2. **Canonical-order overhead** — tiled-serial vs the untiled GEMM's
    numpy wall time: what the deterministic reduction order costs when no
@@ -22,8 +20,8 @@ side of that trade:
    result is measured and asserted within documented bounds.
 4. **Fused epilogue** — the staged conv -> bias -> BN -> activation
    epilogue applied per output tile vs the same ops as separate
-   materialised passes: bitwise equality asserted, speedup reported next
-   to gpusim's ``fused_epilogue_speedup``.
+   materialised passes: bitwise equality asserted, measured speedup
+   reported.
 """
 import numpy as np
 
@@ -41,14 +39,11 @@ from repro.backend import (
     tile_override,
     tile_slices,
 )
-from repro.backend.parallel import makespan, trace_parallel
 from repro.core.channel_map import SCCConfig
-from repro.gpusim import tesla_v100
 from repro.utils import format_table, seed_all, time_callable
 
 TILE_SWEEP = (8, 32, 128, 0)     # 0 = untiled full-K
 BITWISE_WORKERS = (1, 2, 4)
-MODEL_WORKERS = 4
 # Documented fast-tier bounds: completion-order accumulation of float32
 # partials drifts by a few ulps of the largest partial sum.  Where the
 # partials cancel, the error is absolute (ulps of the partials, not of the
@@ -103,22 +98,7 @@ class PullGemm:
         return grad_x
 
 
-def _modeled_at(run, workers: int, repeats: int = 2):
-    """(traced serial wall, modelled wall at ``workers``), best-of trace."""
-    best = None
-    for _ in range(repeats):
-        with trace_parallel() as regions:
-            timer = time_callable(run, repeats=1, warmup=0)
-        if best is None or timer.minimum < best[0]:
-            best = (timer.minimum, regions)
-    serial, regions = best
-    region_serial = sum(r.total_seconds for r in regions)
-    outside = max(0.0, serial - region_serial)
-    modeled = outside + sum(makespan(r.task_seconds, workers) for r in regions)
-    return serial, modeled
-
-
-def _tile_sweep(workload, device, repeats: int):
+def _tile_sweep(workload, repeats: int):
     rows = []
     for tile in TILE_SWEEP:
         with tile_override(k_tile=tile, gradw_tile=tile, pull_tile=tile):
@@ -134,19 +114,11 @@ def _tile_sweep(workload, device, repeats: int):
             t_numpy = time_callable(
                 lambda: workload.run("numpy"), repeats=repeats, warmup=1
             ).median
-            serial, modeled = _modeled_at(
-                lambda: workload.run("threaded"), MODEL_WORKERS
-            )
             rows.append({
                 "workload": workload.name,
                 "tile": tile,
                 "tiles": tiles,
                 "numpy_ms": round(t_numpy * 1e3, 3),
-                "modeled_ms": round(modeled * 1e3, 3),
-                "speedup_modeled": round(serial / modeled, 3),
-                "gpusim_speedup": round(
-                    device.tiled_speedup(MODEL_WORKERS, tiles), 3
-                ),
                 "bitwise_workers": list(BITWISE_WORKERS),
             })
     return rows
@@ -175,7 +147,7 @@ def _fast_tier(workload, trials: int) -> dict:
     scale = float(np.abs(canonical).max())
     max_abs = 0.0
     max_rel = 0.0
-    set_num_workers(MODEL_WORKERS)
+    set_num_workers(max(BITWISE_WORKERS))
     with precision("fast"):
         for _ in range(trials):
             fast = workload.run("threaded")
@@ -195,7 +167,7 @@ def _fast_tier(workload, trials: int) -> dict:
     }
 
 
-def _fused_epilogue(device, repeats: int) -> dict:
+def _fused_epilogue(repeats: int) -> dict:
     """Fused conv->bias->BN->relu vs the same ops as separate passes."""
     from repro.backend import conv2d_fused_plan, EpilogueSpec
 
@@ -238,9 +210,6 @@ def _fused_epilogue(device, repeats: int) -> dict:
         "unfused_ms": round(t_unfused * 1e3, 3),
         "fused_ms": round(t_fused * 1e3, 3),
         "speedup": round(t_unfused / t_fused, 3),
-        "gpusim_speedup": round(
-            device.fused_epilogue_speedup(spec.stages), 3
-        ),
         "bitwise_equal": True,
     }
 
@@ -250,7 +219,6 @@ def report_tiled_gemm():
     repeats = 5 if full_mode() else 3
     n = 8 if full_mode() else 6
     hw = 32 if full_mode() else 24
-    device = tesla_v100()
     old_workers = get_num_workers()
     workloads = [
         DenseConvForward(n, 64, hw, 128),
@@ -262,23 +230,20 @@ def report_tiled_gemm():
             workload.run("numpy")  # warm plans
         sweep_rows = []
         for workload in workloads:
-            sweep_rows.extend(_tile_sweep(workload, device, repeats))
+            sweep_rows.extend(_tile_sweep(workload, repeats))
         overhead = [_untiled_overhead(w, repeats) for w in workloads]
         fast = [_fast_tier(w, trials=3) for w in workloads]
-        fused = _fused_epilogue(device, repeats)
+        fused = _fused_epilogue(repeats)
     finally:
         set_num_workers(old_workers)
 
     table = format_table(
-        ["Workload", "tile", "tiles", "numpy (ms)",
-         f"modeled@{MODEL_WORKERS}w (ms)", "modeled speedup", "gpusim"],
+        ["Workload", "tile", "tiles", "numpy (ms)"],
         [[r["workload"], str(r["tile"]), str(r["tiles"]),
-          f"{r['numpy_ms']:.2f}", f"{r['modeled_ms']:.2f}",
-          f"{r['speedup_modeled']:.2f}", f"{r['gpusim_speedup']:.2f}"]
+          f"{r['numpy_ms']:.2f}"]
          for r in sweep_rows],
         title="Tile sweep: canonical tiled contractions, bitwise-equal to "
-              "numpy at workers {1,2,4} (asserted), modelled at "
-              f"{MODEL_WORKERS} workers",
+              "numpy at workers {1,2,4} (asserted), serial numpy wall time",
     )
     table += "\n\n" + format_table(
         ["Workload", "tiled serial (ms)", "untiled (ms)", "overhead ratio"],
@@ -296,10 +261,9 @@ def report_tiled_gemm():
               "vs the canonical result (allclose asserted)",
     )
     table += "\n\n" + format_table(
-        ["stages", "unfused (ms)", "fused (ms)", "speedup", "gpusim"],
+        ["stages", "unfused (ms)", "fused (ms)", "speedup"],
         [[str(fused["stages"]), f"{fused['unfused_ms']:.2f}",
-          f"{fused['fused_ms']:.2f}", f"{fused['speedup']:.2f}",
-          f"{fused['gpusim_speedup']:.2f}"]],
+          f"{fused['fused_ms']:.2f}", f"{fused['speedup']:.2f}"]],
         title="Fused conv->bias->BN->relu epilogue vs separate materialised "
               "passes (bitwise-equal, asserted)",
     )
@@ -308,7 +272,6 @@ def report_tiled_gemm():
         "untiled_overhead": overhead,
         "fast_tier": fast,
         "fused_epilogue": fused,
-        "model_workers": MODEL_WORKERS,
     }
     return emit("tiled_gemm", table, data=data), data
 
@@ -324,8 +287,7 @@ def test_tiled_gemm_gate():
     # The canonical order's serial cost stays bounded: compute-rich dense
     # conv pays ~1.2x, while the memory-bound pull-GEMM pays up to ~2x
     # (its partials are full output-sized buffers, so tiling roughly
-    # doubles the write traffic).  The pool pays both back from 2 workers
-    # on (see bench_backend_scaling's gate).
+    # doubles the write traffic).
     for row in data["untiled_overhead"]:
         assert row["overhead_ratio"] < 2.5, row
 

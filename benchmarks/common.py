@@ -16,10 +16,10 @@ def full_mode() -> bool:
 def execution_env() -> dict:
     """The execution-relevant environment a benchmark ran under.
 
-    Recorded in every result JSON so the perf comparator can refuse to diff
-    numbers produced by different kernel backends or pool sizes as if they
-    were the same experiment.  The same stamp keys the persistent plan
-    database (:mod:`repro.backend.plan_db` is the single source of truth).
+    Recorded in every result JSON so a reader can tell numbers produced by
+    different kernel backends or pool sizes apart.  The same stamp keys the
+    persistent plan database (:mod:`repro.backend.plan_db` is the single
+    source of truth).
     """
     from repro.backend import env_stamp
 
@@ -30,11 +30,12 @@ def emit(report_name: str, text: str, data=None) -> str:
     """Print a report and persist it under benchmarks/results/.
 
     Every report is written twice: human-readable ``<name>.txt`` and
-    machine-readable ``<name>.json`` so the perf trajectory can be tracked
-    across PRs.  ``data`` is an optional JSON-serialisable payload (e.g. the
-    table rows); non-serialisable values degrade to their ``str()``.  The
-    payload always carries an ``env`` block (active backend, worker count,
-    host CPUs) — see :func:`execution_env`.
+    machine-readable ``<name>.json``, committed so any two commits'
+    reports can be read side by side.  ``data`` is an optional
+    JSON-serialisable payload (e.g. the table rows); non-serialisable
+    values degrade to their ``str()``.  The payload always carries an
+    ``env`` block (active backend, worker count, host CPUs) — see
+    :func:`execution_env`.
     """
     banner = f"\n{'=' * 72}\n{report_name}\n{'=' * 72}\n"
     out = banner + text + "\n"
@@ -107,7 +108,7 @@ def accuracy_protocol(seed: int = 2, batch_size: int = 48):
 def build_mini(name: str, scheme=None, cg: int = 2, co: float = 0.5,
                num_classes: int = 10):
     """Depth/width-reduced instance of a paper architecture that trains to
-    well above chance in ~20s on CPU (see EXPERIMENTS.md, accuracy protocol)."""
+    well above chance in ~20s on CPU (the :func:`accuracy_protocol` setup)."""
     from repro.models import build_mobilenet, build_resnet, build_vgg
 
     if name == "mobilenet":

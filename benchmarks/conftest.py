@@ -1,7 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every ``bench_*`` module regenerates one table or figure of the paper (see
-DESIGN.md section 4).  Each module has two faces:
+Every ``bench_*`` module regenerates one table or figure of the paper, or
+one measurement beyond them (``run_all.py`` lists them all).  Each module
+has two faces:
 
 - a ``report_*`` function that computes and prints the paper's rows/series
   (runnable standalone via ``python benchmarks/run_all.py``),

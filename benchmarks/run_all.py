@@ -5,9 +5,8 @@ Usage::
     python benchmarks/run_all.py            # quick mode (a few minutes)
     REPRO_BENCH_FULL=1 python benchmarks/run_all.py   # long accuracy runs
 
-Reports are printed and saved under ``benchmarks/results/``; the
-experiment-by-experiment comparison against the paper is summarised in
-EXPERIMENTS.md.
+Reports are printed and saved under ``benchmarks/results/``; each report
+prints the paper's numbers beside ours where the paper has them.
 """
 import sys
 import time
@@ -34,7 +33,6 @@ from bench_ablation_vectorization import report_ablation_vectorization
 from bench_ablation_shift_scc import report_ablation_shift
 from bench_serving_batching import report_serving_batching
 from bench_multimodel_serving import report_multimodel_serving
-from bench_backend_scaling import report_backend_scaling
 from bench_tiled_gemm import report_tiled_gemm
 from bench_async_gateway import report_async_gateway
 from bench_plan_tuner import report_plan_tuner
@@ -60,7 +58,6 @@ REPORTS = [
     ("Ablation: shift+scc", report_ablation_shift),
     ("Serving: bucketed batching", report_serving_batching),
     ("Serving: multi-model routing", report_multimodel_serving),
-    ("Backend: threaded scaling", report_backend_scaling),
     ("Backend: tiled contractions", report_tiled_gemm),
     ("Serving: async gateway", report_async_gateway),
     ("Backend: plan auto-tuner", report_plan_tuner),

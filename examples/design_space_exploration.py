@@ -20,7 +20,8 @@ from repro.utils import format_table, seed_all
 FULL = os.environ.get("FULL", "0") == "1"
 
 seed_all(0)
-# Calibrated reduced protocol (EXPERIMENTS.md): 8-channel inputs, mini model.
+# Calibrated reduced protocol (benchmarks/common.py, accuracy_protocol):
+# 8-channel inputs, mini model.
 dataset = make_dataset(1800 if FULL else 900, num_classes=10, image_size=12,
                        channels=8, latents=8, noise=0.3, seed=4)
 train_set, test_set = train_test_split(dataset, 0.2, seed=4)
@@ -60,4 +61,4 @@ print(format_table(
 ))
 print("\nReading: at each cg level, the co>0 point (SCC) should match or beat the")
 print("co=0 point (GPW) at identical cost — the paper's central claim (ties are")
-print("within single-seed noise at this scale; see EXPERIMENTS.md).")
+print("within single-seed noise at this scale).")

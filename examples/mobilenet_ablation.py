@@ -13,7 +13,7 @@ from repro.train import Trainer, TrainConfig
 from repro.utils import format_table, seed_all
 
 seed_all(0)
-# The calibrated reduced-scale protocol (see EXPERIMENTS.md): 8-channel
+# The calibrated reduced-scale protocol (benchmarks/common.py): 8-channel
 # synthetic images whose label lives in cross-channel structure, and a
 # depth-truncated MobileNet that trains to well above chance in ~20s.
 dataset = make_dataset(900, num_classes=10, image_size=12, channels=8,
@@ -57,4 +57,4 @@ print(format_table(
 ))
 print("\nPaper Table IV shape: cost(SCC-cg4) == cost(GPW-cg4) < cost(PW), with SCC")
 print("recovering accuracy via window overlap.  On this synthetic proxy the")
-print("SCC-vs-GPW accuracy gap sits within seed noise (see EXPERIMENTS.md).")
+print("SCC-vs-GPW accuracy gap sits within seed noise.")

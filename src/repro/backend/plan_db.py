@@ -23,7 +23,7 @@ The *env stamp* is the same ``backend / num_workers / host_cpus`` block
 (:func:`env_stamp` is now the single source of truth for both), because it
 names exactly the configuration a measured schedule is valid for: a tile
 size tuned for a 2-worker threaded pool is not evidence about a 16-worker
-one, just as the perf comparator refuses to diff across those envs.
+one.
 
 **Activation.**  The env var ``REPRO_PLAN_DB`` names the database file;
 when it is unset (and :func:`set_plan_db` was never called) no database is

@@ -155,14 +155,14 @@ def _default_gradw_tile(n: int, min_tile: int = 2, target_tiles: int = 4) -> int
 # Explicit per-workload entries, topi-style: the workload classes the
 # benchmarks (and the serving model zoo at their native widths) hit, keyed
 # by (cin, cout, kernel, stride).  Dense (groups == 1) only — grouped convs
-# parallelize over groups and are never K-tiled.  Values were picked from
-# the bench_tiled_gemm tile sweep: ~4 tiles is the sweet spot — a 2-4
-# worker LPT schedule fills its lanes, while each per-tile contraction keeps
-# a large enough contracted extent to run at BLAS efficiency (8+ tiles cut
-# the per-tile K so fine the serial tiled path costs 2-3x the untiled one
-# and the pool only wins that overhead back).
+# parallelize over groups and are never K-tiled.  Values aim at ~4 tiles:
+# enough for a 2-4 worker LPT schedule to fill its lanes (a modelled, not
+# measured, criterion), while each per-tile contraction keeps a large
+# enough contracted extent to run at BLAS efficiency (8+ tiles cut the
+# per-tile K so fine that the serial tiled path costs 2-3x the untiled one
+# in bench_tiled_gemm's measured tile sweep).
 CONV_SCHEDULES: dict[tuple[int, int, int, int], TileSchedule] = {
-    # bench_backend_scaling / bench_tiled_gemm dense workload
+    # bench_tiled_gemm / bench_plan_tuner dense workload
     (64, 128, 3, 1): TileSchedule(k_tile=16, gradw_tile=2),
     (128, 128, 3, 1): TileSchedule(k_tile=32, gradw_tile=2),
     # VGG/ResNet trunk widths (3x3, stride 1)

@@ -36,7 +36,8 @@ process) and dispatches the actual kernel through the registry.  The
 ``numpy`` backend implements all three strategies; the ``reference``
 backend runs the defining loop equation for any of them.
 
-CPU/GPU mapping note (DESIGN.md section 2): relative costs transfer because
+CPU/GPU mapping note (the premise :mod:`repro.gpusim` models): relative
+costs transfer because
 the dominant effects — materialised bytes, number of distinct kernel
 invocations, and serialised conflicting updates — exist on both targets.
 ``np.add.at`` is NumPy's unbuffered scatter-add: conflicting updates are

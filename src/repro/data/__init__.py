@@ -7,7 +7,7 @@ SCC-cgX-coY beats GPW-cgX at identical FLOPs/params.  The generator in
 identity is encoded in *cross-channel mixing structure* (which channel
 combinations co-activate), with per-channel marginal statistics matched
 across classes, so a model that cannot fuse information across channel-group
-boundaries is measurably handicapped.  See DESIGN.md section 2.
+boundaries is measurably handicapped.
 """
 from repro.data.synthetic import SyntheticImageDataset, make_dataset
 from repro.data.cifar_like import cifar10_like

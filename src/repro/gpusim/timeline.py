@@ -6,13 +6,6 @@ workload additionally pays the host-side plan build
 cold-vs-warm deltas of ``bench_ablation_plan_cache``).  Steady-state steps
 (the default) run entirely on a warm plan cache, mirroring what
 :class:`repro.backend.ModelPlan` guarantees for the real kernels.
-
-``host_workers > 1`` models the ``threaded`` kernel backend: kernel time
-divides by :meth:`DeviceSpec.parallel_speedup` (Amdahl + coordination,
-calibrated on ``bench_backend_scaling``) while the plan-build charge stays
-serial — plan construction is single-flight in the real cache — so
-simulated cold/warm and 1-vs-N-worker deltas stay comparable with the
-measured ones.
 """
 from __future__ import annotations
 
@@ -37,17 +30,12 @@ class StepTime:
 
     @classmethod
     def from_result(
-        cls,
-        result: SimulationResult,
-        plan_build: float = 0.0,
-        host_speedup: float = 1.0,
+        cls, result: SimulationResult, plan_build: float = 0.0
     ) -> "StepTime":
-        """Kernel time divides by ``host_speedup``; the plan build (host-side,
-        single-flight, serial) does not."""
         return cls(
-            total=result.total_time / host_speedup + plan_build,
-            launch=result.launch_time / host_speedup,
-            atomic=result.atomic_time / host_speedup,
+            total=result.total_time + plan_build,
+            launch=result.launch_time,
+            atomic=result.atomic_time,
             num_launches=result.num_launches,
             result=result,
             plan_build=plan_build,
@@ -78,7 +66,6 @@ def training_step_time(
     scc_strategy: str = "dsxplore",
     scc_backward: str = "input_centric",
     cold_plans: bool = False,
-    host_workers: int = 1,
 ) -> StepTime:
     """Simulated fwd+bwd+update time for one mini-batch."""
     kernels = model_step_kernels(
@@ -86,10 +73,7 @@ def training_step_time(
         include_backward=True,
     )
     build = plan_build_time(shapes, batch, device) if cold_plans else 0.0
-    return StepTime.from_result(
-        simulate_kernels(kernels, device), plan_build=build,
-        host_speedup=device.parallel_speedup(host_workers),
-    )
+    return StepTime.from_result(simulate_kernels(kernels, device), plan_build=build)
 
 
 def inference_time(
@@ -98,116 +82,13 @@ def inference_time(
     device: DeviceSpec,
     scc_strategy: str = "dsxplore",
     cold_plans: bool = False,
-    host_workers: int = 1,
 ) -> StepTime:
     """Simulated forward-only latency for one batch."""
     kernels = model_step_kernels(
         shapes, batch, scc_strategy=scc_strategy, include_backward=False
     )
     build = plan_build_time(shapes, batch, device) if cold_plans else 0.0
-    return StepTime.from_result(
-        simulate_kernels(kernels, device), plan_build=build,
-        host_speedup=device.parallel_speedup(host_workers),
-    )
-
-
-@dataclass
-class ServingEstimate:
-    """Analytic serving-latency decomposition at one bucket size.
-
-    ``stable`` is the queueing-stability criterion: the bucket drains
-    arrivals at ``bucket / exec`` requests/s, which must cover the arrival
-    rate or the queue grows without bound (latency is then meaningless —
-    the admission/shed policies are what actually bound it).
-    """
-
-    bucket: int
-    queue_wait: float            # mean batch-fill wait (bucketing delay)
-    exec: float                  # simulated batch execution time
-    latency: float               # queue_wait + exec
-    stable: bool                 # bucket/exec >= arrival_rate
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-def serving_latency(
-    shapes: list[LayerShape],
-    bucket: int,
-    device: DeviceSpec,
-    arrival_rate: float,
-    max_wait: float,
-    scc_strategy: str = "dsxplore",
-    host_workers: int = 1,
-) -> ServingEstimate:
-    """Modelled mean request latency of bucket-``bucket`` serving.
-
-    Two terms, mirroring the real tier's ``queue_wait``/``exec_mean``
-    metrics split: the batch-fill wait
-    (:meth:`DeviceSpec.batching_queue_wait` — grows with the bucket,
-    shrinks with load) and the simulated batch execution time (grows with
-    the bucket, amortised per request over more riders).  The adaptive
-    :class:`repro.serve.sched.BucketPolicy` navigates exactly this
-    trade-off from observed arrivals; :func:`optimal_bucket` is the
-    analytic answer it is cross-checked against.
-    """
-    wait = device.batching_queue_wait(arrival_rate, bucket, max_wait)
-    exec_time = inference_time(
-        shapes, bucket, device, scc_strategy=scc_strategy,
-        host_workers=host_workers,
-    ).total
-    return ServingEstimate(
-        bucket=bucket,
-        queue_wait=wait,
-        exec=exec_time,
-        latency=wait + exec_time,
-        stable=bucket / exec_time >= arrival_rate if exec_time > 0 else True,
-    )
-
-
-def min_stable_bucket(
-    shapes: list[LayerShape],
-    bucket_sizes: tuple[int, ...],
-    device: DeviceSpec,
-    arrival_rate: float,
-    max_wait: float,
-    **kwargs,
-) -> int:
-    """Smallest configured bucket whose service rate covers the arrivals
-    (the largest configured bucket when none does — best effort)."""
-    sizes = sorted(set(bucket_sizes))
-    for bucket in sizes:
-        if serving_latency(shapes, bucket, device, arrival_rate, max_wait,
-                           **kwargs).stable:
-            return bucket
-    return sizes[-1]
-
-
-def optimal_bucket(
-    shapes: list[LayerShape],
-    bucket_sizes: tuple[int, ...],
-    device: DeviceSpec,
-    arrival_rate: float,
-    max_wait: float,
-    **kwargs,
-) -> int:
-    """The configured bucket minimising modelled latency among stable ones.
-
-    Ties break toward the smaller bucket; when no bucket is stable the
-    largest wins (maximum service rate is the only defensible overload
-    answer).  This is the analytic cross-check for the EWMA-driven
-    :meth:`repro.serve.sched.BucketPolicy.target_bucket`.
-    """
-    sizes = sorted(set(bucket_sizes))
-    estimates = [
-        serving_latency(shapes, bucket, device, arrival_rate, max_wait, **kwargs)
-        for bucket in sizes
-    ]
-    stable = [e for e in estimates if e.stable]
-    if not stable:
-        return sizes[-1]
-    best = min(stable, key=lambda e: e.latency)
-    return best.bucket
+    return StepTime.from_result(simulate_kernels(kernels, device), plan_build=build)
 
 
 def backward_only_time(

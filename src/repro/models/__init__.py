@@ -4,7 +4,7 @@
 
 ``width_mult`` produces reduced-width variants of the same architecture for
 CPU-scale training runs; ``width_mult=1.0`` gives the paper's full-size
-models for exact FLOPs/params accounting (see DESIGN.md section 2).
+models for exact FLOPs/params accounting (:mod:`repro.analysis`).
 """
 from repro.models.registry import (
     MODEL_BUILDERS,

@@ -128,8 +128,7 @@ class BucketPolicy:
     expected arrivals of one flush window (``rate * max_latency``) can
     fill: under light load a request stops waiting for batch-mates that
     are not coming (latency), under heavy load batches grow to amortise
-    per-batch overhead (throughput).  The analytic cross-check lives in
-    :func:`repro.gpusim.timeline.optimal_bucket`.
+    per-batch overhead (throughput).
     """
 
     def __init__(

@@ -669,11 +669,6 @@ class SyncTransport:
             for runtime in self._models.values():
                 runtime.reset()
 
-    def exec_seconds(self, model: str) -> list[float]:
-        """Per-batch execution wall times of ``model`` in this window."""
-        with self._lock:
-            return list(self._require(model).exec_seconds)
-
     def breaker_snapshots(self) -> dict[str, dict]:
         with self._lock:
             return breaker_snapshots(self._models)

@@ -1,7 +1,7 @@
 """Minimal reverse-mode autograd engine over NumPy arrays.
 
 This subpackage is the substrate that replaces PyTorch's core in the
-DSXplore reproduction (see DESIGN.md section 2).  It provides:
+DSXplore reproduction.  It provides:
 
 - :class:`~repro.tensor.tensor.Tensor` — an ndarray wrapper carrying a
   gradient and a backward graph node,
@@ -11,8 +11,7 @@ DSXplore reproduction (see DESIGN.md section 2).  It provides:
   into ``torch.autograd.Function``),
 - a library of elementwise / reduction / movement / convolution ops.
 
-Design notes follow the HPC guides for this session: all hot paths are
-vectorized NumPy (no per-element Python loops), backward rules avoid
+Design notes: all hot paths are vectorized NumPy (no per-element Python loops), backward rules avoid
 materialising copies where a view or an einsum suffices, and the graph is a
 plain topological walk (no tape indirection).
 """

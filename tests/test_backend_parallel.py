@@ -487,34 +487,3 @@ def test_router_overlapped_flush_matches_serial_results():
         reference[workers] = outs
     for serial_out, overlap_out in zip(reference[1], reference[2]):
         assert np.array_equal(serial_out, overlap_out)
-
-
-def test_device_parallel_speedup_curve():
-    from repro.gpusim import tesla_v100
-
-    dev = tesla_v100()
-    assert dev.parallel_speedup(1) == 1.0
-    assert dev.parallel_efficiency(1) == 1.0
-    curve = [dev.parallel_speedup(w) for w in (1, 2, 4, 8)]
-    assert curve == sorted(curve)                 # monotone over the sweep
-    assert all(s >= 1.0 for s in curve)
-    assert dev.parallel_speedup(1024) >= 1.0      # never worse than inline
-    effs = [dev.parallel_efficiency(w) for w in (1, 2, 4, 8)]
-    assert effs == sorted(effs, reverse=True)     # efficiency decays
-    with pytest.raises(ValueError):
-        dev.parallel_speedup(0)
-
-
-def test_timeline_host_workers_scales_kernel_time_not_plan_build():
-    from repro.gpusim import extract_layer_shapes, tesla_v100, training_step_time
-    from repro.models import build_model
-
-    model = build_model("mobilenet", scheme="scc", width_mult=0.25)
-    shapes = extract_layer_shapes(model, (3, 16, 16))
-    dev = tesla_v100()
-    one = training_step_time(shapes, 32, dev, cold_plans=True)
-    four = training_step_time(shapes, 32, dev, cold_plans=True, host_workers=4)
-    assert four.total < one.total
-    assert four.plan_build == one.plan_build      # plan builds stay serial
-    expected = (one.total - one.plan_build) / dev.parallel_speedup(4)
-    assert four.total - four.plan_build == pytest.approx(expected)

@@ -45,7 +45,7 @@ def test_dataset_standardised():
 
 def test_label_signal_is_cross_channel():
     # Per-channel marginal stats should be nearly label-free: the class
-    # signal lives in cross-channel correlation (DESIGN.md section 2).
+    # signal lives in cross-channel correlation (see repro.data's docstring).
     ds = make_dataset(600, num_classes=2, image_size=8, channels=4, noise=0.1, seed=3)
     means = []
     for k in (0, 1):

@@ -254,5 +254,6 @@ def test_env_stamp_shape():
     assert stamp["host_cpus"] >= 1
     # num_workers is configuration only when pinned/threaded; under the
     # default test env it must be None so same-machine runs with different
-    # idle pool sizes still match (and perf_compare's env guard agrees).
+    # idle pool sizes still match (perfbench/compare.py refuses runs whose
+    # stamps differ).
     assert stamp["num_workers"] is None or isinstance(stamp["num_workers"], int)
