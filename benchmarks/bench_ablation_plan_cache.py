@@ -12,6 +12,8 @@ This bench measures exactly that contrast on real kernels: *cold* execution
 per-call-recomputation model) vs *warm* execution (plans served from the
 cache, as every training step after the first).
 """
+from functools import partial
+
 import numpy as np
 
 from common import emit, full_mode
@@ -66,7 +68,12 @@ def report_ablation_plan_cache():
     # (and with it the hit/miss counters).
     warm_cache = {"plans": 0, "hits": 0, "misses": 0}
 
-    def run_case(label, warm_fn, cold_fn):
+    def run_case(label, make_warm, cold_fn):
+        # Start from an empty cache so "peak plans live" counts only this
+        # workload's plans, not whatever ran earlier in the process; the
+        # warm step is built after the clear so its plans are counted too.
+        clear_plan_cache()
+        warm_fn = make_warm()
         warm_fn()   # populate the cache once
         base = plan_cache_stats()
         t_warm = time_callable(warm_fn, repeats=repeats, warmup=1).median
@@ -84,10 +91,9 @@ def report_ablation_plan_cache():
 
     for cin, cout, hw in [(32, 64, 8), (64, 128, 8), (64, 256, 4)]:
         cfg, x, w = _scc_case(cin, cout, hw)
-        strat = Dsxplore(cfg)
         run_case(f"scc {cin}->{cout}@{hw}x{hw}",
-                 lambda: scc_warm_step(strat, x, w),
-                 lambda: scc_cold_step(cfg, x, w))
+                 lambda cfg=cfg, x=x, w=w: partial(scc_warm_step, Dsxplore(cfg), x, w),
+                 lambda cfg=cfg, x=x, w=w: scc_cold_step(cfg, x, w))
 
     rng = np.random.default_rng(1)
     # Small conv workloads: per-call compute must not drown the plan cost
@@ -96,7 +102,7 @@ def report_ablation_plan_cache():
         x = rng.standard_normal((2, cin, hw, hw)).astype(np.float32)
         w = rng.standard_normal((cout, cin, 3, 3)).astype(np.float32)
         run_case(f"conv3x3 {cin}->{cout}@{hw}x{hw}",
-                 lambda x=x, w=w: conv_warm_step(x, w),
+                 lambda x=x, w=w: partial(conv_warm_step, x, w),
                  lambda x=x, w=w: conv_cold_step(x, w))
 
     table = format_table(

@@ -15,8 +15,9 @@ Reported:
   cares about (>= 0.90 with the cache at ~60% of the working set);
 - an eviction-policy ablation: the same stream with the cache's
   traffic-weighted victim selection reduced to pure LRU
-  (``eviction_candidates=1``), isolating how much the weighting protects
-  the hot model from the cold models' churn;
+  (``eviction_candidates=1``), measuring whether the weighting protects
+  the hot model from the cold models' churn (the verdict printed under
+  the table is computed from its rows);
 - a cross-model batch-overlap section: the measured wall time of draining
   the three models' batches on one worker vs on the shared pool, where
   the per-model execution chains may overlap (a model still serialises
@@ -109,6 +110,30 @@ def _measure(router: Router, stream, fraction: float, old_maxsize: int) -> dict:
         "metrics": outcome["metrics"],
         "lost": outcome["lost"],
     }
+
+
+def _compare(label: str, weighted: float, pure_lru: float) -> str:
+    if weighted > pure_lru:
+        verdict = "weighted ahead"
+    elif weighted < pure_lru:
+        verdict = "weighted behind"
+    else:
+        verdict = "equal"
+    return f"{label} {weighted:.3f} vs {pure_lru:.3f} ({verdict})"
+
+
+def _ablation_verdict(weighted: dict, pure_lru: dict) -> str:
+    """One sentence comparing the two eviction policies' measured rows."""
+    return (
+        f"Traffic-weighted vs pure-LRU eviction at {CONTENDED_FRACTION:.0%} "
+        "capacity: "
+        + _compare("aggregate hit rate", weighted["aggregate_hit_rate"],
+                   pure_lru["aggregate_hit_rate"])
+        + "; "
+        + _compare("hot-model hit rate", weighted["hot_hit_rate"],
+                   pure_lru["hot_hit_rate"])
+        + "."
+    )
 
 
 def _measure_overlap(router: Router) -> dict:
@@ -227,15 +252,9 @@ def report_multimodel_serving():
             [[r["policy"], str(r["capacity"]), f"{r['aggregate_hit_rate']:.3f}",
               f"{r['hot_hit_rate']:.3f}", str(r["evictions"])]
              for r in ablation_rows],
-            title=f"Eviction ablation at {CONTENDED_FRACTION:.0%} capacity "
-                  "(hot plans reach the LRU tail)",
+            title=f"Eviction ablation at {CONTENDED_FRACTION:.0%} capacity",
         )
-        table += (
-            "\nTraffic-weighted victim selection shields the hot model once"
-            "\ncapacity is tight enough that its plans age to the LRU tail"
-            "\nbetween batches; at the gate capacity both policies coast"
-            "\nbecause re-touches keep hot plans off the tail entirely.\n\n"
-        )
+        table += "\n" + _ablation_verdict(*ablation_rows) + "\n\n"
         table += format_table(
             ["Drain", "wall (ms)", "speedup"],
             [["serial (one worker)", f"{overlap['serial_wall_ms']:.1f}",

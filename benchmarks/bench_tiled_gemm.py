@@ -14,11 +14,7 @@ side of that trade:
 2. **Canonical-order overhead** — tiled-serial vs the untiled GEMM's
    numpy wall time: what the deterministic reduction order costs when no
    pool exists to pay it back.
-3. **Fast precision tier** — ``REPRO_PRECISION=fast`` accumulates partials
-   in completion order (no tree, no partial list); its result is only
-   allclose, and the observed max abs/rel error against the canonical
-   result is measured and asserted within documented bounds.
-4. **Fused epilogue** — the staged conv -> bias -> BN -> activation
+3. **Fused epilogue** — the staged conv -> bias -> BN -> activation
    epilogue applied per output tile vs the same ops as separate
    materialised passes: bitwise equality asserted, measured speedup
    reported.
@@ -33,7 +29,6 @@ from repro.backend import (
     conv2d_plan,
     get_kernel,
     get_num_workers,
-    precision,
     scc_plan,
     set_num_workers,
     tile_override,
@@ -44,13 +39,6 @@ from repro.utils import format_table, seed_all, time_callable
 
 TILE_SWEEP = (8, 32, 128, 0)     # 0 = untiled full-K
 BITWISE_WORKERS = (1, 2, 4)
-# Documented fast-tier bounds: completion-order accumulation of float32
-# partials drifts by a few ulps of the largest partial sum.  Where the
-# partials cancel, the error is absolute (ulps of the partials, not of the
-# near-zero result) — that is what the atol floor covers; rtol covers
-# everything else.  Both are far inside float32 training noise.
-FAST_RTOL = 1e-4
-FAST_ATOL = 1e-4
 
 
 class DenseConvForward:
@@ -141,32 +129,6 @@ def _untiled_overhead(workload, repeats: int) -> dict:
     }
 
 
-def _fast_tier(workload, trials: int) -> dict:
-    """Max observed fast-tier error vs the canonical result (asserted)."""
-    canonical = workload.run("numpy")
-    scale = float(np.abs(canonical).max())
-    max_abs = 0.0
-    max_rel = 0.0
-    set_num_workers(max(BITWISE_WORKERS))
-    with precision("fast"):
-        for _ in range(trials):
-            fast = workload.run("threaded")
-            assert np.allclose(fast, canonical, rtol=FAST_RTOL, atol=FAST_ATOL), (
-                f"{workload.name} fast tier outside documented bounds"
-            )
-            diff = np.abs(fast - canonical)
-            max_abs = max(max_abs, float(diff.max()))
-            max_rel = max(max_rel, float(diff.max()) / scale)
-    return {
-        "workload": workload.name,
-        "trials": trials,
-        "max_abs_err": max_abs,
-        "max_rel_err": max_rel,
-        "rtol_bound": FAST_RTOL,
-        "atol_bound": FAST_ATOL,
-    }
-
-
 def _fused_epilogue(repeats: int) -> dict:
     """Fused conv->bias->BN->relu vs the same ops as separate passes."""
     from repro.backend import conv2d_fused_plan, EpilogueSpec
@@ -232,7 +194,6 @@ def report_tiled_gemm():
         for workload in workloads:
             sweep_rows.extend(_tile_sweep(workload, repeats))
         overhead = [_untiled_overhead(w, repeats) for w in workloads]
-        fast = [_fast_tier(w, trials=3) for w in workloads]
         fused = _fused_epilogue(repeats)
     finally:
         set_num_workers(old_workers)
@@ -253,14 +214,6 @@ def report_tiled_gemm():
               "untiled GEMM, single-threaded numpy)",
     )
     table += "\n\n" + format_table(
-        ["Workload", "trials", "max abs err", "max rel err", "bounds"],
-        [[r["workload"], str(r["trials"]), f"{r['max_abs_err']:.2e}",
-          f"{r['max_rel_err']:.2e}", f"rtol={r['rtol_bound']}"]
-         for r in fast],
-        title="REPRO_PRECISION=fast: completion-order accumulation error "
-              "vs the canonical result (allclose asserted)",
-    )
-    table += "\n\n" + format_table(
         ["stages", "unfused (ms)", "fused (ms)", "speedup"],
         [[str(fused["stages"]), f"{fused['unfused_ms']:.2f}",
           f"{fused['fused_ms']:.2f}", f"{fused['speedup']:.2f}"]],
@@ -270,7 +223,6 @@ def report_tiled_gemm():
     data = {
         "tile_sweep": sweep_rows,
         "untiled_overhead": overhead,
-        "fast_tier": fast,
         "fused_epilogue": fused,
     }
     return emit("tiled_gemm", table, data=data), data
@@ -281,9 +233,6 @@ def test_tiled_gemm_gate():
     assert data["fused_epilogue"]["bitwise_equal"]
     # Every tile size of every workload passed the bitwise worker grid.
     assert len(data["tile_sweep"]) == 2 * len(TILE_SWEEP)
-    # Fast tier stayed inside its documented bounds.
-    for row in data["fast_tier"]:
-        assert row["max_rel_err"] <= FAST_RTOL
     # The canonical order's serial cost stays bounded: compute-rich dense
     # conv pays ~1.2x, while the memory-bound pull-GEMM pays up to ~2x
     # (its partials are full output-sized buffers, so tiling roughly

@@ -35,7 +35,6 @@ from bench_serving_batching import report_serving_batching
 from bench_multimodel_serving import report_multimodel_serving
 from bench_tiled_gemm import report_tiled_gemm
 from bench_async_gateway import report_async_gateway
-from bench_plan_tuner import report_plan_tuner
 from bench_fault_tolerance import report_fault_tolerance
 
 REPORTS = [
@@ -60,7 +59,6 @@ REPORTS = [
     ("Serving: multi-model routing", report_multimodel_serving),
     ("Backend: tiled contractions", report_tiled_gemm),
     ("Serving: async gateway", report_async_gateway),
-    ("Backend: plan auto-tuner", report_plan_tuner),
     ("Serving: fault tolerance", report_fault_tolerance),
 ]
 

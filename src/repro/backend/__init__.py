@@ -75,6 +75,7 @@ from repro.backend.registry import (
     available_backends,
     backend_override,
     current_backend_override,
+    env_stamp,
     get_kernel,
     register_kernel,
 )
@@ -102,25 +103,13 @@ from repro.backend.plan import (
     conv2d_fused_plan,
     conv2d_plan,
     conv_out_size,
-    dispatch_plan,
     planned_einsum,
     pool2d_plan,
     scc_plan,
 )
-from repro.backend.plan_db import (
-    PlanDatabase,
-    active_plan_db,
-    env_stamp,
-    load_plan_db,
-    set_plan_db,
-    use_plan_db,
-)
 from repro.backend.schedule import (
     TileSchedule,
-    precision,
-    precision_tier,
     schedule_table,
-    set_precision_tier,
     tile_override,
     tile_slices,
 )
@@ -133,7 +122,6 @@ from repro.backend.parallel import (
     parallel_map,
     set_num_workers,
     submit_pooled,
-    worker_limit,
 )
 from repro.backend.registry import env_backend_order
 
@@ -155,6 +143,7 @@ __all__ = [
     "backend_override",
     "current_backend_override",
     "env_backend_order",
+    "env_stamp",
     "get_kernel",
     "register_kernel",
     "ShardError",
@@ -164,7 +153,6 @@ __all__ = [
     "parallel_map",
     "set_num_workers",
     "submit_pooled",
-    "worker_limit",
     "KernelStats",
     "scc_conflict_fraction",
     "PLAN_CACHE",
@@ -189,21 +177,11 @@ __all__ = [
     "conv2d_fused_plan",
     "conv2d_plan",
     "conv_out_size",
-    "dispatch_plan",
     "planned_einsum",
     "pool2d_plan",
     "scc_plan",
-    "PlanDatabase",
-    "active_plan_db",
-    "env_stamp",
-    "load_plan_db",
-    "set_plan_db",
-    "use_plan_db",
     "TileSchedule",
-    "precision",
-    "precision_tier",
     "schedule_table",
-    "set_precision_tier",
     "tile_override",
     "tile_slices",
 ]

@@ -2,14 +2,13 @@
 
 Every host-parallel consumer in the process — the ``threaded`` kernel
 backend (:mod:`repro.backend.threaded_backend`), the serving transports'
-batch drain and the async gateway's batch offload — funnels through three
-calls: :func:`parallel_map`, :func:`submit_pooled` and
-:func:`trace_parallel`.  Behind them sits one lazily-created shared
-:class:`~concurrent.futures.ThreadPoolExecutor`, sized by
-``REPRO_NUM_WORKERS`` (else the usable CPU count); :func:`num_workers`
-re-sizes it and :func:`worker_limit` caps one thread's regions.
+batch drain and the async gateway's batch offload — funnels through two
+calls: :func:`parallel_map` and :func:`submit_pooled`.  Behind them sits
+one lazily-created shared :class:`~concurrent.futures.ThreadPoolExecutor`,
+sized by ``REPRO_NUM_WORKERS`` (else the usable CPU count);
+:func:`num_workers` re-sizes it.
 
-Three properties the kernel backend depends on:
+Two properties the kernel backend depends on:
 
 - **owner propagation** — :func:`parallel_map` captures the submitting
   thread's :func:`~repro.backend.workload.plan_owner` tag and re-installs it
@@ -20,13 +19,7 @@ Three properties the kernel backend depends on:
   forward hits a threaded kernel) runs that inner region serially on its
   own worker instead of re-submitting, which both avoids pool-starvation
   deadlock and expresses the right policy: model-level overlap outranks
-  kernel-level sharding;
-- **region tracing** — :func:`trace_parallel` records every region's
-  per-task wall times while forcing serial execution, so a benchmark on a
-  core-starved host can *measure* clean per-shard costs and *model* the
-  makespan at any worker count (:func:`makespan`). This is the same
-  measure-on-CPU/model-the-parallel-hardware move the gpusim makes for GPU
-  kernels, applied to the host pool itself.
+  kernel-level sharding.
 """
 from __future__ import annotations
 
@@ -34,10 +27,8 @@ import concurrent.futures
 import itertools
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.backend.workload import current_plan_owner, plan_owner
@@ -52,10 +43,6 @@ __all__ = [
     "parallel_map",
     "shard_slices",
     "submit_pooled",
-    "trace_parallel",
-    "worker_limit",
-    "RegionTrace",
-    "makespan",
 ]
 
 
@@ -103,10 +90,6 @@ _EXECUTOR: ThreadPoolExecutor | None = None
 _EXECUTOR_WORKERS: int | None = None   # size the live executor was built with
 _NUM_WORKERS: int | None = None        # None = not resolved yet (env/cpu count)
 _IN_WORKER = threading.local()         # set while executing a pooled task
-_WORKER_LIMIT = threading.local()      # thread-scoped cap (worker_limit ctx)
-
-# Region tracing (benchmark instrumentation; driver-thread use only).
-_TRACE_SINK: list | None = None
 
 
 def _usable_cpu_count() -> int:
@@ -147,33 +130,13 @@ def default_num_workers() -> int:
     return _usable_cpu_count()
 
 
-def _base_num_workers() -> int:
-    """The configured pool size, ignoring any thread-local :func:`worker_limit`.
-
-    Pool construction must key on this, not :func:`get_num_workers`: a
-    scoped cap changes how many shards a region *cuts*, never the size of
-    the shared pool (rebuilding the pool per scoped cap would churn threads
-    and strand queued work).
-    """
+def get_num_workers() -> int:
+    """The pool size parallel regions shard for (resolved lazily)."""
     global _NUM_WORKERS
     with _LOCK:
         if _NUM_WORKERS is None:
             _NUM_WORKERS = default_num_workers()
         return _NUM_WORKERS
-
-
-def get_num_workers() -> int:
-    """The worker count parallel regions shard for (resolved lazily).
-
-    Honours the innermost :func:`worker_limit` cap on the calling thread —
-    a plan-recorded ``workers`` field sees the capped value, while the pool
-    itself stays sized by :func:`_base_num_workers`.
-    """
-    base = _base_num_workers()
-    limit = getattr(_WORKER_LIMIT, "limit", None)
-    if limit is None:
-        return base
-    return max(1, min(base, limit))
 
 
 def set_num_workers(workers: int) -> None:
@@ -211,30 +174,9 @@ def num_workers(workers: int) -> Iterator[None]:
         set_num_workers(previous)
 
 
-@contextmanager
-def worker_limit(workers: int | None) -> Iterator[None]:
-    """Cap the worker count *this thread's* regions shard for.
-
-    Unlike :func:`num_workers` this is thread-local and never touches the
-    shared pool: regions entered inside the block cut at most ``workers``
-    shards (``1`` runs them inline), while concurrent threads and the pool
-    size itself are unaffected.  This is how a plan-recorded ``workers``
-    field (:func:`repro.backend.plan_db.tuned_plan`) is applied at dispatch
-    without perturbing unrelated traffic.  ``None`` lifts any enclosing cap.
-    """
-    if workers is not None and workers < 1:
-        raise ValueError(f"worker_limit must be >= 1, got {workers}")
-    previous = getattr(_WORKER_LIMIT, "limit", None)
-    _WORKER_LIMIT.limit = workers
-    try:
-        yield
-    finally:
-        _WORKER_LIMIT.limit = previous
-
-
 def _executor() -> ThreadPoolExecutor:
     global _EXECUTOR, _EXECUTOR_WORKERS
-    workers = _base_num_workers()
+    workers = get_num_workers()
     with _LOCK:
         if _EXECUTOR is None or _EXECUTOR_WORKERS != workers:
             if _EXECUTOR is not None:
@@ -256,57 +198,6 @@ def shard_slices(total: int, parts: int) -> list[slice]:
         slices.append(slice(start, start + size))
         start += size
     return slices
-
-
-@dataclass
-class RegionTrace:
-    """One traced parallel region: what ran, and how long each task took."""
-
-    op: str
-    tasks: int
-    task_seconds: list[float] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.task_seconds)
-
-
-def makespan(task_seconds: Sequence[float], workers: int) -> float:
-    """LPT-scheduled completion time of ``task_seconds`` on ``workers`` lanes.
-
-    Longest-processing-time-first greedy assignment — the standard 4/3
-    bound — models what the pool achieves with ``workers`` unloaded cores.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    lanes = [0.0] * min(workers, max(1, len(task_seconds)))
-    for t in sorted(task_seconds, reverse=True):
-        lane = min(range(len(lanes)), key=lanes.__getitem__)
-        lanes[lane] += t
-    return max(lanes) if lanes else 0.0
-
-
-@contextmanager
-def trace_parallel() -> Iterator[list[RegionTrace]]:
-    """Record every parallel region run in the block, forcing serial execution.
-
-    Serial execution matters for what the trace means: on a host with fewer
-    free cores than workers, concurrently-scheduled shards time-slice one
-    core and each task's wall time is inflated by its neighbours.  Running
-    the shards back-to-back on the calling thread yields clean per-task
-    costs, from which :func:`makespan` models the region's completion time
-    at any worker count.  Driver-thread instrumentation only — not safe to
-    nest or to enable from concurrent threads.
-    """
-    global _TRACE_SINK
-    if _TRACE_SINK is not None:
-        raise RuntimeError("trace_parallel does not nest")
-    sink: list[RegionTrace] = []
-    _TRACE_SINK = sink
-    try:
-        yield sink
-    finally:
-        _TRACE_SINK = None
 
 
 def _is_terminal_submit_error(exc: RuntimeError, executor: ThreadPoolExecutor) -> bool:
@@ -402,10 +293,9 @@ def parallel_map(
     """Run ``fn`` over ``items``, on the shared worker pool when it helps.
 
     Falls back to an inline serial loop when the region is trivial
-    (``<= 1`` task), the pool is sized (or :func:`worker_limit`-capped) to
-    one worker, the caller is itself a pooled task (nested regions run on
-    their own worker — see module docstring), or a :func:`trace_parallel`
-    block is active.  The first task exception propagates to the caller
+    (``<= 1`` task), the pool is sized to one worker, or the caller is
+    itself a pooled task (nested regions run on their own worker — see
+    module docstring).  The first task exception propagates to the caller
     either way — wrapped in :class:`ShardError` naming the region, shard
     index and item, so a fault deep in a threaded shard is attributable
     without a debugger; in the pooled case remaining tasks still run to
@@ -422,15 +312,6 @@ def parallel_map(
         except Exception as exc:
             raise ShardError(op, index, len(tasks), item, exc) from exc
 
-    if _TRACE_SINK is not None:
-        trace = RegionTrace(op=op, tasks=len(tasks))
-        _TRACE_SINK.append(trace)
-        results = []
-        for index, item in enumerate(tasks):
-            start = time.perf_counter()
-            results.append(call(index, item))
-            trace.task_seconds.append(time.perf_counter() - start)
-        return results
     if (
         len(tasks) <= 1
         or getattr(_IN_WORKER, "active", False)

@@ -19,15 +19,11 @@ once per :class:`~repro.backend.workload.Workload` and cached in the global
 from __future__ import annotations
 
 import threading
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backend.parallel import worker_limit
-from repro.backend.plan_db import tuned_plan
-from repro.backend.registry import backend_override, current_backend_override
 from repro.backend.schedule import conv_schedule, pull_tile_for
 from repro.backend.workload import PLAN_CACHE, Workload
 
@@ -110,69 +106,6 @@ def combine_partials_tree(partials: list[np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Plan-resolved execution: tuned backend / worker count applied at dispatch
-# ---------------------------------------------------------------------------
-
-def _tuned_execution(wl: Workload) -> tuple[str | None, int | None]:
-    """The (backend, workers) a plan database recorded for this workload.
-
-    The auto-tuner stores the winning ``backend`` and ``workers`` alongside
-    the tile fields; tiles are consumed by :mod:`repro.backend.schedule`,
-    and these two are resolved here at plan build so :func:`dispatch_plan`
-    can apply them at call time.  (None, None) when no database is active
-    or the record carries no execution fields.
-    """
-    tuned = tuned_plan(wl)
-    if not tuned:
-        return None, None
-    backend = tuned.get("backend")
-    workers = tuned.get("workers")
-    return (
-        str(backend) if backend is not None else None,
-        int(workers) if workers is not None else None,
-    )
-
-
-def _resolved_executor(backend: str | None, workers: int | None) -> str | None:
-    if backend is None and workers is None:
-        return None
-    if workers is None:
-        return backend
-    return f"{backend or 'default'}@{workers}"
-
-
-@contextmanager
-def dispatch_plan(plan, apply_backend: bool = True) -> Iterator[None]:
-    """Apply a plan's recorded execution fields for the duration of a call.
-
-    Enters :func:`~repro.backend.registry.backend_override` for the plan's
-    ``resolved_backend`` (only when no override is already active and only
-    for ``apply_backend=True`` call sites — layers that resolved their
-    kernel eagerly at construction pass False so the worker cap still
-    applies) and :func:`~repro.backend.parallel.worker_limit` for
-    ``resolved_workers``.  Explicit ``backend=`` arguments at the call site
-    win automatically — the registry override only steers *default*
-    dispatch — and a plan with no recorded execution fields costs a single
-    attribute check.
-    """
-    backend = getattr(plan, "resolved_backend", None)
-    workers = getattr(plan, "resolved_workers", None)
-    if backend is None and workers is None:
-        yield
-        return
-    with ExitStack() as stack:
-        if (
-            apply_backend
-            and backend is not None
-            and current_backend_override() is None
-        ):
-            stack.enter_context(backend_override(backend))
-        if workers is not None:
-            stack.enter_context(worker_limit(workers))
-        yield
-
-
-# ---------------------------------------------------------------------------
 # Convolution plans
 # ---------------------------------------------------------------------------
 
@@ -196,12 +129,6 @@ class Conv2dPlan:
     # tile_override wins), so tiles never leak into cache keys.
     k_tile: int = 0
     gradw_tile: int = 0
-    # Execution fields recorded by the plan auto-tuner (REPRO_PLAN_DB):
-    # the backend and worker count the tuner measured as fastest for this
-    # workload.  Applied at call time by dispatch_plan; None = no record,
-    # dispatch follows the ambient default.
-    resolved_backend: str | None = None
-    resolved_workers: int | None = None
 
     @property
     def kernel(self) -> tuple[int, int]:
@@ -212,11 +139,6 @@ class Conv2dPlan:
         """One input channel per group (``groups > 1``): the backends run
         the per-tap elementwise path instead of per-group contractions."""
         return self.groups > 1 and self.w_shape[1] == 1
-
-    @property
-    def resolved_executor(self) -> str | None:
-        """Human-readable ``backend@workers`` this plan dispatches under."""
-        return _resolved_executor(self.resolved_backend, self.resolved_workers)
 
 
 def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
@@ -235,10 +157,7 @@ def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
     wo = conv_out_size(w, kw, stride, padding)
     og = cout // groups
     patch_shape = (n, cin_g, ho, wo, kh, kw)   # per-group patch view
-    # The workload key lets an active plan database (REPRO_PLAN_DB) serve
-    # tuned tiles ahead of the static schedule tables.
-    sched = conv_schedule(x_shape, w_shape, stride, groups, workload=wl)
-    tuned_backend, tuned_workers = _tuned_execution(wl)
+    sched = conv_schedule(x_shape, w_shape, stride, groups)
     return Conv2dPlan(
         x_shape=x_shape,
         w_shape=w_shape,
@@ -255,8 +174,6 @@ def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
         ),
         k_tile=sched.k_tile,
         gradw_tile=sched.gradw_tile,
-        resolved_backend=tuned_backend,
-        resolved_workers=tuned_workers,
     )
 
 
@@ -355,21 +272,6 @@ class FusedConv2dPlan:
 
     base: Conv2dPlan
     spec: EpilogueSpec
-
-    # Execution fields delegate to the base geometry plan: the tuner keys
-    # records by the conv workload, and the fused epilogue is elementwise —
-    # it changes nothing about which backend/width wins.
-    @property
-    def resolved_backend(self) -> str | None:
-        return self.base.resolved_backend
-
-    @property
-    def resolved_workers(self) -> int | None:
-        return self.base.resolved_workers
-
-    @property
-    def resolved_executor(self) -> str | None:
-        return self.base.resolved_executor
 
 
 def conv2d_fused_plan(
@@ -475,18 +377,7 @@ class SCCPlan:
     # the per-workload schedule table (0 = untiled); kernels resolve the
     # effective tile at call time so tile_override needs no cache change.
     pull_tile: int = 0
-    # Tuned execution fields (see Conv2dPlan): worker count is applied by
-    # dispatch_plan around strategy forward/backward; the backend field is
-    # recorded for introspection but SCC strategies resolve their kernel
-    # eagerly at construction, so it does not re-steer dispatch there.
-    resolved_backend: str | None = None
-    resolved_workers: int | None = None
     _scratch: threading.local = field(default_factory=threading.local, repr=False)
-
-    @property
-    def resolved_executor(self) -> str | None:
-        """Human-readable ``backend@workers`` this plan dispatches under."""
-        return _resolved_executor(self.resolved_backend, self.resolved_workers)
 
     def w_full(self, w: np.ndarray) -> np.ndarray:
         """Dense (Cout, Cin) weight matrix, zeros outside each window.
@@ -511,7 +402,7 @@ class SCCPlan:
         return buf
 
 
-def _build_scc_plan(config: "SCCConfig", wl: Workload) -> SCCPlan:
+def _build_scc_plan(config: "SCCConfig") -> SCCPlan:
     # Imported lazily to keep repro.backend import-independent of repro.core
     # (repro.core.scc_kernels imports repro.backend at module level).
     from repro.core.channel_map import (
@@ -533,7 +424,6 @@ def _build_scc_plan(config: "SCCConfig", wl: Workload) -> SCCPlan:
     segments = [
         window_segments(start, gw, config.in_channels) for start, _ in cycle
     ]
-    tuned_backend, tuned_workers = _tuned_execution(wl)
     return SCCPlan(
         config=config,
         windows=windows,
@@ -542,11 +432,7 @@ def _build_scc_plan(config: "SCCConfig", wl: Workload) -> SCCPlan:
         cycle_index=cycle_index,
         segments=segments,
         oid_rows=np.arange(config.out_channels)[:, None],
-        pull_tile=pull_tile_for(
-            config.in_channels, config.out_channels, workload=wl
-        ),
-        resolved_backend=tuned_backend,
-        resolved_workers=tuned_workers,
+        pull_tile=pull_tile_for(config.in_channels, config.out_channels),
     )
 
 
@@ -558,4 +444,4 @@ def scc_plan(config: "SCCConfig") -> SCCPlan:
         cg=config.cg,
         co=config.co,
     )
-    return PLAN_CACHE.get_or_build(wl, lambda: _build_scc_plan(config, wl))
+    return PLAN_CACHE.get_or_build(wl, lambda: _build_scc_plan(config))

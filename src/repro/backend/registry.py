@@ -155,3 +155,26 @@ def get_kernel(op: str, backend: str = "default") -> Callable:
 
 def available_backends(op: str) -> tuple[str, ...]:
     return REGISTRY.backends(op)
+
+
+def env_stamp() -> dict:
+    """The execution-relevant environment: backend, pool size, host CPUs.
+
+    The block benchmark result JSONs are stamped with, so measurements from
+    different configurations are never compared.  ``num_workers`` is
+    *configuration* only when explicitly pinned via ``REPRO_NUM_WORKERS``
+    or when the active backend actually schedules on the pool; otherwise it
+    echoes a machine property and is recorded as ``None`` so same-machine
+    runs with different idle pool sizes still match.
+    """
+    from repro.backend.parallel import get_num_workers  # lazy: keeps registry leaf
+
+    backend = REGISTRY.resolve_name("conv2d", "default")
+    configured = backend == "threaded" or bool(
+        os.environ.get("REPRO_NUM_WORKERS", "").strip()
+    )
+    return {
+        "backend": backend,
+        "num_workers": get_num_workers() if configured else None,
+        "host_cpus": os.cpu_count() or 1,
+    }

@@ -1,9 +1,10 @@
-"""Per-workload tile schedules + the numerical precision tier.
+"""Per-workload tile schedules.
 
 This module is the repo's analog of topi's hand-written per-workload
 schedule tables (``gen_schedule.py`` in topi-intel): a small explicit table
 of tile sizes for the workload classes the benchmarks exercise, with a
-measured-default heuristic for everything else.  The tiles drive the
+measured-default heuristic for everything else.  The tables are the single
+source of tiles; there is no per-host schedule search.  The tiles drive the
 **tiled contraction kernels** of :mod:`repro.backend.numpy_backend` /
 :mod:`repro.backend.threaded_backend`:
 
@@ -17,44 +18,15 @@ pairwise-tree combination (:func:`repro.backend.plan.combine_partials_tree`)
 of the per-tile partial products.  Both the ``numpy`` backend (serial tiles)
 and the ``threaded`` backend (tiles on the worker pool) compute exactly this
 order, so results are bitwise-identical on any machine and any
-``REPRO_NUM_WORKERS`` — which is what finally lets a *lone* GEMM scale with
+``REPRO_NUM_WORKERS`` — which is what lets a *lone* GEMM spread over
 workers without breaking the bitwise contract.
-
-**Precision tiers.**  ``REPRO_PRECISION`` selects how the threaded backend
-combines tiles:
-
-``bitwise`` (default)
-    partials are combined in the canonical pairwise-tree order; outputs are
-    bit-identical to the ``numpy`` backend.
-``fast``
-    partials are accumulated in **completion order** under a lock — one
-    fewer pass over the partial buffers and no join barrier ordering, at
-    the cost of run-to-run reassociation.  Results match the canonical
-    order to float tolerance (``allclose``), never bitwise.
-
-The tier only affects the threaded combine; the ``numpy`` backend is always
-canonical.
-
-**Tuned schedules.**  When a persistent plan database is active
-(``REPRO_PLAN_DB``, see :mod:`repro.backend.plan_db`), workloads the
-auto-tuner has measured resolve their tiles from the database *before* the
-static tables — :func:`conv_schedule` and :func:`pull_tile_for` consult it
-per missing field, so a tuned record may override just ``k_tile`` and
-inherit the static ``gradw_tile``.  No database → the static tables and
-heuristics below, bit-for-bit.
 """
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator
-
-from repro.backend.plan_db import tuned_plan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backend.workload import Workload
+from typing import Iterator
 
 __all__ = [
     "TileSchedule",
@@ -63,60 +35,8 @@ __all__ = [
     "tile_slices",
     "tile_override",
     "current_tile_override",
-    "precision_tier",
-    "set_precision_tier",
-    "precision",
     "schedule_table",
 ]
-
-PRECISION_TIERS = ("bitwise", "fast")
-
-_STATE = threading.local()
-_PRECISION_LOCK = threading.Lock()
-_PRECISION: str | None = None  # resolved lazily from REPRO_PRECISION
-
-
-def _env_precision() -> str:
-    value = os.environ.get("REPRO_PRECISION", "").strip().lower() or "bitwise"
-    if value not in PRECISION_TIERS:
-        raise ValueError(
-            f"REPRO_PRECISION must be one of {PRECISION_TIERS}, got {value!r}"
-        )
-    return value
-
-
-def precision_tier() -> str:
-    """The active combine tier: ``"bitwise"`` or ``"fast"``."""
-    override = getattr(_STATE, "precision", None)
-    if override is not None:
-        return override
-    global _PRECISION
-    with _PRECISION_LOCK:
-        if _PRECISION is None:
-            _PRECISION = _env_precision()
-        return _PRECISION
-
-
-def set_precision_tier(tier: str) -> None:
-    """Set the process-wide combine tier (see module docstring)."""
-    if tier not in PRECISION_TIERS:
-        raise ValueError(f"tier must be one of {PRECISION_TIERS}, got {tier!r}")
-    global _PRECISION
-    with _PRECISION_LOCK:
-        _PRECISION = tier
-
-
-@contextmanager
-def precision(tier: str) -> Iterator[None]:
-    """Thread-locally pin the combine tier inside the block (tests/benches)."""
-    if tier not in PRECISION_TIERS:
-        raise ValueError(f"tier must be one of {PRECISION_TIERS}, got {tier!r}")
-    previous = getattr(_STATE, "precision", None)
-    _STATE.precision = tier
-    try:
-        yield
-    finally:
-        _STATE.precision = previous
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +76,13 @@ def _default_gradw_tile(n: int, min_tile: int = 2, target_tiles: int = 4) -> int
 # benchmarks (and the serving model zoo at their native widths) hit, keyed
 # by (cin, cout, kernel, stride).  Dense (groups == 1) only — grouped convs
 # parallelize over groups and are never K-tiled.  Values aim at ~4 tiles:
-# enough for a 2-4 worker LPT schedule to fill its lanes (a modelled, not
-# measured, criterion), while each per-tile contraction keeps a large
+# enough tiles for a 2-4 worker pool to share (chosen, not measured, to
+# fill the lanes), while each per-tile contraction keeps a large
 # enough contracted extent to run at BLAS efficiency (8+ tiles cut the
 # per-tile K so fine that the serial tiled path costs 2-3x the untiled one
 # in bench_tiled_gemm's measured tile sweep).
 CONV_SCHEDULES: dict[tuple[int, int, int, int], TileSchedule] = {
-    # bench_tiled_gemm / bench_plan_tuner dense workload
+    # bench_tiled_gemm dense workload
     (64, 128, 3, 1): TileSchedule(k_tile=16, gradw_tile=2),
     (128, 128, 3, 1): TileSchedule(k_tile=32, gradw_tile=2),
     # VGG/ResNet trunk widths (3x3, stride 1)
@@ -182,19 +102,13 @@ PULL_SCHEDULES: dict[tuple[int, int], int] = {
 
 
 def conv_schedule(
-    x_shape: tuple,
-    w_shape: tuple,
-    stride: int,
-    groups: int,
-    workload: "Workload | None" = None,
+    x_shape: tuple, w_shape: tuple, stride: int, groups: int
 ) -> TileSchedule:
     """Resolve the tile schedule of one conv2d workload.
 
-    Resolution order: a tuned record in the active plan database (when
-    ``workload`` is given and ``REPRO_PLAN_DB`` / ``set_plan_db`` installed
-    one) > explicit table entries > the measured-default heuristic.
-    Grouped convolutions are never tiled — their parallelism axis is the
-    group loop.
+    Explicit table entries win; everything else gets the measured-default
+    heuristic.  Grouped convolutions are never tiled — their parallelism
+    axis is the group loop.
     """
     if groups != 1:
         return TileSchedule()
@@ -206,29 +120,15 @@ def conv_schedule(
             k_tile=_default_tile(cin),
             gradw_tile=_default_gradw_tile(n),
         )
-    tuned = tuned_plan(workload)
-    if tuned is not None:
-        entry = TileSchedule(
-            k_tile=int(tuned.get("k_tile", entry.k_tile)),
-            gradw_tile=int(tuned.get("gradw_tile", entry.gradw_tile)),
-        )
     return entry
 
 
-def pull_tile_for(
-    cin: int, cout: int, workload: "Workload | None" = None
-) -> int:
-    """The pull-GEMM's contracted output-channel tile for one SCC config.
-
-    Same resolution order as :func:`conv_schedule`: tuned database record
-    (per field) > explicit table entry > measured-default heuristic.
-    """
+def pull_tile_for(cin: int, cout: int) -> int:
+    """The pull-GEMM's contracted output-channel tile for one SCC config:
+    the explicit table entry, else the measured-default heuristic."""
     tile = PULL_SCHEDULES.get((cin, cout))
     if tile is None:
         tile = _default_tile(cout)
-    tuned = tuned_plan(workload)
-    if tuned is not None:
-        tile = int(tuned.get("pull_tile", tile))
     return tile
 
 
@@ -254,6 +154,9 @@ def tile_slices(extent: int, tile: int) -> list[slice]:
 # ---------------------------------------------------------------------------
 # Tile overrides (tests / the bench_tiled_gemm sweep)
 # ---------------------------------------------------------------------------
+
+_STATE = threading.local()
+
 
 @dataclass(frozen=True)
 class _TileOverride:

@@ -31,9 +31,7 @@ backend runs, on the identical operands, writing disjoint outputs:
   ``dense_gradw_partial``) the ``numpy`` backend computes serially, and
   the partials are combined in the canonical fixed-order pairwise tree
   (:func:`~repro.backend.plan.combine_partials_tree`) — bitwise-equal by
-  construction on any worker count.  Under
-  ``REPRO_PRECISION=fast`` the partials instead accumulate in completion
-  order under a lock (allclose tier, never bitwise);
+  construction on any worker count;
 - the other ``conv2d`` data-grad tap scatters shard over **disjoint tap
   groups**: taps with equal ``(group, i % stride, j % stride)`` write the
   same strided lattice and different keys never touch the same cell, so
@@ -63,8 +61,6 @@ coordinating thread, because per-shard ``int()`` rounding of the conflict
 estimate would drift from the single-call value.
 """
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -100,7 +96,6 @@ from repro.backend.schedule import (
     effective_gradw_tile,
     effective_k_tile,
     effective_pull_tile,
-    precision_tier,
     tile_slices,
 )
 from repro.backend.stats import KernelStats
@@ -112,26 +107,12 @@ def _chunks(seq: list, size: int):
         yield seq[start : start + size]
 
 
-def _parallel_tiled(partial_fn, slices, out_shape, dtype, op: str) -> np.ndarray:
-    """Per-tile partials on the pool, combined per the active precision tier.
+def _parallel_tiled(partial_fn, slices, op: str) -> np.ndarray:
+    """Per-tile partials on the pool, combined canonically.
 
-    ``bitwise``: partials come back in submission order and fold through the
-    canonical fixed-order pairwise tree — identical to the ``numpy``
-    backend's serial combine.  ``fast``: each worker accumulates its partial
-    into a shared zeros buffer under a lock, in completion order (allclose
-    tier only).
+    Partials come back in submission order and fold through the fixed-order
+    pairwise tree — identical to the ``numpy`` backend's serial combine.
     """
-    if precision_tier() == "fast":
-        out = np.zeros(out_shape, dtype=dtype)
-        lock = threading.Lock()
-
-        def run(sl: slice) -> None:
-            part = partial_fn(sl)
-            with lock:
-                np.add(out, part, out=out)
-
-        parallel_map(run, slices, op=op)
-        return out
     return combine_partials_tree(parallel_map(partial_fn, slices, op=op))
 
 
@@ -148,8 +129,6 @@ def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
     return _parallel_tiled(
         lambda sl: im2col_gemm(patches[:, sl], weight[:, sl]),
         k_slices,
-        plan.out_shape,
-        weight.dtype,
         op="conv2d.fwd.ktiles",
     )
 
@@ -240,8 +219,6 @@ def conv2d_backward(
                 grad_w[:] = _parallel_tiled(
                     lambda sl: dense_gradw_partial(grad, patches, sl),
                     n_slices,
-                    weight.shape,
-                    weight.dtype,
                     op="conv2d.gradw.ntiles",
                 )
         else:
@@ -452,12 +429,9 @@ def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_de
             if len(o_slices) == 1:
                 grad_x = pull_gemm(grad_out, w_full)
             else:
-                pull_shape = (grad_out.shape[0], w_full.shape[1]) + grad_out.shape[2:]
                 grad_x = _parallel_tiled(
                     lambda sl: pull_gemm_partial(grad_out, w_full, sl),
                     o_slices,
-                    pull_shape,
-                    np.result_type(grad_out.dtype, w_full.dtype),
                     op="scc.dsxplore.pulltiles",
                 )
             stats.record(gemm_calls=1)  # one logical pull contraction

@@ -12,7 +12,6 @@ tables: dispatch keys on *what* is being computed, plans capture *how*.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -104,49 +103,6 @@ class Workload:
             if key == name:
                 return value
         return default
-
-    # -- stable serialization (the persistent plan database's key) -------------
-
-    def to_key(self) -> str:
-        """Stable JSON key of this workload, for on-disk plan databases.
-
-        The encoding is canonical — sorted keys, no whitespace — so equal
-        workloads always produce byte-identical keys, across processes and
-        Python versions.  Only JSON-representable param values are
-        supported (ints, floats, strings, bools, None, and nested
-        lists/tuples of those), which covers every workload the kernels
-        construct; anything else raises ``TypeError`` loudly rather than
-        producing an unstable key.
-        """
-        return json.dumps(
-            {
-                "op": self.op,
-                "in_shape": self.in_shape,
-                "weight_shape": self.weight_shape,
-                "dtype": self.dtype,
-                "params": [[k, v] for k, v in self.params],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_key(cls, key: str) -> "Workload":
-        """Rebuild the exact :class:`Workload` a :meth:`to_key` string names.
-
-        Round-trip invariant: ``Workload.from_key(wl.to_key()) == wl`` —
-        JSON's list/tuple erasure is undone by the same ``_canonical``
-        normalisation :meth:`make` applies, so the reconstructed workload
-        hashes and compares identically to the original.
-        """
-        data = json.loads(key)
-        return cls(
-            op=data["op"],
-            in_shape=_canonical(data["in_shape"]),
-            weight_shape=_canonical(data["weight_shape"]),
-            dtype=data["dtype"],
-            params=tuple((k, _canonical(v)) for k, v in data["params"]),
-        )
 
 
 class PlanCache:

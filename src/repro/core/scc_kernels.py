@@ -49,7 +49,7 @@ import inspect
 
 import numpy as np
 
-from repro.backend import KernelStats, dispatch_plan, get_kernel, scc_plan
+from repro.backend import KernelStats, get_kernel, scc_plan
 from repro.backend.reference import scc_forward_loops
 from repro.core.channel_map import SCCConfig
 
@@ -116,13 +116,9 @@ class _StrategyBase:
         # The kwarg is passed only when set, so backends (or test doubles)
         # with the pre-fusion signature keep working unfused.
         kwargs = {} if epilogue is None else {"epilogue": epilogue}
-        # Strategies bind their kernel at construction, so only the plan's
-        # tuned worker count applies here (apply_backend=False): a recorded
-        # backend cannot re-steer an already-resolved kernel.
-        with dispatch_plan(self.plan, apply_backend=False):
-            out, self._saved = self._forward_kernel(
-                self.plan, x, w, strategy=self.name, stats=self.stats, **kwargs
-            )
+        out, self._saved = self._forward_kernel(
+            self.plan, x, w, strategy=self.name, stats=self.stats, **kwargs
+        )
         return out
 
     def backward(
@@ -130,17 +126,16 @@ class _StrategyBase:
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         if self._saved is None:
             raise RuntimeError(f"{type(self).__name__}.backward called before forward")
-        with dispatch_plan(self.plan, apply_backend=False):
-            return self._backward_kernel(
-                self.plan,
-                self._saved,
-                grad_out,
-                strategy=self.name,
-                stats=self.stats,
-                need_input_grad=need_input_grad,
-                need_weight_grad=need_weight_grad,
-                **self._backward_kwargs,
-            )
+        return self._backward_kernel(
+            self.plan,
+            self._saved,
+            grad_out,
+            strategy=self.name,
+            stats=self.stats,
+            need_input_grad=need_input_grad,
+            need_weight_grad=need_weight_grad,
+            **self._backward_kwargs,
+        )
 
 
 class ChannelStack(_StrategyBase):

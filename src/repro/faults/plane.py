@@ -30,9 +30,6 @@ Injection sites (``FaultSpec.site``):
     actually block);
 ``plan_build``
     building the batch's :class:`~repro.backend.ModelPlan` raises;
-``plan_db_row``
-    a :class:`~repro.backend.plan_db.PlanDatabase` record is truncated as
-    it is written (a torn write the tolerant loader must survive);
 ``pool_submit``
     submitting a batch to the shared worker pool raises.
 
@@ -62,7 +59,7 @@ __all__ = [
 
 #: Every place the serving/backend stack consults the plane.
 FAULT_SITES = (
-    "kernel", "slow_batch", "plan_build", "plan_db_row", "pool_submit",
+    "kernel", "slow_batch", "plan_build", "pool_submit",
 )
 
 
@@ -303,13 +300,6 @@ class FaultInjector:
         """Injected extra seconds for this batch (0.0 when nothing fires)."""
         spec = self._fire("slow_batch", key, attempt, model, backend)
         return spec.delay if spec is not None else 0.0
-
-    def corrupt_row(self, line: str, key: tuple = ()) -> str:
-        """Possibly truncate one serialized plan-DB row (a torn write)."""
-        spec = self._fire("plan_db_row", key, 0, None, None)
-        if spec is None:
-            return line
-        return line[: max(1, len(line) // 2)]
 
     # -- observability ---------------------------------------------------------
 

@@ -21,7 +21,6 @@ import numpy as np
 from repro.backend import (
     conv2d_plan,
     conv_out_size,
-    dispatch_plan,
     get_kernel,
     pool2d_plan,
 )
@@ -54,10 +53,7 @@ class Conv2d(Function):
         backend: str = "default",
     ) -> np.ndarray:
         plan = conv2d_plan(x.shape, weight.shape, stride, padding, groups, x.dtype)
-        # Tuned execution fields ride on the plan; an explicit backend=
-        # argument still wins (the override only steers "default" dispatch).
-        with dispatch_plan(plan):
-            out, ctx = get_kernel("conv2d", backend)(plan, x, weight)
+        out, ctx = get_kernel("conv2d", backend)(plan, x, weight)
         self.plan = plan
         self.ctx = ctx
         self.backend = backend
@@ -66,11 +62,10 @@ class Conv2d(Function):
     def backward(self, grad: np.ndarray):
         need_x = self.needs_input_grad[0]
         need_w = len(self.needs_input_grad) > 1 and self.needs_input_grad[1]
-        with dispatch_plan(self.plan):
-            grad_x, grad_w = get_kernel("conv2d_backward", self.backend)(
-                self.plan, self.ctx, grad,
-                need_input_grad=need_x, need_weight_grad=need_w,
-            )
+        grad_x, grad_w = get_kernel("conv2d_backward", self.backend)(
+            self.plan, self.ctx, grad,
+            need_input_grad=need_x, need_weight_grad=need_w,
+        )
         results = [grad_x]
         if len(self.needs_input_grad) > 1:
             results.append(grad_w)

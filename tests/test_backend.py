@@ -9,6 +9,7 @@ from repro.backend import (
     clear_plan_cache,
     contraction_path,
     conv2d_plan,
+    env_stamp,
     get_kernel,
     plan_cache_stats,
     planned_einsum,
@@ -77,6 +78,18 @@ def test_registry_register_and_preference_order():
     assert reg.get("op", "default")() == "ref"   # falls back when numpy absent
     reg.register("op", "numpy")(lambda: "np")
     assert reg.get("op", "default")() == "np"
+
+
+def test_env_stamp_shape():
+    stamp = env_stamp()
+    assert set(stamp) == {"backend", "num_workers", "host_cpus"}
+    assert isinstance(stamp["backend"], str)
+    assert stamp["host_cpus"] >= 1
+    # num_workers is configuration only when pinned/threaded; under the
+    # default test env it must be None so same-machine runs with different
+    # idle pool sizes still match (perfbench/compare.py refuses runs whose
+    # stamps differ).
+    assert stamp["num_workers"] is None or isinstance(stamp["num_workers"], int)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.backend import (
     scc_plan,
     set_num_workers,
 )
-from repro.backend.parallel import makespan, shard_slices, trace_parallel
+from repro.backend.parallel import shard_slices
 from repro.backend.workload import current_plan_owner, plan_owner
 from repro.core.channel_map import SCCConfig
 from repro.core.scc_kernels import make_strategy
@@ -142,25 +142,6 @@ def test_num_workers_context_restores():
 def test_set_num_workers_rejects_nonpositive():
     with pytest.raises(ValueError, match="num_workers"):
         set_num_workers(0)
-
-
-def test_trace_parallel_records_regions_serially():
-    with trace_parallel() as regions:
-        out = parallel_map(lambda i: i * i, range(5), op="traced")
-    assert out == [0, 1, 4, 9, 16]
-    assert len(regions) == 1
-    assert regions[0].op == "traced" and regions[0].tasks == 5
-    assert len(regions[0].task_seconds) == 5
-    assert regions[0].total_seconds >= 0.0
-
-
-def test_makespan_models_lpt_schedule():
-    assert makespan([4.0, 3.0, 2.0, 1.0], 2) == pytest.approx(5.0)
-    assert makespan([1.0] * 8, 4) == pytest.approx(2.0)
-    assert makespan([5.0], 8) == pytest.approx(5.0)
-    assert makespan([], 4) == 0.0
-    with pytest.raises(ValueError):
-        makespan([1.0], 0)
 
 
 # ---------------------------------------------------------------------------

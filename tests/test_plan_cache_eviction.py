@@ -6,11 +6,22 @@ implies (re-touch ordering, eviction at exactly capacity), the per-owner
 counters the router's metrics are built on (they must sum to the global
 counters), the traffic-weighted victim selection that keeps a hot model's
 plans resident, and ``clear()``'s epoch behaviour with builds in flight.
+A hypothesis state machine drives random ``get_or_build`` / ``resize`` /
+``clear`` sequences from random owners against the same invariants.
 """
 import threading
 import time
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from repro.backend import Workload, plan_owner
 from repro.backend.workload import PlanCache
@@ -386,3 +397,116 @@ def test_traffic_prune_never_drops_owner_with_resident_entries():
     assert "idle-holder" in cache._traffic          # entry keeps it alive
     assert cache._owner_sizes["idle-holder"] == 1
     assert wl(0) in cache
+
+
+# ---------------------------------------------------------------------------
+# Stateful model: random lookups, resizes and clears from random owners
+# ---------------------------------------------------------------------------
+
+OWNERS = st.sampled_from([None, "a", "b", "c"])
+KEYS = st.integers(min_value=0, max_value=11)
+COUNTERS = ("hits", "misses", "builds", "evictions")
+
+
+class _BuildFailed(RuntimeError):
+    pass
+
+
+class PlanCacheMachine(RuleBasedStateMachine):
+    """The cache's accounting and bound hold under any operation sequence.
+
+    ``plans`` mirrors which value each key was built with, so a hit must
+    return exactly the plan its builder produced, and a failed build must
+    leave no entry behind.
+    """
+
+    @initialize(
+        maxsize=st.integers(min_value=1, max_value=6),
+        candidates=st.integers(min_value=1, max_value=8),
+        floor=st.integers(min_value=0, max_value=2),
+        decay_every=st.integers(min_value=2, max_value=16),
+    )
+    def make_cache(self, maxsize, candidates, floor, decay_every):
+        self.cache = PlanCache(
+            maxsize=maxsize,
+            eviction_candidates=candidates,
+            owner_floor=floor,
+            traffic_decay_every=decay_every,
+        )
+        self.plans: dict[int, object] = {}
+
+    @rule(key=KEYS, owner=OWNERS)
+    def get_or_build(self, key, owner):
+        resident = wl(key) in self.cache
+        before = self.cache.stats()
+        plan = object()
+        with plan_owner(owner):
+            got = self.cache.get_or_build(wl(key), lambda: plan)
+        after = self.cache.stats()
+        if resident:
+            assert got is self.plans[key]
+            assert after["hits"] == before["hits"] + 1
+            assert after["builds"] == before["builds"]
+        else:
+            assert got is plan
+            assert after["builds"] == before["builds"] + 1
+            self.plans[key] = plan
+
+    @rule(key=KEYS, owner=OWNERS)
+    def failing_build(self, key, owner):
+        resident = wl(key) in self.cache
+        size = len(self.cache)
+
+        def boom():
+            raise _BuildFailed(key)
+
+        with plan_owner(owner):
+            if resident:
+                assert self.cache.get_or_build(wl(key), boom) is self.plans[key]
+            else:
+                with pytest.raises(_BuildFailed):
+                    self.cache.get_or_build(wl(key), boom)
+                assert wl(key) not in self.cache
+                assert len(self.cache) == size
+
+    @rule(maxsize=st.integers(min_value=1, max_value=6))
+    def resize(self, maxsize):
+        size = len(self.cache)
+        self.cache.resize(maxsize)
+        assert len(self.cache) == min(size, maxsize)
+
+    @precondition(lambda self: len(self.cache) > 0)
+    @rule()
+    def clear(self):
+        self.cache.clear()
+        assert self.cache.stats() == {
+            "size": 0, "hits": 0, "misses": 0, "builds": 0,
+            "evictions": 0, "in_flight": 0,
+        }
+
+    @invariant()
+    def bounded(self):
+        assert len(self.cache) <= self.cache.maxsize
+
+    @invariant()
+    def misses_equal_builds(self):
+        stats = self.cache.stats()
+        assert stats["misses"] == stats["builds"]
+        assert stats["in_flight"] == 0
+
+    @invariant()
+    def owner_counters_sum_to_global(self):
+        stats = self.cache.stats()
+        per_owner = self.cache.owner_stats()
+        for counter in COUNTERS + ("size",):
+            assert sum(acc[counter] for acc in per_owner.values()) == stats[counter], (
+                counter, stats, per_owner,
+            )
+
+
+def test_plan_cache_state_machine():
+    machine = PlanCacheMachine.TestCase
+    machine.settings = settings(
+        max_examples=60, stateful_step_count=40, deadline=None,
+    )
+    machine().runTest()

@@ -9,9 +9,6 @@ under test:
 - for **any** tile size and **any** worker count, ``threaded`` output is
   bitwise-equal to ``numpy`` output at the same tile size (the tree order
   depends only on the tile count, never on completion order);
-- the ``fast`` precision tier relaxes exactly this — completion-order
-  accumulation, ``allclose`` to the canonical result within the documented
-  bounds — and only on the threaded combine (numpy is always canonical);
 - tile sizes come from the explicit schedule table with a measured-default
   fallback, and ``tile_override`` bypasses both without touching plan
   cache keys.
@@ -24,11 +21,8 @@ from repro.backend import (
     conv2d_plan,
     get_kernel,
     num_workers,
-    precision,
-    precision_tier,
     scc_plan,
     schedule_table,
-    set_precision_tier,
     tile_override,
     tile_slices,
 )
@@ -182,39 +176,6 @@ def test_tile_override_is_scoped_and_merges():
 
 
 # ---------------------------------------------------------------------------
-# Precision tiers
-# ---------------------------------------------------------------------------
-
-def test_precision_tier_defaults_and_context():
-    assert precision_tier() == "bitwise"
-    with precision("fast"):
-        assert precision_tier() == "fast"
-        with precision("bitwise"):
-            assert precision_tier() == "bitwise"
-        assert precision_tier() == "fast"
-    assert precision_tier() == "bitwise"
-
-
-def test_precision_tier_validation():
-    with pytest.raises(ValueError, match="tier"):
-        set_precision_tier("approximate")
-    with pytest.raises(ValueError, match="tier"):
-        with precision("loose"):
-            pass  # pragma: no cover
-
-
-def test_set_precision_tier_process_wide():
-    try:
-        set_precision_tier("fast")
-        assert precision_tier() == "fast"
-        with precision("bitwise"):               # thread-local still wins
-            assert precision_tier() == "bitwise"
-    finally:
-        set_precision_tier("bitwise")
-    assert precision_tier() == "bitwise"
-
-
-# ---------------------------------------------------------------------------
 # Bitwise grid: dense conv2d forward/backward, every tile x every worker
 # ---------------------------------------------------------------------------
 
@@ -290,8 +251,7 @@ def test_tiled_conv_matches_untiled_to_tolerance():
     for tile in (8, 32, 128):
         with tile_override(k_tile=tile):
             out, _ = get_kernel("conv2d", "numpy")(plan, x, w)
-        # Same bounds the fast tier documents: the atol floor covers
-        # outputs near zero whose partials cancel.
+        # The atol floor covers outputs near zero whose partials cancel.
         np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-4)
 
 
@@ -330,32 +290,8 @@ def test_pull_gemm_plan_resolves_schedule_tile():
 
 
 # ---------------------------------------------------------------------------
-# The fast tier: completion-order combine within documented bounds
+# Run-to-run determinism of the pooled combine
 # ---------------------------------------------------------------------------
-
-FAST_RTOL = 1e-4
-FAST_ATOL = 1e-4
-
-
-def test_fast_tier_within_documented_bounds():
-    plan, x, w, _ = _dense_conv_case()
-    with tile_override(k_tile=8):
-        canonical, _ = get_kernel("conv2d", "numpy")(plan, x, w)
-        with precision("fast"), num_workers(4):
-            fast, _ = get_kernel("conv2d", "threaded")(plan, x, w)
-    assert np.allclose(fast, canonical, rtol=FAST_RTOL, atol=FAST_ATOL)
-
-
-def test_fast_tier_never_touches_numpy_backend():
-    # The tier only selects the *threaded* combine; numpy stays canonical,
-    # so a fast-tier process still has a bitwise reference to compare to.
-    plan, x, w, _ = _dense_conv_case()
-    with tile_override(k_tile=8):
-        canonical, _ = get_kernel("conv2d", "numpy")(plan, x, w)
-        with precision("fast"):
-            still_canonical, _ = get_kernel("conv2d", "numpy")(plan, x, w)
-    assert np.array_equal(canonical, still_canonical)
-
 
 def test_bitwise_tier_threaded_is_deterministic_across_repeats():
     plan, x, w, _ = _dense_conv_case()
