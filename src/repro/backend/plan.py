@@ -224,7 +224,7 @@ class EpilogueArgs:
     elementwise op sequence the unfused layer stack composes — bias add,
     then the eval-mode BN affine in its ``(x - mean) * scale + beta`` order,
     then the activation as the autograd ops compute it (``relu`` is
-    ``x * (x > 0)``; ``relu6`` is the literal ``6 - relu(6 - relu(x))``
+    ``max(x, 0)``; ``relu6`` is the literal ``6 - relu(6 - relu(x))``
     sequence).  Elementwise ops are bitwise-insensitive to slab
     partitioning, so fused output == unfused output bit-for-bit.
     """
@@ -246,12 +246,12 @@ class EpilogueArgs:
             np.multiply(out, self.scale[:, ch], out=out)
             np.add(out, self.beta[:, ch], out=out)
         if self.activation == "relu":
-            np.multiply(out, out > 0, out=out)
+            np.maximum(out, 0, out=out)
         elif self.activation == "relu6":
             six = np.asarray(6.0, dtype=out.dtype)
-            np.multiply(out, out > 0, out=out)
+            np.maximum(out, 0, out=out)
             np.subtract(six, out, out=out)
-            np.multiply(out, out > 0, out=out)
+            np.maximum(out, 0, out=out)
             np.subtract(six, out, out=out)
 
     def spec(self) -> EpilogueSpec:

@@ -13,8 +13,10 @@ axes where each task runs the *identical* contraction calls the ``numpy``
 backend runs, on the identical operands, writing disjoint outputs:
 
 - depthwise ``conv2d`` (one input channel per group) forward, backward and
-  fused forward shard over **channel blocks**: each block runs the shared
-  tap kernels (:func:`~repro.backend.numpy_backend.depthwise_fwd_block` /
+  fused forward stage the input once
+  (:func:`~repro.backend.numpy_backend.stage_depthwise`) and shard over
+  **channel blocks** of that buffer: each block runs the shared tap kernels
+  (:func:`~repro.backend.numpy_backend.depthwise_fwd_block` /
   ``depthwise_bwd_block``) that the ``numpy`` backend runs once over all
   channels.  Taps are elementwise multiply-adds, so slicing channels is
   exact.  Grad-weight is a reduction, and ``einsum("nchw,nchw->c")`` over
@@ -81,6 +83,7 @@ from repro.backend.numpy_backend import (
     im2col_gemm,
     pull_gemm,
     pull_gemm_partial,
+    stage_depthwise,
 )
 from repro.backend.parallel import get_num_workers, parallel_map, shard_slices
 from repro.backend.plan import (
@@ -134,29 +137,31 @@ def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
 
 
 def _conv_forward(
-    plan: Conv2dPlan, xp: np.ndarray, weight: np.ndarray,
+    plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray,
     epilogue: EpilogueArgs | None = None,
-) -> np.ndarray:
-    """Forward of any conv geometry, sharded per the module docstring; the
-    epilogue runs per output slab inside the worker that wrote it (after
-    the tree combine for dense)."""
+) -> tuple[np.ndarray, dict]:
+    """Forward of any conv geometry and its backward context, sharded per
+    the module docstring; the epilogue runs per output slab inside the
+    worker that wrote it (after the tree combine for dense)."""
     groups = plan.groups
     if plan.depthwise:
-        out = np.empty(plan.out_shape, dtype=xp.dtype)
+        xs = stage_depthwise(x, plan.stride, plan.padding)
+        out = np.empty(plan.out_shape, dtype=x.dtype)
         parallel_map(
-            lambda gsl: depthwise_fwd_block(xp, weight, out, gsl, plan.stride, epilogue),
+            lambda gsl: depthwise_fwd_block(xs, weight, out, gsl, plan.stride, epilogue),
             shard_slices(groups, get_num_workers()),
             op="conv2d.fwd.depthwise",
         )
-        return out
+        return out, {"xs": xs, "w": weight}
+    xp = pad2d(x, plan.padding)
     kh, kw = plan.kernel
     patches = _patch_view(xp, kh, kw, plan.stride)
     if groups == 1:
         out = _dense_forward(plan, patches, weight)
         if epilogue is not None:
             epilogue.apply(out)
-        return out
-    out = np.empty(plan.out_shape, dtype=xp.dtype)
+        return out, {"xp": xp, "w": weight}
+    out = np.empty(plan.out_shape, dtype=x.dtype)
     og = plan.out_shape[1] // groups
     cg = plan.x_shape[1] // groups
 
@@ -167,13 +172,12 @@ def _conv_forward(
             epilogue.apply(out[:, gsl], gsl)
 
     parallel_map(run_group, range(groups), op="conv2d.fwd.groups")
-    return out
+    return out, {"xp": xp, "w": weight}
 
 
 @register_kernel("conv2d", "threaded")
 def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
-    xp = pad2d(x, plan.padding)
-    return _conv_forward(plan, xp, weight), {"xp": xp, "w": weight}
+    return _conv_forward(plan, x, weight)
 
 
 @register_kernel("conv2d_backward", "threaded")
@@ -184,19 +188,21 @@ def conv2d_backward(
     need_input_grad: bool = True,
     need_weight_grad: bool = True,
 ):
-    xp, weight = ctx["xp"], ctx["w"]
+    weight = ctx["w"]
     stride, groups = plan.stride, plan.groups
     if plan.depthwise:
-        grad_x = np.empty(plan.x_shape, dtype=xp.dtype) if need_input_grad else None
+        xs = ctx["xs"]
+        grad_x = np.empty(plan.x_shape, dtype=xs.dtype) if need_input_grad else None
         grad_w = np.empty_like(weight) if need_weight_grad else None
         parallel_map(
             lambda gsl: depthwise_bwd_block(
-                xp, weight, grad, grad_x, grad_w, gsl, stride, plan.padding
+                xs, weight, grad, grad_x, grad_w, gsl, stride, plan.padding
             ),
             shard_slices(groups, get_num_workers()),
             op="conv2d.bwd.depthwise",
         )
         return grad_x, grad_w
+    xp = ctx["xp"]
     grad_w = np.zeros_like(weight) if need_weight_grad else None
     grad_xp = np.zeros_like(xp) if need_input_grad else None
 
@@ -284,8 +290,7 @@ def conv2d_fused(
 ):
     """Inference-only conv2d + staged epilogue (see the numpy kernel): the
     contraction is tiled/sharded exactly like ``conv2d``."""
-    plan = fplan.base
-    return _conv_forward(plan, pad2d(x, plan.padding), weight, epilogue)
+    return _conv_forward(fplan.base, x, weight, epilogue)[0]
 
 
 # ---------------------------------------------------------------------------

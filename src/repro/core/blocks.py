@@ -16,8 +16,6 @@ downsample shortcuts) are left alone.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro import nn
@@ -89,8 +87,8 @@ class DepthwiseSeparableBlock(nn.Module):
         self.act2 = nn.ReLU() if final_act else nn.Identity()
 
     def forward(self, x: Tensor) -> Tensor:
-        x = self.act1(self.bn1(self.depthwise(x)))
-        return self.act2(self.bn2(self.pointwise(x)))
+        x = nn.bn_act(self.bn1, self.act1, self.depthwise(x))
+        return nn.bn_act(self.bn2, self.act2, self.pointwise(x))
 
     def __repr__(self) -> str:
         return f"DepthwiseSeparableBlock(scheme={self.scheme})\n" + super().__repr__()

@@ -21,7 +21,7 @@ The kernel counts per strategy mirror paper Section IV:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

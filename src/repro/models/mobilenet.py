@@ -68,7 +68,9 @@ class MobileNet(nn.Module):
         self.classifier = nn.Linear(c_in, num_classes, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.classifier(self.pool(self.blocks(self.stem(x))))
+        conv, bn, act = self.stem
+        x = nn.bn_act(bn, act, conv(x))
+        return self.classifier(self.pool(self.blocks(x)))
 
 
 def build_mobilenet(

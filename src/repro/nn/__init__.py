@@ -19,6 +19,7 @@ from repro.nn.layers import (
     Flatten,
     Dropout,
     Identity,
+    bn_act,
 )
 from repro.nn.fuse import FusedEpilogue, count_fused, fuse_inference
 from repro.nn import functional, init
@@ -45,6 +46,7 @@ __all__ = [
     "Flatten",
     "Dropout",
     "Identity",
+    "bn_act",
     "functional",
     "init",
 ]

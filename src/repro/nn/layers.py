@@ -48,31 +48,40 @@ class BatchNorm2d(Module):
         object.__setattr__(self, "running_var", self._buffers["running_var"])
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d({self.num_features}) got input with {x.shape[1]} channels"
-            )
         if self.training:
-            fn = conv_ops.BatchNorm2d()
-            out = fn(x, self.weight, self.bias, eps=self.eps)
-            # Unbiased batch variance, as PyTorch keeps it; a one-value
-            # batch has no spread to correct, so it stays as computed.
-            n = x.size // self.num_features
-            unbiased = fn.batch_var * (n / max(n - 1, 1))
-            m = self.momentum
-            self._buffers["running_mean"] = (
-                (1 - m) * self._buffers["running_mean"] + m * fn.batch_mean
-            ).astype(np.float32)
-            self._buffers["running_var"] = (
-                (1 - m) * self._buffers["running_var"] + m * unbiased
-            ).astype(np.float32)
-            object.__setattr__(self, "running_mean", self._buffers["running_mean"])
-            object.__setattr__(self, "running_var", self._buffers["running_var"])
-            return out
+            return self.batch_forward(x)
+        self._check(x)
         mean = self._buffers["running_mean"].reshape(1, -1, 1, 1)
         var = self._buffers["running_var"].reshape(1, -1, 1, 1)
         scale = self.weight.reshape(1, -1, 1, 1) / Tensor(np.sqrt(var + self.eps))
         return (x - Tensor(mean)) * scale + self.bias.reshape(1, -1, 1, 1)
+
+    def batch_forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        """Training mode: normalise with the batch statistics (then apply
+        a ReLU in the same node if ``relu``) and update the running ones."""
+        self._check(x)
+        fn = conv_ops.BatchNorm2d()
+        out = fn(x, self.weight, self.bias, eps=self.eps, relu=relu)
+        # Unbiased batch variance, as PyTorch keeps it; a one-value
+        # batch has no spread to correct, so it stays as computed.
+        n = x.size // self.num_features
+        unbiased = fn.batch_var * (n / max(n - 1, 1))
+        m = self.momentum
+        self._buffers["running_mean"] = (
+            (1 - m) * self._buffers["running_mean"] + m * fn.batch_mean
+        ).astype(np.float32)
+        self._buffers["running_var"] = (
+            (1 - m) * self._buffers["running_var"] + m * unbiased
+        ).astype(np.float32)
+        object.__setattr__(self, "running_mean", self._buffers["running_mean"])
+        object.__setattr__(self, "running_var", self._buffers["running_var"])
+        return out
+
+    def _check(self, x: Tensor) -> None:
+        if x.shape[1] != self.num_features:
+            raise ValueError(
+                f"BatchNorm2d({self.num_features}) got input with {x.shape[1]} channels"
+            )
 
     def __repr__(self) -> str:
         return f"BatchNorm2d({self.num_features})"
@@ -84,6 +93,21 @@ class ReLU(Module):
 
     def __repr__(self) -> str:
         return "ReLU()"
+
+
+def bn_act(bn: Module, act: Module, x: Tensor) -> Tensor:
+    """``act(bn(x))``.  A ``BatchNorm2d`` followed by a plain ``ReLU`` runs
+    as one BatchNorm+ReLU node in training (the modules, their state and
+    eval mode are unchanged); any other pair, or a module carrying forward
+    hooks, is called as two modules."""
+    if (
+        type(act) is ReLU
+        and isinstance(bn, BatchNorm2d)
+        and bn.training
+        and not (bn._forward_hooks or act._forward_hooks)
+    ):
+        return bn.batch_forward(x, relu=True)
+    return act(bn(x))
 
 
 class ReLU6(Module):

@@ -90,4 +90,5 @@ __all__ = [
     "Server",
     "ServingMetrics",
     "ServingPolicy",
+    "ShedPolicy",
 ]

@@ -10,9 +10,15 @@ resolves its workload to a cached execution plan (geometry, tile schedule
 and backward contraction paths, see :mod:`repro.backend.plan`) and
 dispatches to the selected backend — ``"numpy"`` (zero-copy ``as_strided``
 patch views; an im2col GEMM forward and planned-einsum backward, the
-default) or ``"reference"`` (loop kernels).  Repeated-shape calls reuse the
-plan; only the first call of a shape-class pays the ``np.einsum_path``
-search and geometry checks.
+default; depthwise convs stage their input once into a phase-split
+channels-last buffer that is also the backward context) or
+``"reference"`` (loop kernels).  Repeated-shape calls reuse the plan; only
+the first call of a shape-class pays the ``np.einsum_path`` search and
+geometry checks.
+
+Batch normalisation is not a registry kernel: :class:`BatchNorm2d` is one
+training-mode node that also applies the ReLU after it when asked (see
+:func:`repro.nn.bn_act`), reducing with BLAS matvecs.
 """
 from __future__ import annotations
 
@@ -118,17 +124,48 @@ class AvgPool2d(Function):
         return (gx,)
 
 
-class BatchNorm2d(Function):
-    """Training-mode batch normalisation over (N, H, W) per channel.
+# Reductions with fewer values per channel than this run in float64.  With
+# two or three values per channel the centred values nearly cancel in
+# grad-input: over 150 seeds per shape, float32 missed the float64 result by
+# up to 1.4x a 2e-4 tolerance at m == 2 and 0.09x at m == 3, against at
+# most 0.01x from m == 4 up.
+_F64_BELOW_M = 16
 
-    A fused kernel (rather than composing mean/var ops) because BN sits in
-    every residual block and dominates graph-node count otherwise.  Both
-    passes work on the ``(N, C, H*W)`` view: forward takes the per-channel
-    mean, then the sum of squares of the centred values, and normalises
-    those in place; backward reuses its ``grad_gamma`` / ``grad_beta`` sums
-    as the two reductions of ``grad_x``, so each pass reduces twice.  All
-    arithmetic stays in the input's dtype.  ``batch_mean`` / ``batch_var``
-    (biased) are left on the node for the module's running statistics.
+
+def _channel_sums(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums of an ``(N, C, L)`` array as two BLAS matvecs;
+    ``sum(axis=(0, 2))`` took 4-17x as long on the batch-32 shapes of the
+    MobileNet training step."""
+    n, _, length = a.shape
+    return np.ones(n, a.dtype) @ np.matmul(a, np.ones(length, a.dtype))
+
+
+def _channel_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel sums of ``a * b`` over ``(N, C, L)`` arrays: ``einsum``
+    on long rows, the product's matvecs on short ones (below 32 values a
+    row, ``einsum`` takes up to 4x as long)."""
+    if a.shape[2] >= 32:
+        return np.einsum("ncl,ncl->c", a, b)
+    return _channel_sums(a * b)
+
+
+class BatchNorm2d(Function):
+    """Training-mode batch normalisation over (N, H, W) per channel, and
+    the ReLU after it when ``relu`` is set.
+
+    One node rather than composed mean/var ops, because BN sits after every
+    convolution.  Both passes work on the ``(N, C, H*W)`` view and reduce
+    with BLAS matvecs (:func:`_channel_sums`).  Forward centres the input,
+    takes the variance of the centred values, then scales, shifts and (with
+    ``relu``) clamps one output buffer in place; it saves the centred values
+    and, with ``relu``, the output, whose positive cells are the ReLU's
+    mask.  Backward masks the incoming gradient, takes its two sums
+    (``grad_beta`` and the dot with the centred values, which gives
+    ``grad_gamma``) and reuses both in ``grad_x``.  Arithmetic stays in the
+    input's dtype except on reductions of fewer than ``_F64_BELOW_M``
+    values per channel, which run in float64 and round once at the end.
+    ``batch_mean`` / ``batch_var`` (biased) are left on the node for the
+    module's running statistics.
     """
 
     def forward(
@@ -137,37 +174,45 @@ class BatchNorm2d(Function):
         gamma: np.ndarray,
         beta: np.ndarray,
         eps: float = 1e-5,
+        relu: bool = False,
     ) -> np.ndarray:
         n, c = x.shape[:2]
-        xv = x.reshape(n, c, -1)
-        m = xv.shape[0] * xv.shape[2]
-        mean = xv.mean(axis=(0, 2))
-        xhat = xv - mean[:, None]
-        var = np.einsum("ncl,ncl->c", xhat, xhat) / m
+        m = x.size // max(c, 1)
+        work = x.dtype if m >= _F64_BELOW_M else np.float64
+        xv = x.reshape(n, c, -1).astype(work, copy=False)
+        mean = _channel_sums(xv) / m
+        centred = xv - mean[:, None]
+        var = _channel_dots(centred, centred) / m
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std[:, None]
-        out = xhat * gamma.astype(x.dtype, copy=False)[:, None]
-        out += beta.astype(x.dtype, copy=False)[:, None]
-        self.save_for_backward(xhat, inv_std, gamma)
+        out = centred * (gamma * inv_std).astype(work, copy=False)[:, None]
+        out += beta.astype(work, copy=False)[:, None]
+        if relu:
+            np.maximum(out, 0, out=out)
+        out = out.astype(x.dtype, copy=False)
+        self.save_for_backward(centred, inv_std, gamma, out if relu else None)
         self.batch_mean = mean
         self.batch_var = var
         return out.reshape(x.shape)
 
     def backward(self, grad: np.ndarray):
-        xhat, inv_std, gamma = self.saved
+        centred, inv_std, gamma, out = self.saved
         n, c = grad.shape[:2]
+        m = grad.size // max(c, 1)
         gv = grad.reshape(n, c, -1)
-        m = gv.shape[0] * gv.shape[2]
-        grad_beta = gv.sum(axis=(0, 2))
-        grad_gamma = np.einsum("ncl,ncl->c", gv, xhat)
+        if out is not None:
+            gv = gv * (out > 0)
+        gv = gv.astype(centred.dtype, copy=False)
+        grad_beta = _channel_sums(gv)
+        dot = _channel_dots(gv, centred)
         # grad_x = gamma * inv_std * (grad - grad_beta / m - xhat * grad_gamma / m)
-        grad_x = xhat * (grad_gamma / m)[:, None]
+        # with xhat = centred * inv_std and grad_gamma = dot * inv_std.
+        grad_x = centred * (inv_std * inv_std * dot / m)[:, None]
         grad_x += (grad_beta / m)[:, None]
         np.subtract(gv, grad_x, out=grad_x)
-        grad_x *= (gamma * inv_std).astype(grad.dtype, copy=False)[:, None]
-        results = [grad_x.reshape(grad.shape)]
+        grad_x *= (gamma * inv_std).astype(grad_x.dtype, copy=False)[:, None]
+        results = [grad_x.astype(grad.dtype, copy=False).reshape(grad.shape)]
         if len(self.needs_input_grad) > 1:
-            results.append(grad_gamma)
+            results.append((dot * inv_std).astype(grad.dtype, copy=False))
         if len(self.needs_input_grad) > 2:
-            results.append(grad_beta)
+            results.append(grad_beta.astype(grad.dtype, copy=False))
         return tuple(results)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.nn import functional as F
 from repro.tensor import Tensor
 from repro.train.loss import cross_entropy
 from repro.train.optim import SGD

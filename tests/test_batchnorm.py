@@ -3,11 +3,13 @@
 The fused ``tensor.conv_ops.BatchNorm2d`` kernel is checked against the
 textbook formulas evaluated in float64, over batch 1 and up, 1x1 and odd
 spatial sizes (including one value per channel, ``m == 1``), 1-9 channels
-and float32/float64 inputs; and ``nn.BatchNorm2d`` keeps PyTorch's running
-statistics (unbiased running variance).
+and float32/float64 inputs; ``nn.BatchNorm2d`` keeps PyTorch's running
+statistics (unbiased running variance); and the BatchNorm+ReLU node that
+``nn.bn_act`` runs in training matches BatchNorm followed by a separate
+ReLU: output, all three gradients and the running statistics.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import nn
@@ -47,6 +49,9 @@ def textbook_bn(x, gamma, beta, grad, eps=1e-5):
     dtype=st.sampled_from([np.float32, np.float64]),
     seed=st.integers(0, 2**16),
 )
+# Two values per channel: float32 grad-input cancels (tiny reductions run in
+# float64 for this reason).
+@example(n=2, c=5, h=1, w=1, dtype=np.float32, seed=368)
 def test_training_bn_matches_textbook_float64(n, c, h, w, dtype, seed):
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal((n, c, h, w)) * 3 + rng.standard_normal(c)[:, None, None]).astype(dtype)
@@ -96,3 +101,60 @@ def test_bn_module_records_its_node_for_backward():
     out.sum().backward()
     assert x.grad.shape == x.shape
     assert bn.weight.grad.shape == (3,) and bn.bias.grad.shape == (3,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    c=st.integers(1, 6),
+    h=st.sampled_from([1, 1, 2, 3, 5]),
+    w=st.sampled_from([1, 1, 3, 4]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    negative=st.sets(st.integers(0, 5)),
+    seed=st.integers(0, 2**16),
+)
+@example(n=1, c=3, h=1, w=1, dtype=np.float32, negative={1}, seed=0)     # m == 1
+@example(n=2, c=4, h=3, w=3, dtype=np.float32, negative={0, 1, 2, 3}, seed=5)
+def test_bn_relu_node_matches_bn_then_relu(n, c, h, w, dtype, negative, seed):
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((n, c, h, w)) * 3 + rng.standard_normal(c)[:, None, None]).astype(dtype)
+    gamma = rng.standard_normal(c).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    for ch in negative & set(range(c)):
+        # Every output of this channel is negative: the ReLU zeroes it all.
+        gamma[ch] = 0.1
+        beta[ch] = -10.0
+    upstream = rng.standard_normal((n, c, h, w)).astype(dtype)
+
+    def run(fused):
+        bn = nn.BatchNorm2d(c)
+        bn.weight.data, bn.bias.data = gamma.copy(), beta.copy()
+        xt = Tensor(x.copy(), requires_grad=True)
+        out = nn.bn_act(bn, nn.ReLU(), xt) if fused else bn(xt).relu()
+        assert isinstance(out._ctx, BatchNorm2d) == fused
+        (out * Tensor(upstream)).sum().backward()
+        return (out.data, xt.grad, bn.weight.grad, bn.bias.grad,
+                bn.running_mean, bn.running_var)
+
+    for got, want in zip(run(True), run(False)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_allclose(got, want, **TOL[dtype])
+    out = run(True)[0]
+    for ch in negative & set(range(c)):
+        assert not out[:, ch].any()
+
+
+def test_bn_act_composes_outside_training_or_with_hooks():
+    """In training a BatchNorm2d + ReLU pair is one BatchNorm node; a
+    non-ReLU activation, a hooked module and eval mode run the two modules
+    as before."""
+    x = Tensor(np.random.default_rng(1).standard_normal((2, 3, 4, 4)).astype(np.float32))
+    bn, act = nn.BatchNorm2d(3), nn.ReLU()
+    assert isinstance(nn.bn_act(bn, act, x)._ctx, BatchNorm2d)
+    assert not isinstance(nn.bn_act(bn, nn.ReLU6(), x)._ctx, BatchNorm2d)
+    seen = []
+    handle = act.register_forward_hook(lambda mod, args, out: seen.append(out.shape))
+    assert not isinstance(nn.bn_act(bn, act, x)._ctx, BatchNorm2d) and seen
+    handle.remove()
+    bn.eval()
+    np.testing.assert_array_equal(nn.bn_act(bn, act, x).data, act(bn(x)).data)

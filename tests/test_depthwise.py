@@ -2,9 +2,13 @@
 
 Depthwise convs (one input channel per group) run the per-tap elementwise
 kernels of :mod:`repro.backend.numpy_backend` instead of per-group
-contractions.  The contracts under test, over kernel 1/3/5, stride 1-3,
-padding 0-2, odd (and non-square) spatial sizes, batch 1 and up, channel
-multipliers 1-2, float32/float64 and every gradient-request combination:
+contractions.  Each call stages its input once into a zero-bordered,
+channels-last buffer split into ``stride x stride`` phases
+(``stage_depthwise``); the taps read unit-stride windows of it, and the
+backward reads the same buffer from the forward's context.  The contracts
+under test, over kernel 1/3/5, stride 1-3, padding 0-2, odd (and
+non-square) spatial sizes, batch 1 and up, channel multipliers 1-2,
+float32/float64 and every gradient-request combination:
 
 - ``threaded`` equals ``numpy`` bit for bit at 1, 2 and 4 workers, and the
   shared block kernels give numpy's bits over *any* partition of the
@@ -12,7 +16,10 @@ multipliers 1-2, float32/float64 and every gradient-request combination:
 - both are allclose to ``reference``; forward and grad-input are even
   bit-identical to it (same per-element operation order);
 - a batch row computed alone equals the same row inside a larger batch,
-  for ``conv2d`` and ``conv2d_fused`` (serving's bitwise contract).
+  for ``conv2d`` and ``conv2d_fused`` (serving's bitwise contract);
+- pinned stride-2 and stride-3 geometries whose phases hold different
+  numbers of rows: the staged layout, its inverse, and a backward that
+  reads the forward's staged buffer and never pads a fresh NCHW copy.
 """
 import numpy as np
 import pytest
@@ -24,6 +31,8 @@ from repro.backend.numpy_backend import (
     _fold_rows,
     depthwise_bwd_block,
     depthwise_fwd_block,
+    stage_depthwise,
+    unstage_depthwise,
 )
 from repro.backend.plan import EpilogueArgs, EpilogueSpec
 
@@ -113,8 +122,8 @@ def test_depthwise_blocks_give_numpy_bits_on_any_group_partition(case, data):
     gx = np.empty_like(gx_np)
     gw = np.empty_like(gw_np)
     for gsl in reversed(blocks):
-        depthwise_fwd_block(ctx["xp"], w, out, gsl, plan.stride)
-        depthwise_bwd_block(ctx["xp"], w, grad, gx, gw, gsl, plan.stride, plan.padding)
+        depthwise_fwd_block(ctx["xs"], w, out, gsl, plan.stride)
+        depthwise_bwd_block(ctx["xs"], w, grad, gx, gw, gsl, plan.stride, plan.padding)
     assert np.array_equal(out, out_np)
     assert np.array_equal(gx, gx_np)
     assert np.array_equal(gw, gw_np)
@@ -194,3 +203,94 @@ def test_fold_rows_is_column_local_and_accurate(m, k):
     np.testing.assert_allclose(full, want, rtol=1e-5, atol=1e-5)
     for c in range(k):   # each column alone folds to the same bits
         assert _fold_rows(rows[:, c : c + 1].copy())[0] == full[c]
+
+
+# (kernel, stride, padding, h, w): mostly stride 2 and 3 at odd sizes, where
+# the phases hold different numbers of rows or columns (e.g. 9 padded rows
+# at stride 2 are phases of 5 and 4; 13 at stride 3 are 5, 4 and 4).
+# Grad-input accumulates over runs of whole phase rows on the wider maps
+# (the last three among them) and over windows on the others.
+PHASED = [
+    (3, 2, 1, 7, 7),
+    (3, 2, 1, 7, 5),
+    (3, 2, 0, 9, 11),
+    (5, 2, 2, 5, 9),
+    (3, 3, 1, 11, 7),
+    (5, 3, 2, 9, 13),
+    (1, 3, 0, 7, 5),
+    (3, 1, 1, 9, 13),
+    (3, 2, 1, 17, 19),
+    (5, 3, 2, 9, 25),
+]
+
+
+def test_phased_cases_cover_windows_and_runs():
+    from repro.backend.numpy_backend import _grad_runs
+
+    runs = []
+    for kernel, stride, padding, h, w in PHASED:
+        wo = (w + 2 * padding - kernel) // stride + 1
+        runs.append(_grad_runs(wo, -(-(w + 2 * padding) // stride)))
+    assert runs[-3:] == [True] * 3 and not all(runs)
+
+
+@pytest.mark.parametrize("kernel,stride,padding,h,w", PHASED)
+def test_staged_buffer_is_the_phase_split_padded_input(kernel, stride, padding, h, w):
+    x = np.random.default_rng(h * w).standard_normal((2, 3, h, w)).astype(np.float32)
+    xs = stage_depthwise(x, stride, padding)
+    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    hp, wp = padded.shape[2:]
+    assert xs.shape == (2, stride, stride, -(-hp // stride), -(-wp // stride), 3)
+    for a in range(stride):
+        for b in range(stride):
+            phase = padded[:, :, a::stride, b::stride].transpose(0, 2, 3, 1)
+            rows, cols = phase.shape[1:3]
+            assert np.array_equal(xs[:, a, b, :rows, :cols], phase)
+            assert not xs[:, a, b, rows:].any() and not xs[:, a, b, :, cols:].any()
+    back = np.empty_like(x)
+    unstage_depthwise(xs, back, stride, padding)
+    assert np.array_equal(back, x)
+
+
+@pytest.mark.parametrize("kernel,stride,padding,h,w", PHASED)
+@pytest.mark.parametrize("multiplier", [1, 2])
+def test_phased_depthwise_bits_and_staged_backward(
+    kernel, stride, padding, h, w, multiplier, monkeypatch
+):
+    import repro.backend.numpy_backend as nb
+
+    case = dict(n=3, groups=4, multiplier=multiplier, h=h, w=w, kernel=kernel,
+                stride=stride, padding=padding, dtype=np.float32, seed=kernel * h + w)
+    plan, x, w_, grad = _setup(case)
+    ref = _run("reference", plan, x, w_, grad, (True, True))
+
+    staged = []
+
+    def no_pad(*args, **kwargs):
+        raise AssertionError("a depthwise conv padded an NCHW copy")
+
+    def counting_stage(*args):
+        staged.append(args)
+        return stage_depthwise(*args)
+
+    monkeypatch.setattr(nb, "pad2d", no_pad)
+    monkeypatch.setattr(nb, "stage_depthwise", counting_stage)
+    out, ctx = get_kernel("conv2d", "numpy")(plan, x, w_)
+    assert set(ctx) == {"xs", "w"} and len(staged) == 1
+    gx, gw = get_kernel("conv2d_backward", "numpy")(plan, ctx, grad)
+    assert len(staged) == 1            # backward staged nothing of its own
+    assert np.array_equal(out, ref[0]) and np.array_equal(gx, ref[1])
+    np.testing.assert_allclose(gw, ref[2], **TOL[np.float32])
+
+    # Backward reads the context's buffer: doubling it (exact in floating
+    # point) doubles grad-weight bit for bit and leaves grad-input alone.
+    ctx2 = {"xs": ctx["xs"] * 2, "w": ctx["w"]}
+    gx2, gw2 = get_kernel("conv2d_backward", "numpy")(plan, ctx2, grad)
+    assert np.array_equal(gw2, gw * 2) and np.array_equal(gx2, gx)
+
+    monkeypatch.undo()
+    for workers in (1, 2):
+        with num_workers(workers):
+            got = _run("threaded", plan, x, w_, grad, (True, True))
+        for a, b in zip((out, gx, gw), got):
+            assert np.array_equal(a, b), workers
