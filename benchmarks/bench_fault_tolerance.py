@@ -24,8 +24,9 @@ Reported:
   ~an order of magnitude by shedding at the door while open;
 - **degradation recovery** — a backend-scoped fault (the "broken
   accelerator" model): after ``degrade_after`` consecutive kernel faults
-  the workload demotes one step down the chain, the faults stop, and the
-  demoted outputs stay bitwise-identical (numpy <-> threaded).
+  the workload demotes one step down the default chain (numpy ->
+  reference), the faults stop, and the demoted outputs stay allclose to
+  the fault-free run.
 """
 import numpy as np
 
@@ -248,23 +249,21 @@ def measure_breaker():
 
 
 # ---------------------------------------------------------------------------
-# Section 4 — degradation: demote off a broken backend, recover bitwise
+# Section 4 — degradation: demote off a broken backend, recover
 # ---------------------------------------------------------------------------
 
 def measure_degradation():
     resolved = REGISTRY.resolve_name("conv2d", "default")
-    # One step down to a backend that computes bit-identically (threaded is
-    # numpy sharded on the pool); under REPRO_BACKEND=threaded the chain
-    # naturally inverts.
-    alt = "threaded" if resolved != "threaded" else "numpy"
-    bitwise_pair = {resolved, alt} <= {"numpy", "threaded"}
+    # The executor's default chain: numpy demotes to reference, the only
+    # other backend (ops reference lacks fall through to numpy).
+    alt = "reference"
     images = _images(4, seed=41)
 
     clean = ModelExecutor(_model(), input_shapes=[INPUT], bucket_sizes=(4,))
     clean_rows, _, _, _ = clean.run_resilient(images, 4)
 
     executor = ModelExecutor(_model(), input_shapes=[INPUT], bucket_sizes=(4,),
-                             degrade_after=2, degrade_chain=(resolved, alt))
+                             degrade_after=2)
     inj = FaultInjector([FaultSpec(site="kernel", rate=1.0,
                                    backends=(resolved,))])
     t = [0.0]
@@ -286,18 +285,15 @@ def measure_degradation():
     # makes the (backend-scoped) faults stop — observable recovery.
     assert [r["failed"] for r in rows] == [4, 4, 0, 0], rows
     assert rows[-1]["demotions"] == 1 and rows[-1]["backend"] == alt, rows
-    bitwise = None
-    if bitwise_pair:
-        recovered, errors, _, _ = executor.run_resilient(images, 4)
-        assert not errors
-        for row, clean_row in zip(recovered, clean_rows):
-            np.testing.assert_array_equal(row, clean_row)
-        bitwise = True
+    recovered, errors, _, _ = executor.run_resilient(images, 4)
+    assert not errors
+    for row, clean_row in zip(recovered, clean_rows):
+        np.testing.assert_allclose(row, clean_row, rtol=1e-4, atol=1e-5)
     return rows, {
         "degraded_from": resolved,
         "degraded_to": alt,
         "batches_to_recover": 2,
-        "degraded_bitwise_equal": bitwise,
+        "degraded_allclose": True,
     }
 
 
@@ -367,9 +363,8 @@ def report_fault_tolerance():
     table += (
         f"\nAfter 2 consecutive kernel faults the workload demotes "
         f"{deg_data['degraded_from']} -> {deg_data['degraded_to']} and the "
-        "backend-scoped faults stop"
-        + (", with bit-identical outputs on the demoted path."
-           if deg_data["degraded_bitwise_equal"] else ".")
+        "backend-scoped faults stop; the demoted outputs are allclose to "
+        "the fault-free run."
     )
     data = {
         "chaos": chaos_data["chaos_rows"],

@@ -33,7 +33,6 @@ from bench_ablation_vectorization import report_ablation_vectorization
 from bench_ablation_shift_scc import report_ablation_shift
 from bench_serving_batching import report_serving_batching
 from bench_multimodel_serving import report_multimodel_serving
-from bench_tiled_gemm import report_tiled_gemm
 from bench_async_gateway import report_async_gateway
 from bench_fault_tolerance import report_fault_tolerance
 
@@ -57,7 +56,6 @@ REPORTS = [
     ("Ablation: shift+scc", report_ablation_shift),
     ("Serving: bucketed batching", report_serving_batching),
     ("Serving: multi-model routing", report_multimodel_serving),
-    ("Backend: tiled contractions", report_tiled_gemm),
     ("Serving: async gateway", report_async_gateway),
     ("Serving: fault tolerance", report_fault_tolerance),
 ]

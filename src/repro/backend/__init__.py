@@ -12,8 +12,6 @@ Kernel registry (``repro.backend.registry``)
     ============  =======================================================
     reference     naive loop kernels; ground truth for every fast path
     numpy         GEMM / einsum / ``as_strided`` fast paths fed by cached plans
-    threaded      numpy kernels sharded over the shared worker pool
-                  (``REPRO_NUM_WORKERS``); bitwise-identical to numpy
     default       auto-selects the preferred available backend (numpy,
                   or ``REPRO_BACKEND`` when set — with per-op fallback)
     ============  =======================================================
@@ -98,7 +96,6 @@ from repro.backend.plan import (
     FusedConv2dPlan,
     Pool2dPlan,
     SCCPlan,
-    combine_partials_tree,
     contraction_path,
     conv2d_fused_plan,
     conv2d_plan,
@@ -107,13 +104,6 @@ from repro.backend.plan import (
     pool2d_plan,
     scc_plan,
 )
-from repro.backend.schedule import (
-    TileSchedule,
-    schedule_table,
-    tile_override,
-    tile_slices,
-)
-
 from repro.backend.parallel import (
     ShardError,
     default_num_workers,
@@ -128,7 +118,6 @@ from repro.backend.registry import env_backend_order
 # Importing the backend modules registers their kernels.
 from repro.backend import numpy_backend as _numpy_backend  # noqa: F401
 from repro.backend import reference as _reference          # noqa: F401
-from repro.backend import threaded_backend as _threaded_backend  # noqa: F401
 
 # REPRO_BACKEND overrides the "default" preference order (with per-op
 # fallback for ops the named backend lacks; an unregistered name raises —
@@ -172,7 +161,6 @@ __all__ = [
     "FusedConv2dPlan",
     "Pool2dPlan",
     "SCCPlan",
-    "combine_partials_tree",
     "contraction_path",
     "conv2d_fused_plan",
     "conv2d_plan",
@@ -180,8 +168,4 @@ __all__ = [
     "planned_einsum",
     "pool2d_plan",
     "scc_plan",
-    "TileSchedule",
-    "schedule_table",
-    "tile_override",
-    "tile_slices",
 ]

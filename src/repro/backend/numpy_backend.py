@@ -29,16 +29,9 @@ from repro.backend.plan import (
     FusedConv2dPlan,
     Pool2dPlan,
     SCCPlan,
-    combine_partials_tree,
     planned_einsum,
 )
 from repro.backend.registry import register_kernel
-from repro.backend.schedule import (
-    effective_gradw_tile,
-    effective_k_tile,
-    effective_pull_tile,
-    tile_slices,
-)
 from repro.backend.stats import KernelStats, scc_conflict_fraction
 from repro.utils.pad import pad2d
 
@@ -75,9 +68,7 @@ def im2col_gemm(patches: np.ndarray, weight: np.ndarray) -> np.ndarray:
     batched ``np.matmul`` against the ``(O, C*KH*KW)`` weight rows gives
     the ``(N, O, Ho, Wo)`` output, already contiguous NCHW.  The batched
     ``matmul`` runs one GEMM per batch row, so a row's bits do not depend
-    on the batch size.  Every dense tile and every group of both the
-    ``numpy`` and ``threaded`` backends runs this helper on the same
-    operands, so the two backends agree bit for bit by construction.
+    on the batch size.
     """
     n, c, ho, wo, kh, kw = patches.shape
     cols = patches.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, ho * wo)
@@ -85,33 +76,9 @@ def im2col_gemm(patches: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return np.matmul(rows, cols).reshape(n, -1, ho, wo)
 
 
-def dense_gradw_partial(grad: np.ndarray, patches: np.ndarray, sl: slice) -> np.ndarray:
-    """One batch tile of the dense grad-weight contraction, shared by the
-    ``numpy`` and ``threaded`` backends like :func:`im2col_gemm`."""
-    return planned_einsum("nohw,nchwij->ocij", grad[sl], patches[sl])
-
-
-def _dense_forward(plan: Conv2dPlan, patches: np.ndarray, weight: np.ndarray):
-    """Dense (groups == 1) forward: tiled canonical order, serial tiles."""
-    k_slices = tile_slices(plan.x_shape[1], effective_k_tile(plan.k_tile))
-    return combine_partials_tree(
-        [im2col_gemm(patches[:, sl], weight[:, sl]) for sl in k_slices]
-    )
-
-
-def _dense_gradw(plan: Conv2dPlan, grad: np.ndarray, patches: np.ndarray):
-    """Dense (groups == 1) grad-weight: batch-tiled canonical order."""
-    n_slices = tile_slices(grad.shape[0], effective_gradw_tile(plan.gradw_tile))
-    if len(n_slices) == 1:
-        return np.einsum("nohw,nchwij->ocij", grad, patches, optimize=plan.gradw_path)
-    return combine_partials_tree(
-        [dense_gradw_partial(grad, patches, sl) for sl in n_slices]
-    )
-
-
 # Depthwise (one input channel per group) convs skip the per-group einsum
-# loop.  Each of the KH*KW taps is one elementwise multiply-add over a whole
-# block of groups, in channels-last layout so the innermost loop runs over
+# loop.  Each of the KH*KW taps is one elementwise multiply-add over all
+# groups at once, in channels-last layout so the innermost loop runs over
 # (Wo, channels) rather than over one short output row.
 #
 # The input is staged once per call (:func:`stage_depthwise`): one copy
@@ -128,13 +95,12 @@ def _dense_gradw(plan: Conv2dPlan, grad: np.ndarray, patches: np.ndarray):
 # The batch is walked in chunks of about ``_DW_CHUNK_BYTES`` of output so a
 # chunk's buffers stay in cache.  Grad-weight sums each channel's products
 # by repeated halving (:func:`_fold_rows`): per chunk, then across chunks.
-# Every step is elementwise per channel and the chunks depend only on the
-# layer's geometry, so a channel gets the same bits whatever group block it
-# is computed in: the ``threaded`` backend shards these functions over
-# channel slices of the same staged buffer and stays bit-identical to this
-# backend, which runs them once over all groups.  Forward and grad-input
-# also equal ``reference`` bit for bit (the same operations in the same
-# order per element).
+# That fixed pairwise order defines the grad-weight bits, and the chunks
+# depend only on the layer's geometry, so the bits are the same from run
+# to run.  Whether a BLAS reduction would be faster is an open performance
+# question, not a correctness one.  Forward and grad-input equal
+# ``reference`` bit for bit (the same operations in the same order per
+# element).
 
 _DW_CHUNK_BYTES = 1 << 18
 
@@ -214,13 +180,21 @@ def _grad_runs(wo: int, wq: int) -> bool:
     return 4 * (wq - wo) <= wo
 
 
-def _tap_weights(weight: np.ndarray, groups: int, gsl: slice, width: int) -> np.ndarray:
-    """(KH, KW, width, block groups, multiplier) copy of the block's
-    weights, repeated along a row of ``width`` cells so each tap multiplies
-    as one flat loop."""
+def _tap_weights(weight: np.ndarray, groups: int, width: int) -> np.ndarray:
+    """(KH, KW, width, groups, multiplier) copy of the weights, repeated
+    along a row of ``width`` cells so each tap multiplies as one flat
+    loop."""
     cout, _, kh, kw = weight.shape
-    wb = weight.reshape(groups, cout // groups, kh, kw)[gsl].transpose(2, 3, 0, 1)
+    wb = weight.reshape(groups, cout // groups, kh, kw).transpose(2, 3, 0, 1)
     return np.ascontiguousarray(np.broadcast_to(wb[:, :, None], (kh, kw, width) + wb.shape[2:]))
+
+
+def tile_slices(extent: int, tile: int) -> list[slice]:
+    """Partition ``range(extent)`` into fixed-order contiguous tiles of
+    ``tile`` (the whole range when ``tile <= 0`` or ``tile >= extent``)."""
+    if tile <= 0 or tile >= extent:
+        return [slice(0, extent)]
+    return [slice(s, min(s + tile, extent)) for s in range(0, extent, tile)]
 
 
 def _batch_chunks(out_shape: tuple, itemsize: int) -> list[slice]:
@@ -250,21 +224,18 @@ def depthwise_fwd_block(
     xs: np.ndarray,
     weight: np.ndarray,
     out: np.ndarray,
-    gsl: slice,
     stride: int,
     epilogue: EpilogueArgs | None = None,
 ) -> None:
-    """Depthwise forward of the groups ``gsl`` of staged ``xs`` into
-    ``out``, taps in canonical ``(i, j)`` order, the epilogue applied to
-    each chunk while it is cache-hot."""
-    _, cout, ho, wo = out.shape
+    """Depthwise forward of staged ``xs`` into ``out``, taps in canonical
+    ``(i, j)`` order, the epilogue applied to each batch chunk while it is
+    cache-hot."""
+    _, _, ho, wo = out.shape
     groups = xs.shape[-1]
-    og = cout // groups
     kh, kw = weight.shape[2], weight.shape[3]
-    csl = slice(gsl.start * og, gsl.stop * og)
-    wt = _tap_weights(weight, groups, gsl, wo)       # (KH, KW, Wo, Gb, og)
+    wt = _tap_weights(weight, groups, wo)            # (KH, KW, Wo, G, og)
     for nsl in _batch_chunks(out.shape, out.itemsize):
-        xl = xs[nsl, ..., gsl, None]                  # (Nc, s, s, Hq, Wq, Gb, 1)
+        xl = xs[nsl, ..., None]                       # (Nc, s, s, Hq, Wq, G, 1)
         acc = np.empty((xl.shape[0], ho, wo) + wt.shape[3:], dtype=out.dtype)
         tmp = np.empty_like(acc)
         np.multiply(_tap(xl, 0, 0, ho, wo, stride), wt[0, 0], out=acc)
@@ -273,10 +244,10 @@ def depthwise_fwd_block(
                 if i or j:
                     np.multiply(_tap(xl, i, j, ho, wo, stride), wt[i, j], out=tmp)
                     np.add(acc, tmp, out=acc)
-        block = out[nsl, csl]
+        block = out[nsl]
         block[...] = acc.reshape(acc.shape[:3] + (-1,)).transpose(0, 3, 1, 2)
         if epilogue is not None:
-            epilogue.apply(block, csl)
+            epilogue.apply(block)
 
 
 def depthwise_bwd_block(
@@ -285,35 +256,32 @@ def depthwise_bwd_block(
     grad: np.ndarray,
     grad_x: np.ndarray | None,
     grad_w: np.ndarray | None,
-    gsl: slice,
     stride: int,
     padding: int,
 ) -> None:
-    """Depthwise grad-input (unpadded, into ``grad_x``) and grad-weight of
-    the groups ``gsl``, reading the forward's staged ``xs``.  Grad-input
-    accumulates the taps in canonical order per multiplier index;
-    grad-weight folds each tap's products."""
+    """Depthwise grad-input (unpadded, into ``grad_x``) and grad-weight,
+    reading the forward's staged ``xs``.  Grad-input accumulates the taps
+    in canonical order per multiplier index; grad-weight folds each tap's
+    products."""
     _, cout, ho, wo = grad.shape
     groups = xs.shape[-1]
     og = cout // groups
-    gb = gsl.stop - gsl.start
     kh, kw = weight.shape[2], weight.shape[3]
-    csl = slice(gsl.start * og, gsl.stop * og)
     wq = xs.shape[4]
     runs = _grad_runs(wo, wq)
     if grad_x is not None:
-        wt = _tap_weights(weight, groups, gsl, wq if runs else wo)
+        wt = _tap_weights(weight, groups, wq if runs else wo)
     chunks = _batch_chunks(grad.shape, grad.itemsize)
     partials = []
     for nsl in chunks:
-        gl = _channels_last(grad[nsl, csl]).reshape(-1, ho, wo, gb, og)
+        gl = _channels_last(grad[nsl]).reshape(-1, ho, wo, groups, og)
         if grad_x is not None:
             gcells = gl
             if runs:                                  # zero in the wrapped cells
-                gcells = np.zeros((gl.shape[0], ho, wq, gb, og), gl.dtype)
+                gcells = np.zeros((gl.shape[0], ho, wq, groups, og), gl.dtype)
                 gcells[:, :, :wo] = gl
             hq = xs.shape[3] + (1 if runs else 0)      # spare row for the runs
-            gs = np.zeros((gl.shape[0],) + xs.shape[1:3] + (hq, wq, gb), grad_x.dtype)
+            gs = np.zeros((gl.shape[0],) + xs.shape[1:3] + (hq, wq, groups), grad_x.dtype)
             tmp = np.empty(gcells.shape[:-1], dtype=grad_x.dtype)
             for k in range(og):
                 for i in range(kh):
@@ -324,11 +292,11 @@ def depthwise_bwd_block(
                             cell = _tap(gs, i, j, ho, wo, stride)
                         np.multiply(gcells[..., k], wt[i, j, ..., k], out=tmp)
                         np.add(cell, tmp, out=cell)
-            unstage_depthwise(gs, grad_x[nsl, gsl], stride, padding)
+            unstage_depthwise(gs, grad_x[nsl], stride, padding)
         if grad_w is not None:
-            xl = xs[nsl, ..., gsl, None]
+            xl = xs[nsl, ..., None]
             prod = np.empty(gl.shape, dtype=np.result_type(grad, xs))
-            rows = prod.reshape(-1, csl.stop - csl.start)
+            rows = prod.reshape(-1, cout)
             sums = np.empty((kh, kw, rows.shape[1]), dtype=prod.dtype)
             for i in range(kh):
                 for j in range(kw):
@@ -337,7 +305,7 @@ def depthwise_bwd_block(
             partials.append(sums)
     if grad_w is not None:
         total = _fold_rows(np.stack(partials).reshape(len(chunks), -1))
-        grad_w[csl, 0] = total.reshape(kh, kw, -1).transpose(2, 0, 1)
+        grad_w[:, 0] = total.reshape(kh, kw, -1).transpose(2, 0, 1)
 
 
 def _conv_forward(
@@ -351,13 +319,13 @@ def _conv_forward(
     if plan.depthwise:
         xs = stage_depthwise(x, plan.stride, plan.padding)
         out = np.empty(plan.out_shape, dtype=x.dtype)
-        depthwise_fwd_block(xs, weight, out, slice(0, groups), plan.stride, epilogue)
+        depthwise_fwd_block(xs, weight, out, plan.stride, epilogue)
         return out, {"xs": xs, "w": weight}
     xp = pad2d(x, plan.padding)
     kh, kw = plan.kernel
     patches = _patch_view(xp, kh, kw, plan.stride)
     if groups == 1:
-        out = _dense_forward(plan, patches, weight)
+        out = im2col_gemm(patches, weight)
         if epilogue is not None:
             epilogue.apply(out)
         return out, {"xp": xp, "w": weight}
@@ -397,9 +365,7 @@ def conv2d_backward(
         xs = ctx["xs"]
         grad_x = np.empty(plan.x_shape, dtype=xs.dtype) if need_input_grad else None
         grad_w = np.empty_like(weight) if need_weight_grad else None
-        depthwise_bwd_block(
-            xs, weight, grad, grad_x, grad_w, slice(0, groups), stride, plan.padding
-        )
+        depthwise_bwd_block(xs, weight, grad, grad_x, grad_w, stride, plan.padding)
         return grad_x, grad_w
     xp = ctx["xp"]
     grad_w = np.zeros_like(weight) if need_weight_grad else None
@@ -411,14 +377,11 @@ def conv2d_backward(
     cg = xp.shape[1] // groups
     og = cout // groups
 
-    if need_weight_grad and groups == 1:
-        grad_w[:] = _dense_gradw(plan, grad, patches)
-
     for g in range(groups):
         gsl = slice(g * og, (g + 1) * og)
         csl = slice(g * cg, (g + 1) * cg)
         gout = grad[:, gsl]
-        if need_weight_grad and groups > 1:
+        if need_weight_grad:
             grad_w[gsl] = np.einsum(
                 "nohw,nchwij->ocij", gout, patches[:, csl], optimize=plan.gradw_path
             )
@@ -546,9 +509,7 @@ def _channel_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
 # views: a reshape of ``x[:, chan_slice]`` (or of ``grad_out[:, p::cd]``)
 # merges only the contiguous H, W axes, so it stays a view.  ``einsum``
 # would copy each segment to channels-last first and hand back a permuted
-# result.  Each helper depends only on its operands' shapes and strides,
-# so the ``numpy`` and ``threaded`` backends, which call the same helper
-# on the same views, get the same bits.
+# result.
 
 def segment_fwd_gemm(x_seg: np.ndarray, w_seg: np.ndarray) -> np.ndarray:
     """``w_seg (O, C) . x_seg (N, C, H, W)`` as an (N, O, H, W) array."""
@@ -572,16 +533,10 @@ def pull_gemm(grad_out: np.ndarray, w_full: np.ndarray) -> np.ndarray:
     return np.matmul(w_full.T, grad_out.reshape(n, o, h * w)).reshape(n, -1, h, w)
 
 
-def pull_gemm_partial(grad_out: np.ndarray, w_full: np.ndarray, sl: slice) -> np.ndarray:
-    """One contracted output-channel tile of the pull GEMM."""
-    return pull_gemm(grad_out[:, sl], w_full[sl])
-
-
 # Per-cycle-position blocks.  Cycle position ``p`` owns the output
 # interleave ``out[:, p::cd]`` (and the weight rows ``w[p::cd]``), so the
-# blocks of different ``p`` write disjoint memory: this backend runs them
-# over every ``p`` in order, ``threaded`` maps them over ``p``.  Counters go
-# to ``stats``, which the threaded backend gives each block separately.
+# blocks of different ``p`` write disjoint memory; the strategies run them
+# over every ``p`` in order.
 
 def conv_stack_fwd_block(plan, x, w, out, gathered, p, stats, epilogue=None) -> None:
     """Gather cycle position ``p``'s window and run its grouped GEMM."""
@@ -682,17 +637,6 @@ def _dsxplore_forward(plan, x, w, stats, epilogue=None):
     return out, {"x": x, "w": w}
 
 
-def _pull_gemm(plan: SCCPlan, grad_out: np.ndarray, w_full: np.ndarray) -> np.ndarray:
-    """The input-centric pull-GEMM, tiled over the contracted output-channel
-    axis in the canonical order (shared partials + fixed pairwise tree)."""
-    o_slices = tile_slices(w_full.shape[0], effective_pull_tile(plan.pull_tile))
-    if len(o_slices) == 1:
-        return pull_gemm(grad_out, w_full)
-    return combine_partials_tree(
-        [pull_gemm_partial(grad_out, w_full, sl) for sl in o_slices]
-    )
-
-
 def check_backward_design(backward_design: str) -> None:
     if backward_design not in ("input_centric", "output_centric"):
         raise ValueError(
@@ -716,7 +660,7 @@ def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_de
             # workspace comes from the plan cache (refilled, not rebuilt).
             w_full = plan.w_full(w)
             stats.bytes_materialized += w_full.nbytes
-            grad_x = _pull_gemm(plan, grad_out, w_full)
+            grad_x = pull_gemm(grad_out, w_full)
             stats.gemm_calls += 1
             grad_x = grad_x.astype(x.dtype, copy=False)
         else:

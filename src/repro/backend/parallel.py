@@ -1,25 +1,22 @@
 """The shared worker pool behind every host-parallel consumer.
 
-Every host-parallel consumer in the process — the ``threaded`` kernel
-backend (:mod:`repro.backend.threaded_backend`), the serving transports'
+Every host-parallel consumer in the process — the serving transports'
 batch drain and the async gateway's batch offload — funnels through two
 calls: :func:`parallel_map` and :func:`submit_pooled`.  Behind them sits
 one lazily-created shared :class:`~concurrent.futures.ThreadPoolExecutor`,
 sized by ``REPRO_NUM_WORKERS`` (else the usable CPU count);
-:func:`num_workers` re-sizes it.
+:func:`num_workers` re-sizes it.  The kernels themselves are serial.
 
-Two properties the kernel backend depends on:
+Two properties the consumers depend on:
 
 - **owner propagation** — :func:`parallel_map` captures the submitting
   thread's :func:`~repro.backend.workload.plan_owner` tag and re-installs it
-  inside every task, so plan-cache traffic from pooled kernel shards is
-  still attributed to the right serving model;
+  inside every task, so plan-cache traffic from pooled tasks is still
+  attributed to the right serving model;
 - **nested calls run inline** — a task already executing on the pool that
-  reaches another ``parallel_map`` (a router-overlapped batch whose model
-  forward hits a threaded kernel) runs that inner region serially on its
-  own worker instead of re-submitting, which both avoids pool-starvation
-  deadlock and expresses the right policy: model-level overlap outranks
-  kernel-level sharding.
+  reaches another ``parallel_map`` runs that inner region serially on its
+  own worker instead of re-submitting, which avoids pool-starvation
+  deadlock.
 """
 from __future__ import annotations
 
@@ -41,7 +38,6 @@ __all__ = [
     "set_num_workers",
     "num_workers",
     "parallel_map",
-    "shard_slices",
     "submit_pooled",
 ]
 
@@ -60,8 +56,8 @@ def _describe_item(item: Any) -> str:
 class ShardError(RuntimeError):
     """One :func:`parallel_map` task failed, wrapped with workload context.
 
-    A fault deep inside a threaded kernel shard otherwise surfaces as a
-    bare exception with no hint of *which* region, shard, or operand
+    A fault deep inside a pooled task otherwise surfaces as a bare
+    exception with no hint of *which* region, shard, or operand
     triggered it.  The wrapper names the region ``op``, the shard index,
     and a shape-aware summary of the item; the original exception rides
     along as ``cause`` (and ``__cause__``), and its ``repr`` is embedded in
@@ -188,18 +184,6 @@ def _executor() -> ThreadPoolExecutor:
         return _EXECUTOR
 
 
-def shard_slices(total: int, parts: int) -> list[slice]:
-    """Split ``range(total)`` into at most ``parts`` balanced slices."""
-    parts = max(1, min(parts, total))
-    base, extra = divmod(total, parts)
-    slices, start = [], 0
-    for i in range(parts):
-        size = base + (1 if i < extra else 0)
-        slices.append(slice(start, start + size))
-        start += size
-    return slices
-
-
 def _is_terminal_submit_error(exc: RuntimeError, executor: ThreadPoolExecutor) -> bool:
     """Whether a failed ``submit`` can ever succeed by retrying.
 
@@ -297,7 +281,7 @@ def parallel_map(
     itself a pooled task (nested regions run on their own worker — see
     module docstring).  The first task exception propagates to the caller
     either way — wrapped in :class:`ShardError` naming the region, shard
-    index and item, so a fault deep in a threaded shard is attributable
+    index and item, so a fault deep in a pooled task is attributable
     without a debugger; in the pooled case remaining tasks still run to
     completion first (futures are not cancelled), so shared output buffers
     are never abandoned half-written to a racing shard.

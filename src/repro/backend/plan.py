@@ -7,7 +7,7 @@ once per :class:`~repro.backend.workload.Workload` and cached in the global
 - :func:`contraction_path` / :func:`planned_einsum` — ``np.einsum_path``
   results keyed by (subscripts, operand shapes, dtype), so the hot loops
   never pay the per-call path search that ``optimize=True`` runs;
-- :func:`conv2d_plan` — padded/output geometry, tile schedule and the two
+- :func:`conv2d_plan` — padded/output geometry and the two
   backward contraction paths (grad-weight, per-tap data-grad) of a
   (grouped) convolution; its forward is an im2col GEMM with no path;
 - :func:`pool2d_plan` — pooling window geometry;
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backend.schedule import conv_schedule, pull_tile_for
 from repro.backend.workload import PLAN_CACHE, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,38 +73,6 @@ def planned_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Tiled contractions: the canonical fixed-order pairwise combine
-# ---------------------------------------------------------------------------
-
-def combine_partials_tree(partials: list[np.ndarray]) -> np.ndarray:
-    """Combine per-tile partial products in a fixed pairwise-tree order.
-
-    ``((p0 + p1) + (p2 + p3)) + ...`` — adjacent pairs per level, an odd
-    tail carried unchanged.  The order depends only on the *number* of
-    tiles, never on worker count or completion order, so it defines the
-    canonical result of a tiled contraction: the ``numpy`` backend combines
-    serially-computed tiles this way and the ``threaded`` backend combines
-    pool-computed tiles the same way, keeping the two bitwise-identical at
-    every tile size and every ``REPRO_NUM_WORKERS``.
-
-    Combines in place into the even-indexed partials (each partial is an
-    owned GEMM or einsum output, never a view of caller data).
-    """
-    parts = list(partials)
-    if not parts:
-        raise ValueError("combine_partials_tree needs at least one partial")
-    while len(parts) > 1:
-        merged = []
-        for i in range(0, len(parts) - 1, 2):
-            np.add(parts[i], parts[i + 1], out=parts[i])
-            merged.append(parts[i])
-        if len(parts) % 2:
-            merged.append(parts[-1])
-        parts = merged
-    return parts[0]
-
-
-# ---------------------------------------------------------------------------
 # Convolution plans
 # ---------------------------------------------------------------------------
 
@@ -122,13 +89,6 @@ class Conv2dPlan:
     out_shape: tuple          # (N, Cout, Ho, Wo)
     gradw_path: list          # grad x patches -> grad_w (per group)
     gradx_path: list          # grad x weight tap -> grad_x contribution
-    # Tile schedule (repro.backend.schedule): the input-channel tile of the
-    # dense forward and the batch tile of the dense grad-weight, resolved
-    # from the per-workload schedule table at plan build.  0 = untiled.
-    # Kernels resolve the *effective* tile at call time (an active
-    # tile_override wins), so tiles never leak into cache keys.
-    k_tile: int = 0
-    gradw_tile: int = 0
 
     @property
     def kernel(self) -> tuple[int, int]:
@@ -157,7 +117,6 @@ def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
     wo = conv_out_size(w, kw, stride, padding)
     og = cout // groups
     patch_shape = (n, cin_g, ho, wo, kh, kw)   # per-group patch view
-    sched = conv_schedule(x_shape, w_shape, stride, groups)
     return Conv2dPlan(
         x_shape=x_shape,
         w_shape=w_shape,
@@ -172,8 +131,6 @@ def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
         gradx_path=_build_path(
             "nohw,oc->nchw", ((n, og, ho, wo), (og, cin_g)), wl.dtype
         ),
-        k_tile=sched.k_tile,
-        gradw_tile=sched.gradw_tile,
     )
 
 
@@ -373,10 +330,6 @@ class SCCPlan:
     cycle_index: list                       # per cycle position: gathered channel idx
     segments: list                          # per cycle position: [(chan_slice, col_slice)]
     oid_rows: np.ndarray                    # arange(Cout)[:, None], for W_full fill
-    # Contracted output-channel tile of the input-centric pull-GEMM, from
-    # the per-workload schedule table (0 = untiled); kernels resolve the
-    # effective tile at call time so tile_override needs no cache change.
-    pull_tile: int = 0
     _scratch: threading.local = field(default_factory=threading.local, repr=False)
 
     def w_full(self, w: np.ndarray) -> np.ndarray:
@@ -432,7 +385,6 @@ def _build_scc_plan(config: "SCCConfig") -> SCCPlan:
         cycle_index=cycle_index,
         segments=segments,
         oid_rows=np.arange(config.out_channels)[:, None],
-        pull_tile=pull_tile_for(config.in_channels, config.out_channels),
     )
 
 

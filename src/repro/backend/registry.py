@@ -13,8 +13,8 @@ names.  Callers dispatch with :func:`get_kernel`:
 
 The registry is intentionally dumb: a two-level dict plus a preference
 order.  Backends self-register at import time via the
-:func:`register_kernel` decorator, so adding a backend (such as
-``threaded``) is one new module that never touches call sites.
+:func:`register_kernel` decorator, so adding a backend is one new module
+that never touches call sites.
 """
 from __future__ import annotations
 
@@ -67,12 +67,12 @@ def env_backend_order(
 ) -> tuple[str, ...]:
     """The ``default`` preference order, honouring ``REPRO_BACKEND``.
 
-    A set ``REPRO_BACKEND`` (e.g. ``threaded``) is *prepended* to the base
+    A set ``REPRO_BACKEND`` (e.g. ``reference``) is *prepended* to the base
     order rather than replacing it: resolution falls through to the next
-    registered backend per op, so ``REPRO_BACKEND=threaded`` still
-    dispatches the ops ``threaded`` does not implement.  A name no op
-    registers raises ``ValueError`` — a typo must not silently run the
-    default backend.
+    registered backend per op, so ``REPRO_BACKEND=reference`` still
+    dispatches the ops ``reference`` does not implement (such as
+    ``conv2d_fused``).  A name no op registers raises ``ValueError`` — a
+    typo must not silently run the default backend.
     """
     name = (os.environ.get("REPRO_BACKEND", "") if env is None else env).strip()
     if not name or name == "default":
@@ -162,19 +162,15 @@ def env_stamp() -> dict:
 
     The block benchmark result JSONs are stamped with, so measurements from
     different configurations are never compared.  ``num_workers`` is
-    *configuration* only when explicitly pinned via ``REPRO_NUM_WORKERS``
-    or when the active backend actually schedules on the pool; otherwise it
-    echoes a machine property and is recorded as ``None`` so same-machine
-    runs with different idle pool sizes still match.
+    *configuration* only when explicitly pinned via ``REPRO_NUM_WORKERS``;
+    otherwise it echoes a machine property and is recorded as ``None`` so
+    same-machine runs with different idle pool sizes still match.
     """
     from repro.backend.parallel import get_num_workers  # lazy: keeps registry leaf
 
-    backend = REGISTRY.resolve_name("conv2d", "default")
-    configured = backend == "threaded" or bool(
-        os.environ.get("REPRO_NUM_WORKERS", "").strip()
-    )
+    configured = bool(os.environ.get("REPRO_NUM_WORKERS", "").strip())
     return {
-        "backend": backend,
+        "backend": REGISTRY.resolve_name("conv2d", "default"),
         "num_workers": get_num_workers() if configured else None,
         "host_cpus": os.cpu_count() or 1,
     }

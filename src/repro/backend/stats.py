@@ -22,14 +22,12 @@ class KernelStats:
     quantity models the kernel's data-duplication traffic, not the
     allocator's behaviour.
 
-    **Threading contract.**  Kernels running on a single thread may bump
-    the fields directly (the ``numpy``/``reference`` backends do).  Any
-    concurrent mutation must go through the locked :meth:`record` /
-    :meth:`merge` / :meth:`reset` methods — in practice the ``threaded``
-    backend gives each pooled shard its own private ``KernelStats`` delta
-    and :meth:`merge`\\ s the deltas into the caller's object at join, so
-    totals stay exact (unlocked ``+=`` from worker threads would race and
-    lose updates).
+    **Threading contract.**  A kernel bumps the fields of the stats object
+    it was handed directly (the ``numpy``/``reference`` backends do).  A
+    stats object shared between threads (serving threads can share one)
+    must be mutated only through the locked :meth:`record` /
+    :meth:`reset` methods: unlocked ``+=`` from several threads would race
+    and lose updates.
     """
 
     bytes_materialized: int = 0      # temporary buffers (data duplication)
@@ -53,20 +51,6 @@ class KernelStats:
             self.gemm_calls += gemm_calls
             self.scatter_adds += scatter_adds
             self.conflicting_scatter_adds += conflicting_scatter_adds
-
-    def merge(self, other: "KernelStats") -> None:
-        """Fold another stats object's counts into this one (atomic here).
-
-        The per-worker-delta join of the ``threaded`` backend: workers
-        mutate only their private delta, so reading ``other`` unlocked is
-        safe by the time the coordinator merges.
-        """
-        self.record(
-            other.bytes_materialized,
-            other.gemm_calls,
-            other.scatter_adds,
-            other.conflicting_scatter_adds,
-        )
 
     def reset(self) -> None:
         with self._lock:

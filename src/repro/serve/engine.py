@@ -99,7 +99,7 @@ class ModelExecutor:
         bucket_sizes: tuple[int, ...] = (1, 2, 4, 8),
         name: str | None = None,
         degrade_after: int | None = None,
-        degrade_chain: tuple[str, ...] = ("threaded", "numpy"),
+        degrade_chain: tuple[str, ...] = ("numpy", "reference"),
     ) -> None:
         self.model = model.eval()
         self.name = name
@@ -116,7 +116,8 @@ class ModelExecutor:
         # non-poison kernel faults on one (shape, bucket) workload, demote
         # just that workload one step down `degrade_chain` (starting from
         # the resolved default backend).  Level 0 = no override, i.e. the
-        # bitwise-pinned default path.
+        # bitwise-pinned default path; ops a demoted backend lacks fall
+        # through to the default order.
         self.degrade_after = degrade_after
         self.degrade_chain = tuple(degrade_chain)
         self._ladder_lock = threading.Lock()

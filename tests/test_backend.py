@@ -43,7 +43,7 @@ def test_registry_has_reference_and_numpy_for_every_op():
 
     for op in CORE_OPS:
         assert op in REGISTRY.ops()
-        # Superset, not equality: additional backends (threaded, ...)
+        # Superset, not equality: additional backends
         # must be registrable without touching this test.
         assert {"numpy", "reference"} <= set(available_backends(op)), op
 
@@ -85,7 +85,7 @@ def test_env_stamp_shape():
     assert set(stamp) == {"backend", "num_workers", "host_cpus"}
     assert isinstance(stamp["backend"], str)
     assert stamp["host_cpus"] >= 1
-    # num_workers is configuration only when pinned/threaded; under the
+    # num_workers is configuration only when pinned; under the
     # default test env it must be None so same-machine runs with different
     # idle pool sizes still match (perfbench/compare.py refuses runs whose
     # stamps differ).

@@ -1,11 +1,10 @@
-"""The parallel worker pool, the ``threaded`` backend and backend selection.
+"""The parallel worker pool, backend selection and run-to-run bits.
 
-The ``threaded`` backend's contract is *bitwise* equality with ``numpy`` —
-its sharding only cuts along axes that preserve every reduction order — so
-these tests assert ``array_equal``, not ``allclose``, across all three SCC
-strategies, both conv paddings and both float dtypes, plus exact equality
-of the merged :class:`KernelStats` totals (the gpusim crosscheck depends on
-counters being backend-invariant).
+The pool runs the serving drains and gateway offloads; these tests pin its
+mechanics (ordering, owner propagation, nested-inline execution, resize
+and shutdown discipline, worker sizing), exact :class:`KernelStats` totals
+under concurrent ``record``, the ``REPRO_BACKEND`` selection rules, and
+that a model on the ``numpy`` backend gives the same bits from run to run.
 """
 import os
 import subprocess
@@ -17,21 +16,15 @@ import numpy as np
 import pytest
 
 from repro.backend import (
+    KernelRegistry,
     KernelStats,
-    available_backends,
-    conv2d_plan,
     env_backend_order,
-    get_kernel,
     get_num_workers,
     num_workers,
     parallel_map,
-    scc_plan,
     set_num_workers,
 )
-from repro.backend.parallel import shard_slices
 from repro.backend.workload import current_plan_owner, plan_owner
-from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import make_strategy
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -46,16 +39,6 @@ def _pool():
 # ---------------------------------------------------------------------------
 # Pool mechanics
 # ---------------------------------------------------------------------------
-
-def test_shard_slices_cover_and_balance():
-    for total, parts in [(10, 3), (4, 8), (1, 1), (7, 7), (16, 4)]:
-        slices = shard_slices(total, parts)
-        assert len(slices) == min(total, parts)
-        covered = [i for sl in slices for i in range(sl.start, sl.stop)]
-        assert covered == list(range(total))
-        sizes = [sl.stop - sl.start for sl in slices]
-        assert max(sizes) - min(sizes) <= 1
-
 
 def test_parallel_map_runs_on_pool_and_preserves_order():
     threads = parallel_map(lambda i: (i, threading.current_thread().name),
@@ -266,117 +249,8 @@ def test_kernel_stats_exact_totals_under_pool_hammer():
     assert stats.gemm_calls == 2 * rounds
     assert stats.scatter_adds == rounds
     assert stats.conflicting_scatter_adds == rounds
-
-
-def test_kernel_stats_merge_folds_deltas():
-    total, delta = KernelStats(), KernelStats()
-    delta.record(bytes_materialized=8, gemm_calls=1)
-    total.merge(delta)
-    total.merge(delta)
-    assert total.bytes_materialized == 16 and total.gemm_calls == 2
-    total.reset()
-    assert total.snapshot() == KernelStats()
-
-
-# ---------------------------------------------------------------------------
-# Threaded backend: bitwise equality with numpy
-# ---------------------------------------------------------------------------
-
-CONV_CASES = [
-    # (n, cin, hw, cout, kernel, stride, padding, groups)
-    (4, 8, 10, 12, 3, 1, 1, 1),     # standard conv, padded
-    (4, 8, 10, 12, 3, 1, 0, 1),     # standard conv, unpadded
-    (4, 8, 10, 16, 3, 2, 1, 2),     # grouped, strided
-    (3, 8, 9, 8, 3, 1, 1, 8),       # depthwise
-    (3, 8, 11, 16, 5, 2, 2, 8),     # depthwise, strided, multiplier 2
-]
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("case", CONV_CASES)
-def test_conv2d_threaded_bitwise_equals_numpy(case, dtype):
-    n, cin, hw, cout, kernel, stride, padding, groups = case
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((n, cin, hw, hw)).astype(dtype)
-    w = rng.standard_normal((cout, cin // groups, kernel, kernel)).astype(dtype)
-    plan = conv2d_plan(x.shape, w.shape, stride, padding, groups, x.dtype)
-    out_np, ctx_np = get_kernel("conv2d", "numpy")(plan, x, w)
-    out_th, ctx_th = get_kernel("conv2d", "threaded")(plan, x, w)
-    assert np.array_equal(out_np, out_th)
-    grad = rng.standard_normal(out_np.shape).astype(dtype)
-    gx_np, gw_np = get_kernel("conv2d_backward", "numpy")(plan, ctx_np, grad)
-    gx_th, gw_th = get_kernel("conv2d_backward", "threaded")(plan, ctx_th, grad)
-    assert np.array_equal(gx_np, gx_th)
-    assert np.array_equal(gw_np, gw_th)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("strategy,design", [
-    ("channel_stack", None),
-    ("conv_stack", None),
-    ("dsxplore", "input_centric"),
-    ("dsxplore", "output_centric"),
-])
-def test_scc_threaded_bitwise_equals_numpy_with_exact_stats(strategy, design, dtype):
-    cfg = SCCConfig(16, 32, 4, 0.25)   # cyclic_dist > 1: real p-sharding
-    plan = scc_plan(cfg)
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((5, cfg.in_channels, 6, 6)).astype(dtype)
-    w = rng.standard_normal((cfg.out_channels, cfg.group_width)).astype(dtype)
-    kwargs = {"backward_design": design} if design else {}
-
-    stats_np, stats_th = KernelStats(), KernelStats()
-    out_np, sv_np = get_kernel("scc_forward", "numpy")(
-        plan, x, w, strategy=strategy, stats=stats_np)
-    out_th, sv_th = get_kernel("scc_forward", "threaded")(
-        plan, x, w, strategy=strategy, stats=stats_th)
-    assert np.array_equal(out_np, out_th)
-
-    grad = rng.standard_normal(out_np.shape).astype(dtype)
-    gx_np, gw_np = get_kernel("scc_backward", "numpy")(
-        plan, sv_np, grad, strategy=strategy, stats=stats_np, **kwargs)
-    gx_th, gw_th = get_kernel("scc_backward", "threaded")(
-        plan, sv_th, grad, strategy=strategy, stats=stats_th, **kwargs)
-    assert np.array_equal(gx_np, gx_th)
-    assert np.array_equal(gw_np, gw_th)
-    # Counters are backend-invariant (the gpusim crosscheck relies on it).
-    assert stats_np.snapshot() == stats_th.snapshot()
-
-
-def test_strategy_instances_on_threaded_backend_match_numpy():
-    cfg = SCCConfig(8, 16, 2, 0.5)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((3, 8, 5, 5)).astype(np.float32)
-    w = rng.standard_normal((16, cfg.group_width)).astype(np.float32)
-    grad = rng.standard_normal((3, 16, 5, 5)).astype(np.float32)
-    for name in ("channel_stack", "conv_stack", "dsxplore"):
-        fast = make_strategy(name, cfg, backend="threaded")
-        base = make_strategy(name, cfg, backend="numpy")
-        assert np.array_equal(fast.forward(x, w), base.forward(x, w))
-        gx_t, gw_t = fast.backward(grad)
-        gx_n, gw_n = base.backward(grad)
-        assert np.array_equal(gx_t, gx_n) and np.array_equal(gw_t, gw_n)
-        assert fast.stats.snapshot() == base.stats.snapshot()
-
-
-def test_threaded_registered_for_every_core_op():
-    for op in ("conv2d", "conv2d_backward", "scc_forward", "scc_backward",
-               "maxpool2d", "maxpool2d_backward", "avgpool2d",
-               "avgpool2d_backward"):
-        assert "threaded" in available_backends(op), op
-
-
-def test_unknown_scc_strategy_rejected_on_threaded():
-    cfg = SCCConfig(8, 16, 2, 0.5)
-    plan = scc_plan(cfg)
-    x = np.zeros((1, 8, 2, 2), np.float32)
-    w = np.zeros((16, cfg.group_width), np.float32)
-    with pytest.raises(ValueError, match="unknown SCC strategy"):
-        get_kernel("scc_forward", "threaded")(plan, x, w, strategy="warp")
-    with pytest.raises(ValueError, match="backward_design"):
-        get_kernel("scc_backward", "threaded")(
-            plan, {"x": x, "w": w}, x, strategy="dsxplore",
-            backward_design="sideways")
+    stats.reset()
+    assert stats.snapshot() == KernelStats()
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +260,16 @@ def test_unknown_scc_strategy_rejected_on_threaded():
 def test_env_backend_order_prepends_and_falls_through():
     assert env_backend_order(env="") == ("numpy", "reference")
     assert env_backend_order(env="default") == ("numpy", "reference")
-    assert env_backend_order(env="threaded") == ("threaded", "numpy", "reference")
     assert env_backend_order(env="reference") == ("reference", "numpy")
     assert env_backend_order(env="numpy") == ("numpy", "reference")
+    # Resolution falls through per op: reference registers no conv2d_fused,
+    # so the prepended order still dispatches it to numpy.
+    reg = KernelRegistry(env_backend_order(env="reference"))
+    reg.register("conv2d", "numpy")(lambda: "np")
+    reg.register("conv2d", "reference")(lambda: "ref")
+    reg.register("conv2d_fused", "numpy")(lambda: "np-fused")
+    assert reg.resolve_name("conv2d") == "reference"
+    assert reg.resolve_name("conv2d_fused") == "numpy"
 
 
 def _resolve_in_subprocess(extra_env: dict) -> subprocess.CompletedProcess:
@@ -401,10 +282,10 @@ def _resolve_in_subprocess(extra_env: dict) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, cwd=REPO_ROOT)
 
 
-def test_repro_backend_env_selects_threaded():
-    proc = _resolve_in_subprocess({"REPRO_BACKEND": "threaded"})
+def test_repro_backend_env_selects_reference():
+    proc = _resolve_in_subprocess({"REPRO_BACKEND": "reference"})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "threaded"
+    assert proc.stdout.strip() == "reference"
 
 
 def test_repro_backend_unknown_name_fails_at_import():
@@ -417,19 +298,19 @@ def test_repro_backend_unknown_name_fails_at_import():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: model forward/backward pinned to the threaded backend
+# End-to-end: a numpy model forward/backward gives the same bits every run
 # ---------------------------------------------------------------------------
 
-def test_model_on_threaded_backend_bitwise_equals_numpy():
+def test_model_on_numpy_backend_is_bitwise_repeatable():
     from repro.models import build_model
     from repro.tensor import Tensor
     from repro.utils import seed_all
 
     outs, grads = [], []
-    for backend in ("numpy", "threaded"):
+    for _ in range(2):
         seed_all(11)
         model = build_model("mobilenet", scheme="scc", width_mult=0.25,
-                            backend=backend, rng=np.random.default_rng(13))
+                            backend="numpy", rng=np.random.default_rng(13))
         x = Tensor(np.random.default_rng(14).standard_normal(
             (4, 3, 16, 16)).astype(np.float32), requires_grad=True)
         out = model(x)

@@ -1,17 +1,15 @@
 """Dense and grouped conv2d, on generated geometries.
 
 Every non-depthwise conv forward runs the im2col GEMM of
-:func:`repro.backend.numpy_backend.im2col_gemm` (per schedule tile for
-dense convs, per group for grouped ones); the backward runs the einsum
-grad-weight and per-tap data-grad contractions.  The contracts under test,
+:func:`repro.backend.numpy_backend.im2col_gemm` (once for dense convs, per
+group for grouped ones); the backward runs the einsum grad-weight and
+per-tap data-grad contractions.  The contracts under test,
 over kernel 1/2/3/5, stride 1-3, padding 0-2, groups 1-4 with at least two
 input channels per group, batch 1-3, odd and even, square and non-square
 spatial sizes, float32/float64 and every gradient-request combination:
 
-- ``numpy`` is allclose to ``reference``;
-- ``threaded`` equals ``numpy`` bit for bit at 1, 2 and 4 workers, at
-  every forced input-channel tile (untiled, 1, 8) and at the schedule's
-  own tile;
+- ``numpy`` is allclose to ``reference``, and gives the same bits when
+  run again;
 - ``conv2d_fused`` equals ``conv2d`` followed by the composed epilogue
   stages, bit for bit;
 - a batch row computed alone equals the same row inside a larger batch,
@@ -21,19 +19,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import (
-    conv2d_fused_plan,
-    conv2d_plan,
-    get_kernel,
-    num_workers,
-    tile_override,
-)
+from repro.backend import conv2d_fused_plan, conv2d_plan, get_kernel
 from repro.backend.plan import EpilogueArgs, EpilogueSpec
 
 TOL = {np.float32: dict(rtol=1e-4, atol=1e-4), np.float64: dict(rtol=1e-10, atol=1e-10)}
-
-# ``None`` leaves the schedule table's tile in force; 0 forces untiled.
-K_TILES = (0, 1, 8, None)
 NEEDS = [(True, True), (True, False), (False, True), (False, False)]
 
 
@@ -50,7 +39,6 @@ def conv_cases(draw):
     return dict(
         n=draw(st.integers(1, 3)),
         groups=groups,
-        # Dense convs get enough channels for the forced tiles to split.
         cin_g=draw(st.integers(2, 20 if groups == 1 else 5)),
         cout_g=draw(st.integers(1, 6)),
         h=draw(size),
@@ -128,23 +116,19 @@ def _compose(out, ep):
 
 @settings(max_examples=50, deadline=None)
 @given(conv_cases())
-def test_conv_numpy_close_to_reference_and_threaded_bitwise(case):
+def test_conv_numpy_close_to_reference_and_repeatable(case):
     plan, x, w, grad = _setup(case)
     need = case["need"]
     ref = _run("reference", plan, x, w, grad, need)
-    for k_tile in K_TILES:
-        with tile_override(k_tile=k_tile), num_workers(1):
-            expected = _run("numpy", plan, x, w, grad, need)
-        for got, want in zip(expected, ref):
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got.dtype == want.dtype and got.shape == want.shape
-                np.testing.assert_allclose(got, want, **TOL[case["dtype"]])
-        for workers in (1, 2, 4):
-            with tile_override(k_tile=k_tile), num_workers(workers):
-                got = _run("threaded", plan, x, w, grad, need)
-            for a, b in zip(expected, got):
-                assert (a is None and b is None) or np.array_equal(a, b), (k_tile, workers)
+    expected = _run("numpy", plan, x, w, grad, need)
+    for got, want in zip(expected, ref):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, **TOL[case["dtype"]])
+    again = _run("numpy", plan, x, w, grad, need)
+    for a, b in zip(expected, again):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -154,11 +138,9 @@ def test_conv_fused_equals_composed_stages(case):
     spec = case["spec"]
     ep = _epilogue(spec, w.shape[0], case["dtype"], case["seed"])
     fplan = _fused_plan(plan, x.shape, spec)
-    for backend in ("numpy", "threaded"):
-        with num_workers(2):
-            out, _ = get_kernel("conv2d", backend)(plan, x, w)
-            fused = get_kernel("conv2d_fused", backend)(fplan, x, w, ep)
-        assert np.array_equal(fused, _compose(out, ep)), backend
+    out, _ = get_kernel("conv2d", "numpy")(plan, x, w)
+    fused = get_kernel("conv2d_fused", "numpy")(fplan, x, w, ep)
+    assert np.array_equal(fused, _compose(out, ep))
 
 
 @settings(max_examples=40, deadline=None)
@@ -170,21 +152,19 @@ def test_conv_batch_row_alone_equals_row_in_bucket(case):
     bucket = np.concatenate([x, x[::-1], x])       # the rows at other offsets
     bplan = conv2d_plan(bucket.shape, w.shape, plan.stride, plan.padding,
                         plan.groups, bucket.dtype)
-    for backend in ("numpy", "threaded"):
-        with num_workers(2):
-            full, _ = get_kernel("conv2d", backend)(bplan, bucket, w)
-            full_fused = get_kernel("conv2d_fused", backend)(
-                _fused_plan(plan, bucket.shape, spec), bucket, w, ep
-            )
-            for r in range(x.shape[0]):
-                row = x[r : r + 1]
-                alone, _ = get_kernel("conv2d", backend)(
-                    conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
-                                plan.groups, row.dtype),
-                    row, w,
-                )
-                alone_fused = get_kernel("conv2d_fused", backend)(
-                    _fused_plan(plan, row.shape, spec), row, w, ep
-                )
-                assert np.array_equal(alone[0], full[r]), backend
-                assert np.array_equal(alone_fused[0], full_fused[r]), backend
+    full, _ = get_kernel("conv2d", "numpy")(bplan, bucket, w)
+    full_fused = get_kernel("conv2d_fused", "numpy")(
+        _fused_plan(plan, bucket.shape, spec), bucket, w, ep
+    )
+    for r in range(x.shape[0]):
+        row = x[r : r + 1]
+        alone, _ = get_kernel("conv2d", "numpy")(
+            conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
+                        plan.groups, row.dtype),
+            row, w,
+        )
+        alone_fused = get_kernel("conv2d_fused", "numpy")(
+            _fused_plan(plan, row.shape, spec), row, w, ep
+        )
+        assert np.array_equal(alone[0], full[r])
+        assert np.array_equal(alone_fused[0], full_fused[r])

@@ -10,11 +10,9 @@ under test, over kernel 1/3/5, stride 1-3, padding 0-2, odd (and
 non-square) spatial sizes, batch 1 and up, channel multipliers 1-2,
 float32/float64 and every gradient-request combination:
 
-- ``threaded`` equals ``numpy`` bit for bit at 1, 2 and 4 workers, and the
-  shared block kernels give numpy's bits over *any* partition of the
-  groups (what lets the threaded backend shard them);
-- both are allclose to ``reference``; forward and grad-input are even
-  bit-identical to it (same per-element operation order);
+- ``numpy`` is allclose to ``reference``; forward and grad-input are even
+  bit-identical to it (same per-element operation order), and a second
+  run gives the same bits;
 - a batch row computed alone equals the same row inside a larger batch,
   for ``conv2d`` and ``conv2d_fused`` (serving's bitwise contract);
 - pinned stride-2 and stride-3 geometries whose phases hold different
@@ -26,11 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import conv2d_fused_plan, conv2d_plan, get_kernel, num_workers
+from repro.backend import conv2d_fused_plan, conv2d_plan, get_kernel
 from repro.backend.numpy_backend import (
     _fold_rows,
-    depthwise_bwd_block,
-    depthwise_fwd_block,
     stage_depthwise,
     unstage_depthwise,
 )
@@ -87,12 +83,11 @@ def _run(backend, plan, x, w, grad, need):
 
 @settings(max_examples=60, deadline=None)
 @given(depthwise_cases())
-def test_depthwise_threaded_bitwise_and_reference_close(case):
+def test_depthwise_numpy_close_to_reference_and_repeatable(case):
     plan, x, w, grad = _setup(case)
     need = case["need"]
     ref = _run("reference", plan, x, w, grad, need)
-    with num_workers(1):
-        expected = _run("numpy", plan, x, w, grad, need)
+    expected = _run("numpy", plan, x, w, grad, need)
     for got, want in zip(expected, ref):
         assert (got is None) == (want is None)
         if got is not None:
@@ -102,31 +97,9 @@ def test_depthwise_threaded_bitwise_and_reference_close(case):
     assert np.array_equal(expected[0], ref[0])
     if need[0]:
         assert np.array_equal(expected[1], ref[1])
-    for workers in (1, 2, 4):
-        with num_workers(workers):
-            got = _run("threaded", plan, x, w, grad, need)
-        for a, b in zip(expected, got):
-            assert (a is None and b is None) or np.array_equal(a, b), workers
-
-
-@settings(max_examples=30, deadline=None)
-@given(depthwise_cases(), st.data())
-def test_depthwise_blocks_give_numpy_bits_on_any_group_partition(case, data):
-    plan, x, w, grad = _setup(case)
-    out_np, ctx = get_kernel("conv2d", "numpy")(plan, x, w)
-    gx_np, gw_np = get_kernel("conv2d_backward", "numpy")(plan, ctx, grad)
-    groups = case["groups"]
-    cuts = sorted(data.draw(st.sets(st.integers(1, groups - 1))))
-    blocks = [slice(a, b) for a, b in zip([0] + cuts, cuts + [groups])]
-    out = np.empty_like(out_np)
-    gx = np.empty_like(gx_np)
-    gw = np.empty_like(gw_np)
-    for gsl in reversed(blocks):
-        depthwise_fwd_block(ctx["xs"], w, out, gsl, plan.stride)
-        depthwise_bwd_block(ctx["xs"], w, grad, gx, gw, gsl, plan.stride, plan.padding)
-    assert np.array_equal(out, out_np)
-    assert np.array_equal(gx, gx_np)
-    assert np.array_equal(gw, gw_np)
+    again = _run("numpy", plan, x, w, grad, need)
+    for a, b in zip(expected, again):
+        assert (a is None and b is None) or np.array_equal(a, b)
 
 
 def _epilogue(channels, dtype, rng):
@@ -152,28 +125,26 @@ def test_depthwise_batch_row_alone_equals_row_in_bucket(case):
     bucket = np.concatenate([x, x[::-1], x])       # the rows at other offsets
     bplan = conv2d_plan(bucket.shape, w.shape, plan.stride, plan.padding,
                         plan.groups, bucket.dtype)
-    for backend in ("numpy", "threaded"):
-        with num_workers(2):
-            full, _ = get_kernel("conv2d", backend)(bplan, bucket, w)
-            full_fused = get_kernel("conv2d_fused", backend)(
-                conv2d_fused_plan(bucket.shape, w.shape, plan.stride, plan.padding,
-                                  plan.groups, bucket.dtype, spec),
-                bucket, w, ep,
-            )
-            for r in range(x.shape[0]):
-                row = x[r : r + 1]
-                alone, _ = get_kernel("conv2d", backend)(
-                    conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
-                                plan.groups, row.dtype),
-                    row, w,
-                )
-                alone_fused = get_kernel("conv2d_fused", backend)(
-                    conv2d_fused_plan(row.shape, w.shape, plan.stride, plan.padding,
-                                      plan.groups, row.dtype, spec),
-                    row, w, ep,
-                )
-                assert np.array_equal(alone[0], full[r])
-                assert np.array_equal(alone_fused[0], full_fused[r])
+    full, _ = get_kernel("conv2d", "numpy")(bplan, bucket, w)
+    full_fused = get_kernel("conv2d_fused", "numpy")(
+        conv2d_fused_plan(bucket.shape, w.shape, plan.stride, plan.padding,
+                          plan.groups, bucket.dtype, spec),
+        bucket, w, ep,
+    )
+    for r in range(x.shape[0]):
+        row = x[r : r + 1]
+        alone, _ = get_kernel("conv2d", "numpy")(
+            conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
+                        plan.groups, row.dtype),
+            row, w,
+        )
+        alone_fused = get_kernel("conv2d_fused", "numpy")(
+            conv2d_fused_plan(row.shape, w.shape, plan.stride, plan.padding,
+                              plan.groups, row.dtype, spec),
+            row, w, ep,
+        )
+        assert np.array_equal(alone[0], full[r])
+        assert np.array_equal(alone_fused[0], full_fused[r])
 
 
 def test_depthwise_batch_chunking_changes_no_forward_or_grad_input_bit(monkeypatch):
@@ -287,10 +258,3 @@ def test_phased_depthwise_bits_and_staged_backward(
     ctx2 = {"xs": ctx["xs"] * 2, "w": ctx["w"]}
     gx2, gw2 = get_kernel("conv2d_backward", "numpy")(plan, ctx2, grad)
     assert np.array_equal(gw2, gw * 2) and np.array_equal(gx2, gx)
-
-    monkeypatch.undo()
-    for workers in (1, 2):
-        with num_workers(workers):
-            got = _run("threaded", plan, x, w_, grad, (True, True))
-        for a, b in zip((out, gx, gw), got):
-            assert np.array_equal(a, b), workers

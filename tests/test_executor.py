@@ -2,7 +2,10 @@
 
 The contract under test is the one ``repro.backend.parallel`` promises:
 ``parallel_map`` / ``submit_pooled`` produce **bitwise-identical** results
-at every worker count and keep region results in order.
+at every worker count and keep region results in order.  The pooled
+workloads are numpy conv, depthwise and SCC forward+backward passes run
+concurrently, so they also exercise the process-wide plans and the
+thread-local ``SCCPlan.w_full`` scratch from several threads at once.
 """
 import concurrent.futures
 
@@ -19,48 +22,61 @@ def _seed():
     seed_all(23)
 
 
-def _conv_workload(backend="threaded"):
-    """One conv forward+backward on the pooled (threaded) backend."""
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((4, 8, 12, 12)).astype(np.float32)
-    w = rng.standard_normal((16, 8, 3, 3)).astype(np.float32)
+def _conv(seed, x_shape, w_shape, stride, padding, groups):
+    """One numpy conv forward+backward on seeded operands."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(x_shape).astype(np.float32)
+    w = rng.standard_normal(w_shape).astype(np.float32)
     fn = Conv2d()
     fn.needs_input_grad = (True, True)
-    out = fn.forward(x, w, 1, 1, 1, backend=backend)
+    out = fn.forward(x, w, stride, padding, groups, backend="numpy")
     gx, gw = fn.backward(np.ones_like(out))
     return out, gx, gw
 
 
-def _scc_workload():
-    """One SCC strategy forward+backward (pull GEMM exercises the pool)."""
+def _conv_workload(seed):
+    return _conv(seed, (4, 8, 12, 12), (16, 8, 3, 3), 1, 1, 1)
+
+
+def _depthwise_workload(seed):
+    return _conv(seed, (4, 8, 11, 11), (16, 1, 3, 3), 2, 1, 8)
+
+
+def _scc_workload(seed):
+    """One SCC strategy forward+backward.  Its input-centric pull GEMM
+    fills the plan's thread-local ``w_full`` scratch; every seed has its
+    own weights, so a scratch shared between threads would mix them."""
     from repro.core.channel_map import SCCConfig
     from repro.core.scc_kernels import Dsxplore
 
-    cfg = SCCConfig(in_channels=16, out_channels=16, cg=4, co=0.5)
+    cfg = SCCConfig(in_channels=64, out_channels=128, cg=4, co=0.5)
     layer = Dsxplore(cfg)
-    rng = np.random.default_rng(11)
-    x = rng.standard_normal((2, 16, 6, 6)).astype(np.float32)
-    w = rng.standard_normal((16, cfg.group_width)).astype(np.float32)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((4, 64, 16, 16)).astype(np.float32)
+    w = rng.standard_normal((128, cfg.group_width)).astype(np.float32)
     out = layer.forward(x, w)
     gx, gw = layer.backward(np.ones_like(out))
     return out, gx, gw
 
 
 # ---------------------------------------------------------------------------
-# Pooled == serial, bitwise, at 2 and 4 workers
+# Concurrent runs on the pool == serial runs, bitwise, at 1, 2 and 4 workers
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("workers", [2, 4])
-@pytest.mark.parametrize("workload", [_conv_workload, _scc_workload])
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize(
+    "workload", [_conv_workload, _depthwise_workload, _scc_workload]
+)
 def test_pooled_bitwise_identical_to_one_worker(workload, workers):
-    with num_workers(1):
-        serial = workload()
+    seeds = range(4 * workers + 4)
+    serial = [workload(seed) for seed in seeds]
     with num_workers(workers):
-        pooled = workload()
-    for ref, got in zip(serial, pooled):
-        np.testing.assert_array_equal(
-            ref, got, err_msg=f"pool diverged at {workers} workers"
-        )
+        pooled = parallel_map(workload, seeds, op="pooled-workload")
+    for seed, want, got in zip(seeds, serial, pooled):
+        for ref, arr in zip(want, got):
+            np.testing.assert_array_equal(
+                ref, arr, err_msg=f"seed {seed} diverged at {workers} workers"
+            )
 
 
 def test_parallel_map_results_ordered():

@@ -15,7 +15,13 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.backend import ShardError, backend_override, parallel_map, submit_pooled
+from repro.backend import (
+    REGISTRY,
+    ShardError,
+    backend_override,
+    parallel_map,
+    submit_pooled,
+)
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -118,7 +124,7 @@ def test_spec_filters_by_model_and_backend():
                      backends=("numpy",))
     inj = FaultInjector([spec])
     inj.check("kernel", model="healthy", backend="numpy")   # wrong model
-    inj.check("kernel", model="broken", backend="threaded")  # wrong backend
+    inj.check("kernel", model="broken", backend="reference")  # wrong backend
     with pytest.raises(InjectedFault):
         inj.check("kernel", model="broken", backend="numpy")
 
@@ -280,14 +286,13 @@ def test_retry_exhaustion_without_isolation_fails_whole_batch():
 
 def test_repeated_kernel_faults_demote_workload_and_recover():
     # "numpy is broken": faults fire only while the resolved backend is
-    # numpy, so demoting the workload to the threaded backend (bitwise
-    # numpy sharded on the pool) makes them stop — observable recovery.
-    # The executors start on numpy whatever REPRO_BACKEND says, so the
-    # backend filter below matches before the demotion.
+    # numpy, so demoting the workload one step down the default chain, to
+    # reference, makes them stop — observable recovery.  The executors
+    # start on numpy whatever REPRO_BACKEND says, so the backend filter
+    # below matches before the demotion.
     with backend_override("numpy"):
         executor = ModelExecutor(
-            _model(), input_shapes=[INPUT], bucket_sizes=(2,),
-            degrade_after=2, degrade_chain=("numpy", "threaded"),
+            _model(), input_shapes=[INPUT], bucket_sizes=(2,), degrade_after=2,
         )
         inj = FaultInjector([FaultSpec(site="kernel", rate=1.0,
                                        backends=("numpy",))])
@@ -302,15 +307,36 @@ def test_repeated_kernel_faults_demote_workload_and_recover():
                 assert errors
             events = executor.degraded()
             assert len(events) == 1
-            assert events[0]["backend"] == "threaded"
+            assert events[0]["backend"] == "reference"
             assert events[0]["bucket"] == 2
-            # Demoted: the backend filter no longer matches, batches succeed —
-            # and bitwise-identically (threaded shards the same numpy kernels).
+            # Demoted: the backend filter no longer matches, batches succeed
+            # on the reference kernels, allclose to the clean numpy rows.
             rows, errors, _, _ = executor.run_resilient(
                 images, 2, clock=clock, sleep=sleep)
             assert not errors
     for row, clean_row in zip(rows, clean_rows):
-        np.testing.assert_array_equal(row, clean_row)
+        np.testing.assert_allclose(row, clean_row, rtol=1e-4, atol=1e-5)
+
+
+def test_default_chain_demotes_off_the_default_backend():
+    # ServingPolicy(degrade_after=K) must be able to demote in a default
+    # process: the executor's default chain has to start at the default
+    # backend and have a step below it.
+    if REGISTRY.resolve_name("conv2d", "default") != "numpy":
+        pytest.skip("REPRO_BACKEND moved the default off numpy")
+    executor = ModelExecutor(_model(), input_shapes=[INPUT], bucket_sizes=(2,),
+                             degrade_after=2)
+    inj = FaultInjector([FaultSpec(site="kernel", rate=1.0, backends=("numpy",))])
+    images = _images(2, seed=8)
+    clock, sleep, _ = _virtual_time()
+    failed = []
+    with use_faults(inj):
+        for _ in range(4):
+            _, errors, _, _ = executor.run_resilient(
+                images, 2, clock=clock, sleep=sleep, isolate=False)
+            failed.append(len(errors))
+    assert failed == [2, 2, 0, 0]
+    assert [e["backend"] for e in executor.degraded()] == ["reference"]
 
 
 # ---------------------------------------------------------------------------

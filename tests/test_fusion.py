@@ -5,8 +5,7 @@ into the producing kernel's staged epilogue.  The contract under test:
 
 - fused output == unfused output **bitwise** — the epilogue replays the
   exact elementwise op sequence the module stack composes, for Conv2d and
-  SCC layers, with and without BN, for both activations, on both the
-  ``numpy`` and ``threaded`` backends;
+  SCC layers, with and without BN, for both activations;
 - the fused fast path engages only under no-grad eval execution; under
   autograd (or on a backend without a fused kernel) the layer composes
   the same stages as Tensor ops and still matches bitwise;
@@ -52,7 +51,7 @@ def _assert_fuse_bitwise(model: nn.Module, x: np.ndarray, expect_fused: int):
 # Fused == unfused, bitwise, across stage combinations and backends
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["numpy", "threaded"])
+@pytest.mark.parametrize("backend", ["numpy", "reference"])
 def test_conv_bn_relu_fuses_bitwise(backend):
     rng = np.random.default_rng(0)
     model = nn.Sequential(

@@ -262,30 +262,6 @@ def test_gateway_soak_every_submission_is_accounted_for():
     asyncio.run(main())
 
 
-def test_gateway_runs_with_threaded_kernel_backend_without_deadlock():
-    # The batch executor runs *on* the shared pool; a model forward that
-    # itself reaches parallel_map (threaded backend) must run inline on its
-    # worker rather than re-submitting — submit_pooled marks the task, so
-    # pool starvation cannot deadlock the gateway.
-    from repro.backend import num_workers
-
-    async def main():
-        gw = AsyncGateway(ServingPolicy(bucket_sizes=(2,), max_latency=0.005,
-                                        adaptive_buckets=True,
-                                        shed_policy="deadline"))
-        gw.register("m", _model(), input_shapes=[INPUT])
-        results = await asyncio.gather(
-            *[gw.submit("m", im, budget=30.0) for im in _images(4, seed=9)]
-        )
-        await gw.stop()
-        return results
-
-    with num_workers(2):
-        results = asyncio.run(main())
-    assert len(results) == 4
-    assert all(r.output.shape == (10,) for r in results)
-
-
 # ---------------------------------------------------------------------------
 # Metrics: one stats record shared with the sync transports
 # ---------------------------------------------------------------------------
