@@ -154,14 +154,22 @@ class BatchNorm2d(Function):
     the ReLU after it when ``relu`` is set.
 
     One node rather than composed mean/var ops, because BN sits after every
-    convolution.  Both passes work on the ``(N, C, H*W)`` view and reduce
-    with BLAS matvecs (:func:`_channel_sums`).  Forward centres the input,
-    takes the variance of the centred values, then scales, shifts and (with
-    ``relu``) clamps one output buffer in place; it saves the centred values
-    and, with ``relu``, the output, whose positive cells are the ReLU's
-    mask.  Backward masks the incoming gradient, takes its two sums
+    convolution.  Both passes reduce over the ``(N, C, H*W)`` view with
+    BLAS matvecs (:func:`_channel_sums`) and do their elementwise work on
+    the flat ``(N, C*H*W)`` rows, each per-channel vector expanded once
+    with ``np.repeat``: on 4x4 and 2x2 maps a per-channel broadcast would
+    run numpy's inner loop over 16 or 4 values.  Forward centres the input
+    into the output buffer, takes the variance of the centred values, then
+    scales, shifts and (with ``relu``) clamps that buffer in place.  It
+    saves the input, which the graph holds anyway, and the batch mean, not
+    a centred copy: a centred copy per layer held from forward to backward
+    made the allocator fault about 2300 fresh pages back in on every step
+    of the MobileNet training loop.  With ``relu`` it also saves the output,
+    whose positive cells are the ReLU's mask.  Backward centres the input
+    again (the same bits), masks the incoming gradient, takes its two sums
     (``grad_beta`` and the dot with the centred values, which gives
-    ``grad_gamma``) and reuses both in ``grad_x``.  Arithmetic stays in the
+    ``grad_gamma``) and turns the centred buffer into ``grad_x`` in place,
+    reusing both sums.  Arithmetic stays in the
     input's dtype except on reductions of fewer than ``_F64_BELOW_M``
     values per channel, which run in float64 and round once at the end.
     ``batch_mean`` / ``batch_var`` (biased) are left on the node for the
@@ -180,36 +188,41 @@ class BatchNorm2d(Function):
         m = x.size // max(c, 1)
         work = x.dtype if m >= _F64_BELOW_M else np.float64
         xv = x.reshape(n, c, -1).astype(work, copy=False)
+        length = xv.shape[2]
         mean = _channel_sums(xv) / m
-        centred = xv - mean[:, None]
-        var = _channel_dots(centred, centred) / m
+        out = xv.reshape(n, -1) - np.repeat(mean, length)     # centred, for now
+        c3 = out.reshape(xv.shape)
+        var = _channel_dots(c3, c3) / m
         inv_std = 1.0 / np.sqrt(var + eps)
-        out = centred * (gamma * inv_std).astype(work, copy=False)[:, None]
-        out += beta.astype(work, copy=False)[:, None]
+        out *= np.repeat((gamma * inv_std).astype(work, copy=False), length)
+        out += np.repeat(beta.astype(work, copy=False), length)
         if relu:
             np.maximum(out, 0, out=out)
         out = out.astype(x.dtype, copy=False)
-        self.save_for_backward(centred, inv_std, gamma, out if relu else None)
+        self.save_for_backward(xv, mean, inv_std, gamma, out if relu else None)
         self.batch_mean = mean
         self.batch_var = var
         return out.reshape(x.shape)
 
     def backward(self, grad: np.ndarray):
-        centred, inv_std, gamma, out = self.saved
-        n, c = grad.shape[:2]
-        m = grad.size // max(c, 1)
-        gv = grad.reshape(n, c, -1)
+        xv, mean, inv_std, gamma, out = self.saved
+        n, c, length = xv.shape
+        m = n * length
+        centred = xv.reshape(n, -1) - np.repeat(mean, length)
+        gv = grad.reshape(n, -1)
         if out is not None:
             gv = gv * (out > 0)
         gv = gv.astype(centred.dtype, copy=False)
-        grad_beta = _channel_sums(gv)
-        dot = _channel_dots(gv, centred)
+        g3 = gv.reshape(xv.shape)
+        grad_beta = _channel_sums(g3)
+        dot = _channel_dots(g3, centred.reshape(xv.shape))
         # grad_x = gamma * inv_std * (grad - grad_beta / m - xhat * grad_gamma / m)
         # with xhat = centred * inv_std and grad_gamma = dot * inv_std.
-        grad_x = centred * (inv_std * inv_std * dot / m)[:, None]
-        grad_x += (grad_beta / m)[:, None]
+        grad_x = centred
+        grad_x *= np.repeat(inv_std * inv_std * dot / m, length)
+        grad_x += np.repeat(grad_beta / m, length)
         np.subtract(gv, grad_x, out=grad_x)
-        grad_x *= (gamma * inv_std).astype(grad_x.dtype, copy=False)[:, None]
+        grad_x *= np.repeat((gamma * inv_std).astype(grad_x.dtype, copy=False), length)
         results = [grad_x.astype(grad.dtype, copy=False).reshape(grad.shape)]
         if len(self.needs_input_grad) > 1:
             results.append((dot * inv_std).astype(grad.dtype, copy=False))

@@ -6,7 +6,9 @@ spatial sizes (including one value per channel, ``m == 1``), 1-9 channels
 and float32/float64 inputs; ``nn.BatchNorm2d`` keeps PyTorch's running
 statistics (unbiased running variance); and the BatchNorm+ReLU node that
 ``nn.bn_act`` runs in training matches BatchNorm followed by a separate
-ReLU: output, all three gradients and the running statistics.
+ReLU: output, all three gradients and the running statistics.  The node's
+per-element arithmetic, which runs on flat ``(N, C*H*W)`` rows, gives the
+bits of the same formulas broadcast per channel over ``(N, C, H*W)``.
 """
 import numpy as np
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import nn
 from repro.tensor import Tensor
-from repro.tensor.conv_ops import BatchNorm2d
+from repro.tensor.conv_ops import _F64_BELOW_M, BatchNorm2d, _channel_dots, _channel_sums
 
 TOL = {np.float32: dict(rtol=2e-4, atol=2e-4), np.float64: dict(rtol=1e-9, atol=1e-9)}
 
@@ -158,3 +160,64 @@ def test_bn_act_composes_outside_training_or_with_hooks():
     handle.remove()
     bn.eval()
     np.testing.assert_array_equal(nn.bn_act(bn, act, x).data, act(bn(x)).data)
+
+
+def broadcast_bn(x, gamma, beta, grad, relu, eps=1e-5):
+    """The node's formulas with each per-channel vector broadcast as
+    ``[:, None]`` over the ``(N, C, L)`` view: output, grad_x, grad_gamma,
+    grad_beta, batch mean and batch variance."""
+    n, c = x.shape[:2]
+    m = x.size // c
+    work = x.dtype if m >= _F64_BELOW_M else np.float64
+    xv = x.reshape(n, c, -1).astype(work, copy=False)
+    mean = _channel_sums(xv) / m
+    centred = xv - mean[:, None]
+    var = _channel_dots(centred, centred) / m
+    inv_std = 1.0 / np.sqrt(var + eps)
+    out = centred * (gamma * inv_std).astype(work, copy=False)[:, None]
+    out += beta.astype(work, copy=False)[:, None]
+    if relu:
+        np.maximum(out, 0, out=out)
+    out = out.astype(x.dtype, copy=False)
+    gv = grad.reshape(n, c, -1)
+    if relu:
+        gv = gv * (out > 0)
+    gv = gv.astype(work, copy=False)
+    grad_beta = _channel_sums(gv)
+    dot = _channel_dots(gv, centred)
+    grad_x = centred * (inv_std * inv_std * dot / m)[:, None]
+    grad_x += (grad_beta / m)[:, None]
+    np.subtract(gv, grad_x, out=grad_x)
+    grad_x *= (gamma * inv_std).astype(work, copy=False)[:, None]
+    return (out.reshape(x.shape), grad_x.astype(x.dtype, copy=False).reshape(x.shape),
+            (dot * inv_std).astype(x.dtype, copy=False),
+            grad_beta.astype(x.dtype, copy=False), mean, var)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    c=st.integers(1, 6),
+    side=st.sampled_from([1, 2, 4, 8, 32]),          # L = 1, 4, 16, 64, 1024
+    dtype=st.sampled_from([np.float32, np.float64]),
+    relu=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(n=3, c=4, side=2, dtype=np.float32, relu=True, seed=1)    # m < _F64_BELOW_M
+@example(n=2, c=5, side=1, dtype=np.float64, relu=False, seed=2)
+@example(n=4, c=3, side=32, dtype=np.float32, relu=True, seed=3)
+def test_bn_node_bits_equal_per_channel_broadcast(n, c, side, dtype, relu, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n, c, side, side)
+    x = (rng.standard_normal(shape) * 3 + rng.standard_normal(c)[:, None, None]).astype(dtype)
+    gamma = rng.standard_normal(c).astype(dtype)
+    beta = rng.standard_normal(c).astype(dtype)
+    grad = rng.standard_normal(shape).astype(dtype)
+
+    fn = BatchNorm2d()
+    out = fn.forward(x, gamma, beta, relu=relu)
+    fn.needs_input_grad = (True, True, True)
+    got = (out, *fn.backward(grad), fn.batch_mean, fn.batch_var)
+    for a, b in zip(got, broadcast_bn(x, gamma, beta, grad, relu)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
