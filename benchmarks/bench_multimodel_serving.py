@@ -17,30 +17,16 @@ Reported:
   traffic-weighted victim selection reduced to pure LRU
   (``eviction_candidates=1``), measuring whether the weighting protects
   the hot model from the cold models' churn (the verdict printed under
-  the table is computed from its rows);
-- a cross-model batch-overlap section: the measured wall time of draining
-  the three models' batches on one worker vs on the shared pool, where
-  the per-model execution chains may overlap (a model still serialises
-  its own batches on its executor's ``exec_lock``).
+  the table is computed from its rows).
 
-The cache/hit-rate sections run under ``num_workers(1)``: the router's
-drain is then strictly serial in its scheduling core's order, synchronous
-and seeded, so every count (hits, misses, evictions, hit rates) stays
-deterministic and machine-independent.  A wider pool would overlap the
-models' batches and interleave their cache-access order, trading that
-determinism away.
+The router's drain is serial in its scheduling core's order, synchronous
+and seeded, so every count (hits, misses, evictions, hit rates) is
+deterministic and machine-independent.
 """
-import time
-
 import numpy as np
 
 from common import emit, full_mode
-from repro.backend import (
-    PLAN_CACHE,
-    clear_plan_cache,
-    num_workers,
-    plan_cache_stats,
-)
+from repro.backend import PLAN_CACHE, clear_plan_cache, plan_cache_stats
 from repro.serve import Router, ServingPolicy
 from repro.utils import format_table, seed_all
 
@@ -55,8 +41,6 @@ MODELS = (
 TRAFFIC = {"mnet-hot": 0.70, "mnet-warm": 0.20, "res-cold": 0.10}
 CAPACITY_FRACTION = 0.6    # gate point: cache capacity / runtime working set
 CONTENDED_FRACTION = 0.4   # ablation point: hot model's plans reach the LRU tail
-
-OVERLAP_WORKERS = 4        # pool size of the shared-pool drain
 
 
 def _build_router() -> Router:
@@ -136,47 +120,6 @@ def _ablation_verdict(weighted: dict, pure_lru: dict) -> str:
     )
 
 
-def _measure_overlap(router: Router) -> dict:
-    """Serial vs shared-pool drain of three concurrent models' batches.
-
-    Arrivals come in rounds of ``per_round`` per model (below the largest
-    bucket, so nothing executes inline at submit time); each ``flush`` then
-    drains one batch per model.  Both drains are measured wall times
-    (``env.host_cpus`` says whether the pooled one can move on this host).
-    """
-    per_round = 4
-    rounds = 16 if full_mode() else 10
-    rng = np.random.default_rng(23)
-    names = list(router.models())
-    images = [
-        [rng.standard_normal(INPUT).astype(np.float32) for _ in range(per_round)]
-        for _ in range(rounds)
-    ]
-    def drive(workers: int) -> float:
-        wall = 0.0
-        with num_workers(workers):
-            for r in range(rounds):
-                for name in names:
-                    for image in images[r]:
-                        router.submit(name, image)
-                start = time.perf_counter()
-                router.flush()
-                wall += time.perf_counter() - start
-        return wall
-
-    drive(1)  # warm every (shape, bucket) plan + buffers
-    serial_wall = drive(1)
-    overlap_wall = drive(OVERLAP_WORKERS)
-    return {
-        "rounds": rounds,
-        "requests_per_model": per_round * rounds,
-        "workers": OVERLAP_WORKERS,
-        "serial_wall_ms": round(serial_wall * 1e3, 3),
-        "overlap_wall_ms": round(overlap_wall * 1e3, 3),
-        "overlap_speedup_measured": round(serial_wall / overlap_wall, 3),
-    }
-
-
 def report_multimodel_serving():
     num_requests = 600 if full_mode() else 240
     old_maxsize = PLAN_CACHE.maxsize
@@ -186,23 +129,18 @@ def report_multimodel_serving():
         router = _build_router()
         stream = _stream(num_requests)
 
-        with num_workers(1):   # serial drain: deterministic cache counters
-            gate = _measure(router, stream, CAPACITY_FRACTION, old_maxsize)
-            metrics = gate["metrics"]
-            working_set, maxsize = gate["working_set"], gate["maxsize"]
+        gate = _measure(router, stream, CAPACITY_FRACTION, old_maxsize)
+        metrics = gate["metrics"]
+        working_set, maxsize = gate["working_set"], gate["maxsize"]
 
-            # Eviction-policy ablation at tighter capacity, where the hot
-            # model's plans do drift to the LRU tail between its batches:
-            # the same stream under traffic-weighted vs pure-LRU victims.
-            contended = _measure(router, stream, CONTENDED_FRACTION, old_maxsize)
-            PLAN_CACHE.eviction_candidates = 1
-            contended_lru = _measure(router, stream, CONTENDED_FRACTION,
-                                     old_maxsize)
-            PLAN_CACHE.eviction_candidates = old_candidates
-
-        # Cross-model batch overlap (after the count-gated sections: its
-        # extra traffic must not perturb their deterministic counters).
-        overlap = _measure_overlap(router)
+        # Eviction-policy ablation at tighter capacity, where the hot
+        # model's plans do drift to the LRU tail between its batches:
+        # the same stream under traffic-weighted vs pure-LRU victims.
+        contended = _measure(router, stream, CONTENDED_FRACTION, old_maxsize)
+        PLAN_CACHE.eviction_candidates = 1
+        contended_lru = _measure(router, stream, CONTENDED_FRACTION,
+                                 old_maxsize)
+        PLAN_CACHE.eviction_candidates = old_candidates
 
         counts = {name: sum(1 for n, _ in stream if n == name) for name in TRAFFIC}
         rows = []
@@ -254,22 +192,7 @@ def report_multimodel_serving():
              for r in ablation_rows],
             title=f"Eviction ablation at {CONTENDED_FRACTION:.0%} capacity",
         )
-        table += "\n" + _ablation_verdict(*ablation_rows) + "\n\n"
-        table += format_table(
-            ["Drain", "wall (ms)", "speedup"],
-            [["serial (one worker)", f"{overlap['serial_wall_ms']:.1f}",
-              "1.00"],
-             [f"shared pool ({overlap['workers']} workers)",
-              f"{overlap['overlap_wall_ms']:.1f}",
-              f"{overlap['overlap_speedup_measured']:.2f}"]],
-            title="Cross-model batch overlap — 3 models' chains, "
-                  f"{overlap['requests_per_model']} requests/model in "
-                  f"{overlap['rounds']} rounds",
-        )
-        table += (
-            "\nBoth drains are measured wall times; the pooled one only moves"
-            "\nwith enough unloaded host cores (see env.host_cpus in the JSON)."
-        )
+        table += "\n" + _ablation_verdict(*ablation_rows)
         data = {
             "num_requests": num_requests,
             "working_set": working_set,
@@ -280,7 +203,6 @@ def report_multimodel_serving():
             "lost_requests": gate["lost"] + contended["lost"] + contended_lru["lost"],
             "rows": rows,
             "eviction_ablation": ablation_rows,
-            "overlap": overlap,
             "cache": plan_cache_stats(),
         }
         return emit("multimodel_serving", table, data=data), data

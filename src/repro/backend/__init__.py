@@ -58,6 +58,12 @@ Model plans (``repro.backend.model_plan``)
     warm.  ``build_model(..., plan_input_shape=...)`` attaches one; the
     trainer and the :mod:`repro.serve` front-end consume them.
 
+Worker pool (``repro.backend.parallel``)
+    Every kernel is serial.  :func:`submit_pooled` offloads one task to a
+    shared thread pool sized once from ``REPRO_NUM_WORKERS`` (else the
+    usable CPU count, :func:`get_num_workers`); the async serving gateway
+    is its one consumer.
+
 Typical use::
 
     from repro.backend import get_kernel, conv2d_plan
@@ -105,12 +111,8 @@ from repro.backend.plan import (
     scc_plan,
 )
 from repro.backend.parallel import (
-    ShardError,
     default_num_workers,
     get_num_workers,
-    num_workers,
-    parallel_map,
-    set_num_workers,
     submit_pooled,
 )
 from repro.backend.registry import env_backend_order
@@ -135,12 +137,8 @@ __all__ = [
     "env_stamp",
     "get_kernel",
     "register_kernel",
-    "ShardError",
     "default_num_workers",
     "get_num_workers",
-    "num_workers",
-    "parallel_map",
-    "set_num_workers",
     "submit_pooled",
     "KernelStats",
     "scc_conflict_fraction",

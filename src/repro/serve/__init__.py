@@ -15,11 +15,12 @@ latency and throughput.  The tier is three layers:
   and :class:`Router` (many models, DRR order between them, shared plan
   cache with owner-tagged accounting and traffic-weighted eviction), and
   the asyncio :class:`AsyncGateway` (``await``-able submit, per-request
-  latency budgets, shed surfaced as exceptions) over the same core; all
-  run batches on the shared worker pool through the same
-  :class:`ModelExecutor` batch engine (:mod:`repro.serve.engine`) — which
-  is what makes their outputs bitwise-identical at a fixed bucket size —
-  and fold completions into the same per-model ``ModelRuntime`` record;
+  latency budgets, shed surfaced as exceptions) over the same core; the
+  sync transports run batches serially, the gateway on the shared worker
+  pool, all through the same :class:`ModelExecutor` batch engine
+  (:mod:`repro.serve.engine`) — which is what makes their outputs
+  bitwise-identical at a fixed bucket size — and fold completions into
+  the same per-model ``ModelRuntime`` record;
 - **observability** — :class:`ServingMetrics` / :class:`RouterMetrics`
   with the queue-wait vs exec-time latency split, deadline-miss rate,
   shed-by-deadline counts and the live adaptive bucket target;

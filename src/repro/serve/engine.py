@@ -65,8 +65,7 @@ class BatchTiming:
     ``started``/``finished`` are readings of the *injected* clock (the
     transport's time base — comparable to request ``arrived_at`` and
     deadlines); ``exec_seconds`` is the stage+forward wall time on the real
-    clock regardless of any test clock (the multi-model overlap model and
-    the gpusim calibration consume it).
+    clock regardless of any test clock (the busy-time metrics consume it).
     """
 
     __slots__ = ("started", "finished", "exec_seconds")
@@ -88,8 +87,7 @@ class ModelExecutor:
 
     The executor serialises its own batches on ``exec_lock`` — the staged
     plan buffers are shared per (shape, bucket) — while different
-    executors' batches may overlap freely (the router/gateway rely on
-    that).
+    executors' batches may overlap freely (the gateway relies on that).
     """
 
     def __init__(

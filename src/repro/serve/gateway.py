@@ -10,13 +10,15 @@ when the request is shed (:class:`~repro.serve.server.QueueFull`,
 All scheduling state lives in one :class:`~repro.serve.sched.SchedCore`
 touched **only from the event loop** — no locks in the policy path.  Batch
 execution runs on the shared worker pool
-(:func:`repro.backend.parallel.submit_pooled`) while the loop awaits the
+(:func:`repro.backend.parallel.submit_pooled`, sized once from
+``REPRO_NUM_WORKERS`` or the affinity mask) while the loop awaits the
 wrapped future, at most ``get_num_workers()`` batches at once, each started
-as soon as a slot frees; each model serialises its own batches on an asyncio
-lock here and the executor's thread lock below.  Completions fold into the same
-per-model :class:`~repro.serve.server.ModelRuntime` record the sync
-transports use, so ``metrics()`` means the same thing everywhere, and the
-same :class:`~repro.serve.engine.ModelExecutor` makes outputs at a fixed
+as soon as a slot frees — the one transport whose batches run concurrently
+(the sync transports drain serially); each model serialises its own batches
+on an asyncio lock here and the executor's thread lock below.  Completions
+fold into the same per-model :class:`~repro.serve.server.ModelRuntime`
+record the sync transports use, so ``metrics()`` means the same thing
+everywhere, and the same :class:`~repro.serve.engine.ModelExecutor` makes outputs at a fixed
 bucket bit-identical to the sync transports' and to per-request inference.
 """
 from __future__ import annotations

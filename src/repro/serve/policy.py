@@ -12,8 +12,9 @@ declared and validated once, here, and every transport takes a policy::
 
 What is not a knob: retention bounds are the module constants
 :data:`repro.serve.server.RESULT_CAPACITY` / ``METRICS_WINDOW``, and how
-many batches run at once follows the worker-pool size
-(:func:`repro.backend.get_num_workers`).
+many batches run at once is fixed per transport: one on the sync
+transports, the worker-pool size (:func:`repro.backend.get_num_workers`)
+on the gateway.
 """
 from __future__ import annotations
 

@@ -15,9 +15,8 @@ as cache *owner* tags (:func:`repro.backend.plan_owner`), which buys:
   candidates by their owner's traffic, so a hot model's plans are not
   thrashed out by a cold model churning through the LRU tail.
 
-Different models' batches overlap on the shared worker pool; under
-``num_workers(1)`` they run strictly serially in the core's order, which
-keeps the shared cache's access order (and eviction counts) deterministic.
+Different models' batches run serially in the core's order, so the shared
+cache's access order (and its eviction counts) is deterministic.
 """
 from __future__ import annotations
 

@@ -9,9 +9,10 @@ retention bound, the blocking ``wait_result``, one worker thread that
 sleeps until the core's next event, and shutdown.  Batches pad to the
 smallest configured bucket that fits and run on the model's
 :class:`~repro.serve.engine.ModelExecutor`, whose pre-built plans keep
-steady-state serving on plan-cache hits.  Different models' batches run at
-most ``get_num_workers()`` at a time on the shared pool; under
-``num_workers(1)`` they run strictly serially in the core's order.
+steady-state serving on plan-cache hits.  Due batches run serially, one
+after another in the core's order, on the thread that took them; after
+each, its measured span calibrates the core's ``exec_estimate`` for the
+deadline shed.
 
 :class:`Server` (one model, int ids) and the multi-model
 :class:`~repro.serve.router.Router` front it.  Drive them synchronously
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.backend import get_num_workers, parallel_map, plan_cache_owner_stats, plan_owner
+from repro.backend import plan_cache_owner_stats, plan_owner
 from repro.serve.engine import ModelExecutor, RequestFailed
 from repro.serve.policy import ServingPolicy
 from repro.serve.sched import Batch, CircuitBreaker, SchedRequest
@@ -224,8 +225,7 @@ class ModelRuntime:
         self.queue_waits: deque[float] = deque(maxlen=METRICS_WINDOW)
         self.batches: deque[tuple[int, int]] = deque(maxlen=METRICS_WINDOW)
         # Per-batch stage+forward wall times on the real clock, whatever
-        # clock the transport runs on (the multi-model overlap model reads
-        # these).
+        # clock the transport runs on (busy time and mean exec time).
         self.exec_seconds: deque[float] = deque(maxlen=METRICS_WINDOW)
         self.started: float | None = None    # first accepted submit
         self.finished: float | None = None   # last batch completion
@@ -381,7 +381,7 @@ class SyncTransport:
         )
         with self._lock:
             self._models[name] = ModelRuntime(executor, self.config.make_breaker())
-            self.core.add_model(name)
+            self.core.add_model(name, exec_estimate=None)
 
     def _require(self, name: str) -> ModelRuntime:
         try:
@@ -548,17 +548,8 @@ class SyncTransport:
         return batches
 
     def _execute(self, batches: list[Batch]) -> None:
-        """Run batches in core order; models overlap on the shared pool
-        (one chain per model) when it has more than one worker."""
-        chains: dict[str, list[Batch]] = {}
-        for batch in batches:
-            chains.setdefault(batch.model, []).append(batch)
-        if len(chains) > 1 and get_num_workers() > 1:
-            parallel_map(self._run_chain, list(chains.values()), op="router.drain")
-        else:
-            self._run_chain(batches)
-
-    def _run_chain(self, batches: list[Batch]) -> None:
+        """Run batches serially in core order, each calibrating the core's
+        execution estimate with its measured span."""
         for batch in batches:
             runtime = self._models[batch.model]
             rows, errors, stats, timing = runtime.executor.run_resilient(
@@ -568,6 +559,9 @@ class SyncTransport:
                 isolate=self.config.isolate_failures,
             )
             with self._lock:
+                self.core.observe_exec(
+                    batch.model, max(0.0, timing.finished - timing.started)
+                )
                 outcomes = runtime.fold(batch, rows, errors, stats, timing)
                 for request, outcome in zip(batch.requests, outcomes):
                     self._pending.discard(request.id)
@@ -640,11 +634,9 @@ class SyncTransport:
                 self._shed_locked(self.core.shed_all(), deadline=False)
 
     def _worker_loop(self) -> None:
-        """Run rounds: take every batch due now, run them (one chain per
-        model on the pool), then sleep until the next event.  A batch that
-        falls due mid-round waits for the round, which lets a model alone
-        in its round fan its kernels out over the whole pool instead of
-        contending with other models' batches for the interpreter lock."""
+        """Run rounds: take every batch due now, run them serially, then
+        sleep until the next event.  A batch that falls due mid-round waits
+        for the next round."""
         while True:
             with self._lock:
                 while True:

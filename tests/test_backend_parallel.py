@@ -1,134 +1,27 @@
-"""The parallel worker pool, backend selection and run-to-run bits.
+"""The shared worker pool, backend selection and run-to-run bits.
 
-The pool runs the serving drains and gateway offloads; these tests pin its
-mechanics (ordering, owner propagation, nested-inline execution, resize
-and shutdown discipline, worker sizing), exact :class:`KernelStats` totals
-under concurrent ``record``, the ``REPRO_BACKEND`` selection rules, and
-that a model on the ``numpy`` backend gives the same bits from run to run.
+The pool runs the async gateway's batch offloads; these tests pin its
+submission discipline (a dead pool is terminal) and worker sizing, exact
+:class:`KernelStats` totals under concurrent ``record``, the
+``REPRO_BACKEND`` selection rules, and that a model on the ``numpy``
+backend gives the same bits from run to run.
 """
 import os
 import subprocess
 import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.backend import (
-    KernelRegistry,
-    KernelStats,
-    env_backend_order,
-    get_num_workers,
-    num_workers,
-    parallel_map,
-    set_num_workers,
-)
-from repro.backend.workload import current_plan_owner, plan_owner
+from repro.backend import KernelRegistry, KernelStats, env_backend_order
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.fixture(autouse=True)
-def _pool():
-    """Run this module's pool work at 3 workers, restoring the ambient size."""
-    with num_workers(3):
-        yield
-
-
 # ---------------------------------------------------------------------------
-# Pool mechanics
-# ---------------------------------------------------------------------------
-
-def test_parallel_map_runs_on_pool_and_preserves_order():
-    threads = parallel_map(lambda i: (i, threading.current_thread().name),
-                           range(8), op="probe")
-    assert [i for i, _ in threads] == list(range(8))
-    assert any(name.startswith("repro-worker") for _, name in threads)
-
-
-def test_parallel_map_propagates_plan_owner_into_tasks():
-    with plan_owner("model-a"):
-        owners = parallel_map(lambda _: current_plan_owner(), range(4), op="owner")
-    assert owners == ["model-a"] * 4
-
-
-def test_parallel_map_propagates_exceptions():
-    def boom(i):
-        if i == 2:
-            raise RuntimeError("shard failed")
-        return i
-
-    with pytest.raises(RuntimeError, match="shard failed"):
-        parallel_map(boom, range(4), op="boom")
-
-
-def test_nested_parallel_map_runs_inline_without_deadlock():
-    # More tasks than workers, each submitting a nested region: the nested
-    # call must run inline on its worker (a re-submit could starve the pool).
-    def outer(i):
-        return sum(parallel_map(lambda j: i * 10 + j, range(4), op="inner"))
-
-    with num_workers(2):
-        assert parallel_map(outer, range(6), op="outer") == [
-            sum(i * 10 + j for j in range(4)) for i in range(6)
-        ]
-
-
-def test_parallel_map_exactly_once_under_concurrent_resize():
-    # set_num_workers shuts the stale pool down mid-flight; a region caught
-    # submitting must resume its *remainder* on the fresh pool — every task
-    # runs exactly once and results stay ordered.
-    import collections
-    import time as _time
-
-    counts = collections.Counter()
-    count_lock = threading.Lock()
-
-    def work(i):
-        _time.sleep(0.0005)
-        with count_lock:
-            counts[i] += 1
-        return i
-
-    stop = threading.Event()
-
-    def resizer():
-        n = 0
-        while not stop.is_set():
-            set_num_workers(2 + n % 3)
-            n += 1
-            _time.sleep(0.0003)
-
-    thread = threading.Thread(target=resizer)
-    thread.start()
-    try:
-        for _ in range(10):
-            assert parallel_map(work, range(20), op="resize-race") == list(range(20))
-    finally:
-        stop.set()
-        thread.join()
-    assert all(counts[i] == 10 for i in range(20)), counts
-
-
-def test_num_workers_context_restores():
-    base = get_num_workers()
-    with num_workers(1):
-        assert get_num_workers() == 1
-        # workers == 1 runs inline: no pool thread names involved.
-        names = parallel_map(lambda _: threading.current_thread().name,
-                             range(4), op="inline")
-        assert all(n == threading.current_thread().name for n in names)
-    assert get_num_workers() == base
-
-
-def test_set_num_workers_rejects_nonpositive():
-    with pytest.raises(ValueError, match="num_workers"):
-        set_num_workers(0)
-
-
-# ---------------------------------------------------------------------------
-# Submission shutdown discipline: terminal failures raise, resizes retry
+# Submission shutdown discipline: a pool that refuses work is terminal
 # ---------------------------------------------------------------------------
 
 class _DeadExecutor:
@@ -144,9 +37,8 @@ class _DeadExecutor:
 
 
 def test_submit_pooled_raises_at_interpreter_shutdown(monkeypatch):
-    # Regression: the resize-retry loop used to swallow *every* RuntimeError
-    # and spin forever; at interpreter shutdown no rebuild can ever succeed,
-    # so the error must propagate (and after exactly one attempt).
+    # At interpreter shutdown no pool can accept work again, so the error
+    # must propagate after exactly one attempt, never spin.
     from repro.backend import parallel as par
 
     dead = _DeadExecutor("cannot schedule new futures after interpreter shutdown")
@@ -156,42 +48,15 @@ def test_submit_pooled_raises_at_interpreter_shutdown(monkeypatch):
     assert dead.submits == 1
 
 
-def test_parallel_map_raises_at_interpreter_shutdown(monkeypatch):
-    from repro.backend import parallel as par
-
-    dead = _DeadExecutor("cannot schedule new futures after interpreter shutdown")
-    monkeypatch.setattr(par, "_executor", lambda: dead)
-    with pytest.raises(RuntimeError, match="interpreter shutdown"):
-        par.parallel_map(lambda i: i, range(4), op="shutdown")
-    assert dead.submits == 1
-
-
 def test_dead_pool_nobody_rebuilt_is_terminal_not_a_spin(monkeypatch):
-    # A pool that is shut down *without* a concurrent resize re-resolves to
-    # the same object; retrying would re-raise identically forever.  The
-    # identity check must classify that as terminal.
+    # A pool shut down underneath can never accept work again; retrying
+    # would re-raise identically forever, so the error propagates.
     from repro.backend import parallel as par
 
     dead = _DeadExecutor("cannot schedule new futures after shutdown")
     monkeypatch.setattr(par, "_executor", lambda: dead)
     with pytest.raises(RuntimeError, match="after shutdown"):
         par.submit_pooled(lambda: 1)
-    assert dead.submits == 1
-
-
-def test_resize_mid_submit_retries_on_the_fresh_pool(monkeypatch):
-    # The retryable half of the discipline: the stale pool raises, but the
-    # next _executor() resolves to a live pool — submission must resume
-    # there, not propagate.
-    from repro.backend import parallel as par
-
-    real = par._executor()
-    dead = _DeadExecutor("cannot schedule new futures after shutdown")
-    calls = iter([dead, real])
-    monkeypatch.setattr(par, "_executor", lambda: next(calls, real))
-    assert par.parallel_map(lambda i: i * 2, range(5), op="resize") == [
-        0, 2, 4, 6, 8
-    ]
     assert dead.submits == 1
 
 
@@ -243,8 +108,8 @@ def test_kernel_stats_exact_totals_under_pool_hammer():
         if i % 10 == 0:
             stats.snapshot()  # concurrent reads must not tear
 
-    with num_workers(4):
-        parallel_map(hammer, range(rounds), op="stats-hammer")
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        list(pool.map(hammer, range(rounds)))
     assert stats.bytes_materialized == 3 * rounds
     assert stats.gemm_calls == 2 * rounds
     assert stats.scatter_adds == rounds
@@ -319,33 +184,3 @@ def test_model_on_numpy_backend_is_bitwise_repeatable():
         grads.append(x.grad)
     assert np.array_equal(outs[0], outs[1])
     assert np.array_equal(grads[0], grads[1])
-
-
-# ---------------------------------------------------------------------------
-# Router overlap + gpusim parallel-efficiency plumbing
-# ---------------------------------------------------------------------------
-
-def test_router_overlapped_flush_matches_serial_results():
-    from repro.models import build_serving_model
-    from repro.serve import Router, ServingPolicy
-
-    rng = np.random.default_rng(15)
-    images = [rng.standard_normal((3, 12, 12)).astype(np.float32)
-              for _ in range(12)]
-    reference: dict[int, list[np.ndarray]] = {}
-    for workers in (1, 2):   # serial drain, then models overlapped on the pool
-        with num_workers(workers):
-            router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4),
-                                                        max_latency=60.0))
-            for name, seed in (("a", 21), ("b", 22)):
-                router.register(name, build_serving_model(
-                    "mobilenet", width_mult=0.25, seed=seed),
-                    input_shapes=[(3, 12, 12)])
-            handles = [router.submit(("a", "b")[i % 2], img)
-                       for i, img in enumerate(images)]
-            router.flush()
-        outs = [router.result(h).output for h in handles]
-        assert all(o is not None for o in outs)
-        reference[workers] = outs
-    for serial_out, overlap_out in zip(reference[1], reference[2]):
-        assert np.array_equal(serial_out, overlap_out)

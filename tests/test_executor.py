@@ -1,18 +1,19 @@
-"""The shared worker pool: pooled execution is bitwise-equal to serial.
+"""Concurrent kernel execution is bitwise-equal to serial.
 
-The contract under test is the one ``repro.backend.parallel`` promises:
-``parallel_map`` / ``submit_pooled`` produce **bitwise-identical** results
-at every worker count and keep region results in order.  The pooled
-workloads are numpy conv, depthwise and SCC forward+backward passes run
-concurrently, so they also exercise the process-wide plans and the
-thread-local ``SCCPlan.w_full`` scratch from several threads at once.
+The async gateway runs different models' batches on pool threads at once,
+so kernels must give **bitwise-identical** results whatever else runs
+beside them.  The workloads are numpy conv, depthwise and SCC
+forward+backward passes run concurrently on a thread pool, so they also
+exercise the process-wide plans and the thread-local ``SCCPlan.w_full``
+scratch from several threads at once.
 """
 import concurrent.futures
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.backend.parallel import num_workers, parallel_map, submit_pooled
+from repro.backend.parallel import submit_pooled
 from repro.tensor.conv_ops import Conv2d
 from repro.utils import seed_all
 
@@ -60,7 +61,7 @@ def _scc_workload(seed):
 
 
 # ---------------------------------------------------------------------------
-# Concurrent runs on the pool == serial runs, bitwise, at 1, 2 and 4 workers
+# Concurrent runs on a pool == serial runs, bitwise, at 1, 2 and 4 workers
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -70,21 +71,13 @@ def _scc_workload(seed):
 def test_pooled_bitwise_identical_to_one_worker(workload, workers):
     seeds = range(4 * workers + 4)
     serial = [workload(seed) for seed in seeds]
-    with num_workers(workers):
-        pooled = parallel_map(workload, seeds, op="pooled-workload")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pooled = list(pool.map(workload, seeds))
     for seed, want, got in zip(seeds, serial, pooled):
         for ref, arr in zip(want, got):
             np.testing.assert_array_equal(
                 ref, arr, err_msg=f"seed {seed} diverged at {workers} workers"
             )
-
-
-def test_parallel_map_results_ordered():
-    items = list(range(17))
-    with num_workers(4):
-        assert parallel_map(lambda i: i * i, items, op="square") == [
-            i * i for i in items
-        ]
 
 
 def test_submit_pooled_returns_future():

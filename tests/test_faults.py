@@ -15,13 +15,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.backend import (
-    REGISTRY,
-    ShardError,
-    backend_override,
-    parallel_map,
-    submit_pooled,
-)
+from repro.backend import REGISTRY, backend_override, submit_pooled
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -603,38 +597,8 @@ def test_gateway_breaker_opens_sheds_and_recloses():
 
 
 # ---------------------------------------------------------------------------
-# Worker-pool context wrapping + pool_submit faults (satellite b)
+# Worker-pool submission faults
 # ---------------------------------------------------------------------------
-
-def test_parallel_map_wraps_worker_exception_with_workload_context():
-    def boom(item):
-        raise ValueError("kaboom in shard")
-
-    with pytest.raises(ShardError) as exc_info:
-        parallel_map(boom, [np.zeros((2, 3), dtype=np.float32)],
-                     op="conv2d.fwd")
-    err = exc_info.value
-    assert err.op == "conv2d.fwd" and err.shard == 0
-    assert "conv2d.fwd" in str(err)
-    assert "ndarray(shape=(2, 3))" in str(err)   # operand shape, not a repr dump
-    assert "kaboom in shard" in str(err)          # original error rides along
-    assert isinstance(err.__cause__, ValueError)
-
-
-def test_parallel_map_pooled_path_names_the_failing_shard():
-    from repro.backend import num_workers
-
-    def boom(item):
-        if item == 2:
-            raise ValueError("shard failed")
-        return item
-
-    with num_workers(2):
-        with pytest.raises(ShardError, match="shard failed") as exc_info:
-            parallel_map(boom, [0, 1, 2, 3], op="scc.shards")
-    assert exc_info.value.shard == 2
-    assert "slice" not in str(exc_info.value)    # plain item: repr'd directly
-
 
 def test_pool_submit_fault_fires_once_then_recovers():
     inj = FaultInjector([FaultSpec(site="pool_submit", rate=1.0, max_fires=1)])

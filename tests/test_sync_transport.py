@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.backend import num_workers
 from repro.faults import FaultInjector, use_faults
 from repro.models import build_serving_model
 from repro.serve import (
     AsyncGateway,
+    BatchTiming,
+    DeadlineExceeded,
     ModelExecutor,
     QueueFull,
     RequestStatus,
@@ -134,13 +135,12 @@ class SyncTransportMachine(RuleBasedStateMachine):
 
 
 def test_sync_transport_state_machine():
-    with num_workers(1):
-        machine = SyncTransportMachine.TestCase
-        machine.settings = settings(
-            max_examples=15, stateful_step_count=20, deadline=None,
-            suppress_health_check=[HealthCheck.too_slow],
-        )
-        machine().runTest()
+    machine = SyncTransportMachine.TestCase
+    machine.settings = settings(
+        max_examples=15, stateful_step_count=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    machine().runTest()
 
 
 # ---------------------------------------------------------------------------
@@ -161,21 +161,61 @@ def test_router_drr_runs_light_batch_between_heavy_backlog(monkeypatch):
     monkeypatch.setattr(ModelExecutor, "run_resilient", recording)
     t = [0.0]
     big = (3, 16, 16)
-    with num_workers(1):
-        router = Router(server_config=ServingPolicy(bucket_sizes=(4,),
-                                                    max_latency=1.0),
-                        clock=lambda: t[0])
-        router.register("heavy", MODELS["a"], input_shapes=[big, SMALL])
-        router.register("light", MODELS["b"], input_shapes=[SMALL])
-        for k in range(3):
-            router.submit("heavy", _image(k, big))
-        for k in range(3):
-            router.submit("heavy", _image(10 + k))
-        router.submit("light", _image(20))
-        assert router.poll() == 0           # nothing due before max_latency
-        t[0] = 1.0
-        assert router.poll() == 3
+    router = Router(server_config=ServingPolicy(bucket_sizes=(4,),
+                                                max_latency=1.0),
+                    clock=lambda: t[0])
+    router.register("heavy", MODELS["a"], input_shapes=[big, SMALL])
+    router.register("light", MODELS["b"], input_shapes=[SMALL])
+    for k in range(3):
+        router.submit("heavy", _image(k, big))
+    for k in range(3):
+        router.submit("heavy", _image(10 + k))
+    router.submit("light", _image(20))
+    assert router.poll() == 0           # nothing due before max_latency
+    t[0] = 1.0
+    assert router.poll() == 3
     assert order == [("heavy", big), ("light", SMALL), ("heavy", SMALL)]
+
+
+# ---------------------------------------------------------------------------
+# Deadline shed: measured batch spans calibrate the core's exec_estimate
+# ---------------------------------------------------------------------------
+
+def test_router_deadline_shed_uses_measured_exec_span(monkeypatch):
+    # Every batch takes 0.5 s on the injected clock.  After one batch the
+    # core expects the next to take as long, so a queued request whose
+    # deadline lies only 0.3 s ahead is shed unexecuted instead of being
+    # run to a certain deadline miss.
+    t = [0.0]
+    run = ModelExecutor.run
+
+    def half_second(self, *args, **kwargs):
+        out, timing = run(self, *args, **kwargs)
+        t[0] += 0.5
+        return out, BatchTiming(timing.started, t[0], timing.exec_seconds)
+
+    monkeypatch.setattr(ModelExecutor, "run", half_second)
+    router = Router(server_config=ServingPolicy(bucket_sizes=(4,),
+                                                max_latency=0.1,
+                                                shed_policy="deadline"),
+                    clock=lambda: t[0])
+    router.register("a", MODELS["a"], input_shapes=[SMALL])
+    warm = router.submit("a", _image(30))
+    t[0] = 0.1
+    assert router.poll() == 1
+    assert t[0] == pytest.approx(0.6)
+    assert router.core.stats("a")["exec_estimate"] == pytest.approx(0.5)
+
+    late = router.submit("a", _image(31), deadline=t[0] + 0.3)
+    t[0] += 0.2                      # past max_latency: the batch is due
+    assert router.poll() == 0
+    assert router.status(late) == RequestStatus.SHED
+    with pytest.raises(DeadlineExceeded):
+        router.wait_result(late, timeout=1.0)
+    metrics = router.metrics().per_model["a"]
+    assert (metrics.completed, metrics.shed_deadline) == (1, 1)
+    assert metrics.deadline_misses == 0
+    assert router.result(warm) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -237,39 +277,38 @@ def test_gateway_stop_is_idempotent_without_start():
 
 
 def test_threaded_router_stress_accounts_every_request():
-    # More pool workers than cores and a short switch interval: client
-    # threads, the worker thread and pooled batch chains all contend on
-    # the transport's tables.  Every request completes exactly once.
+    # A short switch interval: client threads and the worker thread all
+    # contend on the transport's tables.  Every request completes exactly
+    # once.
     import sys
     import threading
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with num_workers(4):
-            router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4),
-                                                        max_latency=0.002))
-            for name, model in MODELS.items():
-                router.register(name, model, input_shapes=[SMALL])
-            router.start()
-            results, errors = [], []
+        router = Router(server_config=ServingPolicy(bucket_sizes=(1, 2, 4),
+                                                    max_latency=0.002))
+        for name, model in MODELS.items():
+            router.register(name, model, input_shapes=[SMALL])
+        router.start()
+        results, errors = [], []
 
-            def client(name, seed):
-                try:
-                    for k in range(6):
-                        handle = router.submit(name, _image(100 * seed + k))
-                        results.append(router.wait_result(handle, timeout=60.0))
-                except BaseException as exc:  # surfaced after join
-                    errors.append(exc)
+        def client(name, seed):
+            try:
+                for k in range(6):
+                    handle = router.submit(name, _image(100 * seed + k))
+                    results.append(router.wait_result(handle, timeout=60.0))
+            except BaseException as exc:  # surfaced after join
+                errors.append(exc)
 
-            threads = [threading.Thread(target=client, args=(name, seed))
-                       for seed, name in enumerate(["a", "b"] * 3)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120.0)
-            assert not any(thread.is_alive() for thread in threads)
-            router.stop()
+        threads = [threading.Thread(target=client, args=(name, seed))
+                   for seed, name in enumerate(["a", "b"] * 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120.0)
+        assert not any(thread.is_alive() for thread in threads)
+        router.stop()
     finally:
         sys.setswitchinterval(interval)
     assert errors == []
