@@ -26,7 +26,10 @@ def execution_env() -> dict:
 
 
 def emit(report_name: str, text: str, data=None) -> str:
-    """Print a report and persist it under benchmarks/results/.
+    """Print a report and persist it under :data:`RESULTS_DIR`.
+
+    That is ``benchmarks/results/`` for standalone runs; under pytest the
+    benchmarks' ``conftest.py`` points it at a session temp directory.
 
     Every report is written twice: human-readable ``<name>.txt`` and
     machine-readable ``<name>.json``, committed so any two commits'

@@ -9,8 +9,9 @@ has two faces:
 - ``test_*`` entries using the pytest-benchmark fixture that time the
   measured-kernel component under ``pytest benchmarks/ --benchmark-only``.
 
-Reports are also written to ``benchmarks/results/`` so a full run leaves an
-auditable record.
+Standalone runs write their reports to ``benchmarks/results/`` so a full run
+leaves an auditable record.  Under pytest, reports go to a session temp
+directory instead: a gate run leaves the committed results untouched.
 
 Set ``REPRO_BENCH_FULL=1`` for the longer, better-converged accuracy runs
 (the defaults keep a full ``--benchmark-only`` sweep to a few minutes on a
@@ -24,8 +25,6 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
 
 @pytest.fixture(scope="session")
 def device():
@@ -34,15 +33,18 @@ def device():
     return tesla_v100()
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _results_to_session_tmp(tmp_path_factory):
+    import common
+
+    common.RESULTS_DIR = tmp_path_factory.mktemp("results")
+
+
 @pytest.fixture(autouse=True)
 def _seed_each_test():
     from repro.utils import seed_all
 
     seed_all(0)
-
-
-def pytest_configure(config):
-    RESULTS_DIR.mkdir(exist_ok=True)
 
 
 def full_mode() -> bool:

@@ -51,12 +51,13 @@ Execution-plan cache (``repro.backend.workload`` / ``repro.backend.plan``)
     traffic, so a hot model's plans survive a cold model's churn.
 
 Model plans (``repro.backend.model_plan``)
-    :class:`ModelPlan` lifts planning to whole models: the ordered layer
-    workloads are harvested from a probe forward pass, every layer plan is
-    pre-built at construction, and batch-staging workspaces are
-    pre-allocated — the first training step or serving request runs 100%
-    warm.  ``build_model(..., plan_input_shape=...)`` attaches one; the
-    trainer and the :mod:`repro.serve` front-end consume them.
+    :class:`ModelPlan` lifts planning to whole models: one warm-up pass at
+    the plan's batch size (forward only for inference plans, forward plus
+    backward for training plans) builds every layer plan at construction,
+    and the batch-staging buffer is pre-allocated — the first training step
+    or serving request runs 100% warm.
+    ``build_model(..., plan_input_shape=...)`` attaches one; the trainer
+    and the :mod:`repro.serve` front-end consume them.
 
 Worker pool (``repro.backend.parallel``)
     Every kernel is serial.  :func:`submit_pooled` offloads one task to a
@@ -94,7 +95,7 @@ from repro.backend.workload import (
     plan_cache_stats,
     plan_owner,
 )
-from repro.backend.model_plan import ModelPlan, PlannedLayer, layer_workload
+from repro.backend.model_plan import ModelPlan
 from repro.backend.plan import (
     Conv2dPlan,
     EpilogueArgs,
@@ -151,8 +152,6 @@ __all__ = [
     "plan_cache_stats",
     "plan_owner",
     "ModelPlan",
-    "PlannedLayer",
-    "layer_workload",
     "Conv2dPlan",
     "EpilogueArgs",
     "EpilogueSpec",

@@ -6,15 +6,13 @@ shape-class still pays every ``np.einsum_path`` search and index-table
 build.  A :class:`ModelPlan` moves that cost to model-construction time, the
 analog of topi's per-workload schedule tables compiled ahead of a run:
 
-- it harvests the ordered list of layer geometries from one probe forward
-  pass (:func:`repro.gpusim.extract_layer_shapes`, batch-parameterized),
-- derives each planned layer's :class:`~repro.backend.workload.Workload`
-  and pre-builds its execution plan into the global cache,
-- runs one warmup forward (and, for training plans, backward) so plans
-  only reachable through execution — pooling geometry, backward contraction
-  paths — are resident too, and
-- pre-allocates the staging/accounting workspaces of a full forward or
-  forward/backward at the plan's batch size.
+- it runs one warm-up pass at the plan's batch size — an eval, no-grad
+  forward for inference plans; a training forward plus backward for
+  training plans, with the model's state snapshotted and restored around
+  it — so every plan that pass reaches (conv, SCC and pooling geometry,
+  fused epilogues, backward contraction paths) is cache-resident, and
+- pre-allocates the batch-staging buffer the serving/training front-ends
+  fill in place.
 
 After construction, every step or request at the plan's shapes runs 100%
 on plan-cache hits; :class:`repro.serve.Server` keeps one ``ModelPlan`` per
@@ -23,58 +21,15 @@ path explicit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.backend.workload import PLAN_CACHE, Workload
-from repro.backend.plan import conv2d_plan, scc_plan
+from repro.backend.workload import PLAN_CACHE
 
 DTYPE = np.float32
-DTYPE_BYTES = 4  # canonical float32 width; repro.gpusim.workloads imports it
-
-_CONV_KINDS = ("conv", "dw", "pw", "gpw", "gc")
-
-
-@dataclass(frozen=True)
-class PlannedLayer:
-    """One plan-cache-keyed layer occurrence inside a model plan."""
-
-    name: str
-    kind: str
-    workload: Workload
-    plan: object
-
-
-def layer_workload(shape, batch_size: int) -> Workload | None:
-    """The :class:`Workload` one harvested layer geometry keys, if any.
-
-    Conv-family and SCC layers dispatch through cached plans; BN, linear and
-    elementwise layers have no plan-cache entry and return ``None``.
-    """
-    if shape.kind in _CONV_KINDS:
-        return Workload.make(
-            "conv2d",
-            (batch_size, shape.cin, shape.hin, shape.win),
-            (shape.cout, shape.cin // shape.groups, shape.kernel, shape.kernel),
-            DTYPE,
-            stride=shape.stride,
-            padding=shape.padding,
-            groups=shape.groups,
-        )
-    if shape.kind == "scc":
-        return Workload.make(
-            "scc_plan",
-            cin=shape.cin,
-            cout=shape.cout,
-            cg=shape.scc.cg,
-            co=shape.scc.co,
-        )
-    return None
 
 
 class ModelPlan:
-    """Pre-built execution plans + workspaces for one (model, batch) pair.
+    """Pre-built execution plans + staging buffer for one (model, batch) pair.
 
     Parameters
     ----------
@@ -85,11 +40,8 @@ class ModelPlan:
     batch_size:
         the batch every planned step/request runs at.
     include_backward:
-        build training plans (forward + backward + gradient workspaces);
-        ``False`` gives an inference-only plan (the serving case).
-    warmup:
-        run the probe execution that pre-builds plans.  Leave on; ``False``
-        exists for tests that want the harvest without the build cost.
+        build training plans (forward + backward); ``False`` gives an
+        inference-only plan (the serving case).
     """
 
     def __init__(
@@ -98,21 +50,16 @@ class ModelPlan:
         input_shape: tuple[int, int, int],
         batch_size: int = 1,
         include_backward: bool = True,
-        warmup: bool = True,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        # Imported lazily: repro.gpusim imports repro.backend at module level.
-        from repro.gpusim.workloads import extract_layer_shapes
-
         self.model = model
         self.input_shape = tuple(input_shape)
         self.batch_size = batch_size
         self.include_backward = include_backward
-        self.layers = extract_layer_shapes(model, self.input_shape, batch_size=batch_size)
         # Layers carrying a fused epilogue (repro.nn.fuse): their inference
         # dispatch goes through conv2d_fused / SCC epilogue plans, which the
-        # warmup probe below makes cache-resident.
+        # warm-up pass below makes cache-resident.
         self.fused_layers = sum(
             1
             for _, m in model.named_modules()
@@ -120,53 +67,21 @@ class ModelPlan:
         )
 
         base_builds = PLAN_CACHE.stats()["builds"]
-        self.planned_layers = self._prebuild_layer_plans()
-        if warmup:
-            self._warmup_execution()
+        self._warmup_execution()
         self.prebuilt_plans = PLAN_CACHE.stats()["builds"] - base_builds
-
-        # Staging/accounting workspaces: the batch-assembly buffer the
-        # serving/training front-ends fill in place, plus the activation and
-        # gradient footprints a full pass at this batch size touches.
         self.input_buffer = np.zeros((batch_size, *self.input_shape), dtype=DTYPE)
-        self.activation_bytes = sum(
-            s.out_elements(batch_size) * DTYPE_BYTES for s in self.layers
-        )
-        self.gradient_bytes = self.activation_bytes if include_backward else 0
 
     # -- construction ---------------------------------------------------------
 
-    def _prebuild_layer_plans(self) -> list[PlannedLayer]:
-        from repro.core.channel_map import SCCConfig
-
-        planned: list[PlannedLayer] = []
-        for shape in self.layers:
-            workload = layer_workload(shape, self.batch_size)
-            if workload is None:
-                continue
-            if shape.kind == "scc":
-                plan = scc_plan(
-                    SCCConfig(shape.cin, shape.cout, shape.scc.cg, shape.scc.co)
-                )
-            else:
-                plan = conv2d_plan(
-                    workload.in_shape, workload.weight_shape,
-                    shape.stride, shape.padding, shape.groups, workload.dtype,
-                )
-            planned.append(
-                PlannedLayer(name=shape.name, kind=shape.kind, workload=workload, plan=plan)
-            )
-        return planned
-
     def _warmup_execution(self) -> None:
-        """One probe pass so execution-only plans (pooling geometry, backward
-        contraction paths) are built now rather than on the first real step."""
+        """One pass at the plan's shapes, so every plan it reaches is built
+        now rather than on the first real step or request."""
         from repro.tensor import Tensor, no_grad
 
         x = np.zeros((self.batch_size, *self.input_shape), dtype=DTYPE)
         was_training = self.model.training
         if self.include_backward:
-            # The probe mutates BN running stats and parameter grads; snapshot
+            # The pass mutates BN running stats and parameter grads; snapshot
             # and restore so planning leaves the model bit-identical.
             state = self.model.state_dict()
             self.model.train()
@@ -211,20 +126,15 @@ class ModelPlan:
 
     def stats(self) -> dict:
         return {
-            "layers": len(self.layers),
-            "planned_layers": len(self.planned_layers),
             "fused_layers": self.fused_layers,
             "prebuilt_plans": self.prebuilt_plans,
             "batch_size": self.batch_size,
             "input_shape": self.input_shape,
             "include_backward": self.include_backward,
-            "activation_bytes": self.activation_bytes,
-            "gradient_bytes": self.gradient_bytes,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ModelPlan(batch={self.batch_size}, input={self.input_shape}, "
-            f"layers={len(self.layers)}, planned={len(self.planned_layers)}, "
-            f"backward={self.include_backward})"
+            f"prebuilt={self.prebuilt_plans}, backward={self.include_backward})"
         )

@@ -329,7 +329,7 @@ class SCCPlan:
     cyclic_dist: int
     cycle_index: list                       # per cycle position: gathered channel idx
     segments: list                          # per cycle position: [(chan_slice, col_slice)]
-    oid_rows: np.ndarray                    # arange(Cout)[:, None], for W_full fill
+    flat_index: np.ndarray                  # (oid * Cin + windows).ravel(), for W_full fill
     _scratch: threading.local = field(default_factory=threading.local, repr=False)
 
     def w_full(self, w: np.ndarray) -> np.ndarray:
@@ -351,7 +351,7 @@ class SCCPlan:
             cfg = self.config
             buf = np.zeros((cfg.out_channels, cfg.in_channels), dtype=w.dtype)
             buffers[key] = buf
-        buf[self.oid_rows, self.windows] = w
+        buf.reshape(-1)[self.flat_index] = w.reshape(-1)
         return buf
 
 
@@ -384,7 +384,9 @@ def _build_scc_plan(config: "SCCConfig") -> SCCPlan:
         cyclic_dist=len(cycle),
         cycle_index=cycle_index,
         segments=segments,
-        oid_rows=np.arange(config.out_channels)[:, None],
+        flat_index=(
+            np.arange(config.out_channels)[:, None] * config.in_channels + windows
+        ).ravel(),
     )
 
 

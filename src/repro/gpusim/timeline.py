@@ -11,10 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backend.model_plan import layer_workload
+import numpy as np
+
+from repro.backend.workload import Workload
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.kernel import SimulationResult, simulate_kernels
 from repro.gpusim.workloads import LayerShape, model_step_kernels
+
+_CONV_KINDS = ("conv", "dw", "pw", "gpw", "gc")
 
 
 @dataclass
@@ -40,6 +44,33 @@ class StepTime:
             result=result,
             plan_build=plan_build,
         )
+
+
+def layer_workload(shape: LayerShape, batch_size: int) -> Workload | None:
+    """The plan-cache :class:`~repro.backend.Workload` one layer geometry keys.
+
+    Conv-family and SCC layers dispatch through cached plans; BN, linear and
+    elementwise layers have no plan-cache entry and return ``None``.
+    """
+    if shape.kind in _CONV_KINDS:
+        return Workload.make(
+            "conv2d",
+            (batch_size, shape.cin, shape.hin, shape.win),
+            (shape.cout, shape.cin // shape.groups, shape.kernel, shape.kernel),
+            np.float32,
+            stride=shape.stride,
+            padding=shape.padding,
+            groups=shape.groups,
+        )
+    if shape.kind == "scc":
+        return Workload.make(
+            "scc_plan",
+            cin=shape.cin,
+            cout=shape.cout,
+            cg=shape.scc.cg,
+            co=shape.scc.co,
+        )
+    return None
 
 
 def plan_build_time(shapes: list[LayerShape], batch: int, device: DeviceSpec) -> float:

@@ -1,11 +1,12 @@
 """Workload builders: real model shapes -> per-strategy kernel sequences.
 
-:func:`extract_layer_shapes` runs one hooked batch-1 forward pass over an
-actual :mod:`repro` model to harvest every layer's geometry (this follows
-residual topologies exactly).  :func:`scc_layer_kernels` then expands an SCC
-layer into the kernel sequence each of the paper's three implementations
-would launch, and :func:`model_step_kernels` assembles a full training-step
-(forward + backward + update) kernel list for a network.
+:func:`extract_layer_shapes` runs one hooked forward pass (at a chosen
+batch size, 1 by default) over an actual :mod:`repro` model to harvest
+every layer's geometry (this follows residual topologies exactly).
+:func:`scc_layer_kernels` then expands an SCC layer into the kernel
+sequence each of the paper's three implementations would launch, and
+:func:`model_step_kernels` assembles a full training-step (forward +
+backward + update) kernel list for a network.
 
 The kernel counts per strategy mirror paper Section IV:
 
@@ -27,11 +28,12 @@ import numpy as np
 
 from repro import nn
 from repro.backend import scc_conflict_fraction
-from repro.backend.model_plan import DTYPE_BYTES
 from repro.core.channel_map import cyclic_distance
 from repro.core.scc import SlidingChannelConv2d
 from repro.gpusim.kernel import KernelLaunch
 from repro.tensor import Tensor, no_grad
+
+DTYPE_BYTES = 4  # float32
 
 # Calibrated efficiency knobs: cuBLAS/cuDNN GEMMs run close to peak; the
 # hand-written fused SCC kernel is good but not a tensor-core GEMM; pure
@@ -159,7 +161,7 @@ def extract_layer_shapes(
     them) match the training/serving batch shapes rather than a hardcoded
     batch-1 pass.  Per-layer channel/spatial geometry is batch-invariant;
     the batch matters to whoever turns these shapes into concrete workloads
-    (:class:`repro.backend.ModelPlan`) or kernel launches.
+    (:func:`repro.gpusim.timeline.layer_workload`) or kernel launches.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -81,9 +81,9 @@ class ModelExecutor:
 
     Plans for every ``input_shapes`` x ``bucket_sizes`` pair are pre-built
     here (attributed to ``name`` in the shared plan cache), so steady-state
-    batches run entirely on cache hits.  Unseen shapes build lazily under the execution
-    lock (the build probes the shared model, so it must not overlap an
-    in-flight batch).
+    batches run entirely on cache hits.  Unseen shapes build lazily under
+    the execution lock (the build runs a forward on the shared model, so it
+    must not overlap an in-flight batch).
 
     The executor serialises its own batches on ``exec_lock`` — the staged
     plan buffers are shared per (shape, bucket) — while different
@@ -137,9 +137,8 @@ class ModelExecutor:
         """The (shape, bucket) plan, building it on first sight.
 
         Cold path: visible in metrics via the plan-cache build counter.
-        The build runs probe forwards (and registers hooks) on the shared
-        model, so it takes the execution lock to stay clear of in-flight
-        batches.
+        The build runs a warm-up forward on the shared model, so it takes
+        the execution lock to stay clear of in-flight batches.
         """
         key = (tuple(shape), bucket)
         with self._plans_lock:

@@ -1,9 +1,17 @@
 """Model-level planning: batch-aware shape harvest + whole-model pre-build."""
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.backend import ModelPlan, Workload, clear_plan_cache, layer_workload, plan_cache_stats
+import repro.backend
+from repro.backend import ModelPlan, clear_plan_cache, plan_cache_stats
 from repro.gpusim import extract_layer_shapes, plan_build_time, tesla_v100, training_step_time
+from repro.gpusim.timeline import layer_workload
 from repro.models import build_model
 from repro.tensor import Tensor, no_grad
 from repro.train import Trainer, TrainConfig
@@ -58,7 +66,6 @@ def test_model_plan_makes_training_step_fully_warm():
     clear_plan_cache()
     plan = ModelPlan(model, INPUT, batch_size=4, include_backward=True)
     assert plan.prebuilt_plans > 0
-    assert plan.planned_layers and len(plan.layers) >= len(plan.planned_layers)
 
     base = plan_cache_stats()
     x = Tensor(np.random.default_rng(0).standard_normal((4, *INPUT)).astype(np.float32))
@@ -75,8 +82,7 @@ def test_model_plan_inference_only_warm_and_probe_side_effect_free():
     model = _mini_model()
     before = model.state_dict()
     clear_plan_cache()
-    plan = ModelPlan(model, INPUT, batch_size=2, include_backward=False)
-    assert plan.gradient_bytes == 0 and plan.activation_bytes > 0
+    ModelPlan(model, INPUT, batch_size=2, include_backward=False)
 
     # Planning must leave parameters, buffers and grads untouched.
     after = model.state_dict()
@@ -100,9 +106,72 @@ def test_model_plan_training_probe_restores_model_state():
         np.testing.assert_array_equal(before[key], after[key], err_msg=key)
 
 
+@pytest.mark.parametrize("include_backward", [False, True])
+def test_model_plan_runs_the_model_exactly_once(monkeypatch, include_backward):
+    model = _mini_model()
+    # A hook on the root only: hooks on BN/ReLU modules would switch the
+    # fused bn_act path off and plan a different forward.
+    forwards = []
+    model.register_forward_hook(lambda mod, inputs, out: forwards.append(inputs[0].shape))
+    backwards = []
+    real_backward = Tensor.backward
+
+    def counting_backward(self, *args, **kwargs):
+        backwards.append(self.shape)
+        return real_backward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "backward", counting_backward)
+    ModelPlan(model, INPUT, batch_size=3, include_backward=include_backward)
+    assert forwards == [(3, *INPUT)]
+    assert len(backwards) == (1 if include_backward else 0)
+
+
+@pytest.mark.parametrize("name,kwargs,input_shape", [
+    ("mobilenet", dict(scheme="scc", width_mult=0.25), INPUT),
+    ("resnet18", dict(scheme="scc", width_mult=0.25), INPUT),
+    ("vgg16", dict(scheme="scc", width_mult=0.125), (3, 32, 32)),  # five 2x2 pools
+], ids=["mobilenet", "resnet18", "vgg16"])
+def test_first_step_after_any_plan_is_fully_warm(name, kwargs, input_shape):
+    """Training plans warm the training step and the eval forward; inference
+    plans warm the eval forward."""
+    x = np.random.default_rng(1).standard_normal((2, *input_shape)).astype(np.float32)
+    for include_backward in (True, False):
+        model = build_model(name, **kwargs)
+        clear_plan_cache()
+        ModelPlan(model, input_shape, batch_size=2, include_backward=include_backward)
+        base = plan_cache_stats()
+        if include_backward:
+            model.train()
+            model(Tensor(x)).sum().backward()
+            model.zero_grad()
+        with no_grad():
+            model.eval()(Tensor(x))
+        after = plan_cache_stats()
+        assert after["builds"] == base["builds"], (name, include_backward)
+        assert after["misses"] == base["misses"], (name, include_backward)
+
+
+def test_building_a_plan_does_not_import_gpusim():
+    code = textwrap.dedent(f"""
+        import sys
+        from repro.backend import ModelPlan
+        from repro.models import build_model
+        model = build_model("mobilenet", scheme="scc", width_mult=0.25)
+        ModelPlan(model, {INPUT!r}, batch_size=2, include_backward=True)
+        ModelPlan(model, {INPUT!r}, batch_size=2, include_backward=False)
+        sys.exit(1 if "repro.gpusim" in sys.modules else 0)
+    """)
+    src = str(Path(repro.backend.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr or "repro.gpusim was imported"
+
+
 def test_stage_batch_pads_and_validates():
     model = _mini_model()
-    plan = ModelPlan(model, INPUT, batch_size=4, include_backward=False, warmup=False)
+    plan = ModelPlan(model, INPUT, batch_size=4, include_backward=False)
     imgs = np.ones((2, *INPUT), dtype=np.float32)
     staged = plan.stage_batch(imgs)
     assert staged is plan.input_buffer and staged.shape == (4, *INPUT)
