@@ -17,8 +17,9 @@ def execution_env() -> dict:
     """The execution-relevant environment a benchmark ran under.
 
     Recorded in every result JSON so a reader can tell numbers produced by
-    different kernel backends or pool sizes apart; the stamp itself is
-    :func:`repro.backend.env_stamp`, which ``perfbench`` records too.
+    different kernel backends or pinned worker counts apart; the stamp
+    itself is :func:`repro.backend.env_stamp`, which ``perfbench`` records
+    too.
     """
     from repro.backend import env_stamp
 

@@ -1,10 +1,10 @@
 """Async serving gateway: awaitable inference with latency budgets.
 
-Covers the asyncio transport over the PR-7 scheduling core end to end:
+Covers the asyncio front of the serving transport end to end:
 
 1. register two models on an ``AsyncGateway`` (same registry-name path as
-   the sync ``Router``; each model gets a ``ModelExecutor`` whose batches
-   run on the shared worker pool),
+   the sync ``Router``; each model gets a ``ModelExecutor``, and the
+   transport's worker thread runs the batches one at a time),
 2. await concurrent submissions and read the queue-wait vs execution
    latency split from ``ServingMetrics``,
 3. per-request latency budgets: a blown budget resolves the awaiting

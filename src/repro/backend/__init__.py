@@ -59,12 +59,6 @@ Model plans (``repro.backend.model_plan``)
     ``build_model(..., plan_input_shape=...)`` attaches one; the trainer
     and the :mod:`repro.serve` front-end consume them.
 
-Worker pool (``repro.backend.parallel``)
-    Every kernel is serial.  :func:`submit_pooled` offloads one task to a
-    shared thread pool sized once from ``REPRO_NUM_WORKERS`` (else the
-    usable CPU count, :func:`get_num_workers`); the async serving gateway
-    is its one consumer.
-
 Typical use::
 
     from repro.backend import get_kernel, conv2d_plan
@@ -111,11 +105,6 @@ from repro.backend.plan import (
     pool2d_plan,
     scc_plan,
 )
-from repro.backend.parallel import (
-    default_num_workers,
-    get_num_workers,
-    submit_pooled,
-)
 from repro.backend.registry import env_backend_order
 
 # Importing the backend modules registers their kernels.
@@ -138,9 +127,6 @@ __all__ = [
     "env_stamp",
     "get_kernel",
     "register_kernel",
-    "default_num_workers",
-    "get_num_workers",
-    "submit_pooled",
     "KernelStats",
     "scc_conflict_fraction",
     "PLAN_CACHE",

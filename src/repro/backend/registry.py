@@ -158,19 +158,18 @@ def available_backends(op: str) -> tuple[str, ...]:
 
 
 def env_stamp() -> dict:
-    """The execution-relevant environment: backend, pool size, host CPUs.
+    """The execution-relevant environment: backend, worker count, host CPUs.
 
     The block benchmark result JSONs are stamped with, so measurements from
-    different configurations are never compared.  ``num_workers`` is
-    *configuration* only when explicitly pinned via ``REPRO_NUM_WORKERS``;
-    otherwise it echoes a machine property and is recorded as ``None`` so
-    same-machine runs with different idle pool sizes still match.
+    different configurations are never compared.  ``num_workers`` is the
+    integer ``REPRO_NUM_WORKERS`` pins, and ``None`` when it is unset, so
+    that same-machine runs without the pin still match.  Nothing in the
+    program sizes itself from it: kernels and serving run one batch at a
+    time.
     """
-    from repro.backend.parallel import get_num_workers  # lazy: keeps registry leaf
-
-    configured = bool(os.environ.get("REPRO_NUM_WORKERS", "").strip())
+    workers = os.environ.get("REPRO_NUM_WORKERS", "").strip()
     return {
         "backend": REGISTRY.resolve_name("conv2d", "default"),
-        "num_workers": get_num_workers() if configured else None,
+        "num_workers": int(workers) if workers else None,
         "host_cpus": os.cpu_count() or 1,
     }

@@ -29,9 +29,7 @@ Injection sites (``FaultSpec.site``):
     the transport's injected ``sleep``, so virtual-clock tests never
     actually block);
 ``plan_build``
-    building the batch's :class:`~repro.backend.ModelPlan` raises;
-``pool_submit``
-    submitting a batch to the shared worker pool raises.
+    building the batch's :class:`~repro.backend.ModelPlan` raises.
 
 The plane is activated per-process with :func:`install_faults` /
 :func:`use_faults`; when no injector is installed every hook is a single
@@ -58,9 +56,7 @@ __all__ = [
 ]
 
 #: Every place the serving/backend stack consults the plane.
-FAULT_SITES = (
-    "kernel", "slow_batch", "plan_build", "pool_submit",
-)
+FAULT_SITES = ("kernel", "slow_batch", "plan_build")
 
 
 class InjectedFault(RuntimeError):

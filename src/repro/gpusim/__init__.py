@@ -32,7 +32,6 @@ from repro.gpusim.workloads import (
 from repro.gpusim.timeline import (
     StepTime,
     inference_time,
-    plan_build_time,
     training_step_time,
 )
 from repro.gpusim.multigpu import (
@@ -60,7 +59,6 @@ __all__ = [
     "StepTime",
     "training_step_time",
     "inference_time",
-    "plan_build_time",
     "ring_allreduce_time",
     "data_parallel_step_time",
 ]

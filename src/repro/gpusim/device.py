@@ -22,12 +22,6 @@ class DeviceSpec:
     max_threads_per_sm: int = 2048
     kernel_launch_overhead: float = 5e-6   # seconds per raw CUDA launch
     framework_op_overhead: float = 2e-5    # extra secs per *framework-composed* op
-    # Host-side cost of building one execution plan (index tables +
-    # einsum_path search) on a cache miss.  Calibrated against the measured
-    # cold-vs-warm deltas of bench_ablation_plan_cache (~0.1-0.6 ms per
-    # plan); charged once per unique workload on a cold first step, zero in
-    # steady state.
-    plan_build_overhead: float = 2e-4
     atomic_conflict_rate: float = 2.0e11   # serialised conflicting atomics/s
     interconnect_bandwidth: float = 2.5e10  # bytes/s per link (PCIe3 x16-ish)
     interconnect_latency: float = 1e-5     # seconds per transfer hop

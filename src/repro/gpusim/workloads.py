@@ -160,8 +160,7 @@ def extract_layer_shapes(
     harvested geometries (and any :class:`~repro.backend.Workload` built from
     them) match the training/serving batch shapes rather than a hardcoded
     batch-1 pass.  Per-layer channel/spatial geometry is batch-invariant;
-    the batch matters to whoever turns these shapes into concrete workloads
-    (:func:`repro.gpusim.timeline.layer_workload`) or kernel launches.
+    the batch matters to whoever turns these shapes into kernel launches.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")

@@ -9,18 +9,17 @@ latency and throughput.  The tier is three layers:
 - **scheduling core** (:mod:`repro.serve.sched`) — pure, clock-injected
   admission, bucketing, shedding and DRR fairness policies composed by
   :class:`SchedCore`;
-- **transports** — one synchronous transport (``SyncTransport``, in
+- **transport** — one transport (``SyncTransport``, in
   :mod:`repro.serve.server`) over a single :class:`SchedCore`, fronted by
-  :class:`Server` (one model)
-  and :class:`Router` (many models, DRR order between them, shared plan
-  cache with owner-tagged accounting and traffic-weighted eviction), and
-  the asyncio :class:`AsyncGateway` (``await``-able submit, per-request
-  latency budgets, shed surfaced as exceptions) over the same core; the
-  sync transports run batches serially, the gateway on the shared worker
-  pool, all through the same :class:`ModelExecutor` batch engine
-  (:mod:`repro.serve.engine`) — which is what makes their outputs
-  bitwise-identical at a fixed bucket size — and fold completions into
-  the same per-model ``ModelRuntime`` record;
+  :class:`Server` (one model), :class:`Router` (many models, DRR order
+  between them, shared plan cache with owner-tagged accounting and
+  traffic-weighted eviction) and the asyncio :class:`AsyncGateway`
+  (``await``-able submit, per-request latency budgets, shed surfaced as
+  exceptions); batches run serially through the one
+  :class:`ModelExecutor` batch engine (:mod:`repro.serve.engine`) — which
+  is what makes every front's outputs bitwise-identical at a fixed bucket
+  size — and completions fold into the same per-model ``ModelRuntime``
+  record;
 - **observability** — :class:`ServingMetrics` / :class:`RouterMetrics`
   with the queue-wait vs exec-time latency split, deadline-miss rate,
   shed-by-deadline counts and the live adaptive bucket target;

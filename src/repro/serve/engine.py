@@ -3,11 +3,12 @@
 :class:`ModelExecutor` owns the model-facing half of serving: the
 pre-built per-(shape, bucket) :class:`~repro.backend.ModelPlan` table, the
 cold-path plan build for unseen shapes, and the staged, owner-tagged batch
-forward under the execution lock.  The sync transport (behind ``Server`` and
-``Router``) and the asyncio :class:`~repro.serve.gateway.AsyncGateway` both
-run batches through it, which is what makes their outputs
-bitwise-identical: the same plan, the same staging, the same summation
-order, regardless of which transport formed the batch.
+forward under the execution lock.  The serving transport (behind
+``Server``, ``Router`` and the asyncio
+:class:`~repro.serve.gateway.AsyncGateway`) runs every batch through it,
+which is what makes their outputs bitwise-identical: the same plan, the
+same staging, the same summation order, regardless of which front formed
+the batch.
 """
 from __future__ import annotations
 
@@ -29,6 +30,10 @@ __all__ = [
     "ModelExecutor",
     "RequestFailed",
 ]
+
+# The graceful-degradation ladder: a workload that keeps faulting is
+# demoted one step down this chain, starting from the resolved default.
+_DEGRADE_CHAIN = ("numpy", "reference")
 
 
 class RequestFailed(RuntimeError):
@@ -87,7 +92,8 @@ class ModelExecutor:
 
     The executor serialises its own batches on ``exec_lock`` — the staged
     plan buffers are shared per (shape, bucket) — while different
-    executors' batches may overlap freely (the gateway relies on that).
+    executors' batches may overlap freely (inline ``Server``/``Router``
+    drains run batches on concurrent client threads).
     """
 
     def __init__(
@@ -97,7 +103,6 @@ class ModelExecutor:
         bucket_sizes: tuple[int, ...] = (1, 2, 4, 8),
         name: str | None = None,
         degrade_after: int | None = None,
-        degrade_chain: tuple[str, ...] = ("numpy", "reference"),
     ) -> None:
         self.model = model.eval()
         self.name = name
@@ -112,12 +117,11 @@ class ModelExecutor:
         self.exec_lock = threading.Lock()
         # Graceful degradation ladder: after `degrade_after` consecutive
         # non-poison kernel faults on one (shape, bucket) workload, demote
-        # just that workload one step down `degrade_chain` (starting from
+        # just that workload one step down _DEGRADE_CHAIN (starting from
         # the resolved default backend).  Level 0 = no override, i.e. the
         # bitwise-pinned default path; ops a demoted backend lacks fall
         # through to the default order.
         self.degrade_after = degrade_after
-        self.degrade_chain = tuple(degrade_chain)
         self._ladder_lock = threading.Lock()
         self._ladder: dict[tuple, int] = {}
         self._fail_streak: dict[tuple, int] = {}
@@ -166,7 +170,7 @@ class ModelExecutor:
                 resolved = REGISTRY.resolve_name("conv2d", "default")
             except ValueError:
                 resolved = None
-            chain = self.degrade_chain
+            chain = _DEGRADE_CHAIN
             if resolved in chain:
                 chain = chain[chain.index(resolved):]
             self._chain_cache = chain

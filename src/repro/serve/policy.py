@@ -8,13 +8,11 @@ declared and validated once, here, and every transport takes a policy::
     policy = ServingPolicy(max_latency=0.005, breaker_window=16)
     server = Server(model, config=policy)          # single-model sync front
     router = Router(server_config=policy)          # multi-model sync front
-    gateway = AsyncGateway(policy)                 # asyncio transport
+    gateway = AsyncGateway(policy)                 # multi-model asyncio front
 
 What is not a knob: retention bounds are the module constants
-:data:`repro.serve.server.RESULT_CAPACITY` / ``METRICS_WINDOW``, and how
-many batches run at once is fixed per transport: one on the sync
-transports, the worker-pool size (:func:`repro.backend.get_num_workers`)
-on the gateway.
+:data:`repro.serve.server.RESULT_CAPACITY` / ``METRICS_WINDOW``, and a started
+transport's worker thread runs one batch at a time on every front.
 """
 from __future__ import annotations
 
@@ -105,14 +103,3 @@ class ServingPolicy:
             min_samples=self.breaker_min_samples,
             cooldown=self.breaker_cooldown,
         )
-
-    @property
-    def max_bucket(self) -> int:
-        return self.bucket_sizes[-1]
-
-    def bucket_for(self, n: int) -> int:
-        """Smallest configured bucket that fits ``n`` requests."""
-        for size in self.bucket_sizes:
-            if n <= size:
-                return size
-        return self.max_bucket

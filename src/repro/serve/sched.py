@@ -5,11 +5,10 @@ takes ``now`` explicitly (or consumes clock *readings* recorded by the
 caller), so a policy's full decision sequence is replayable from a request
 trace — unit tests and the ``bench_async_gateway`` simulations drive these
 classes with a virtual clock and get bit-identical schedules on any
-machine.  Every transport — the sync transport behind
-:class:`repro.serve.server.Server` and :class:`repro.serve.router.Router`,
-and the asyncio :class:`repro.serve.gateway.AsyncGateway` — drives one
-:class:`SchedCore`, owns only its locks or event loop, and consults the
-core for every decision:
+machine.  The transport behind :class:`repro.serve.server.Server`,
+:class:`repro.serve.router.Router` and the asyncio
+:class:`repro.serve.gateway.AsyncGateway` drives one :class:`SchedCore`,
+owns only its lock, and consults the core for every decision:
 
 - :class:`AdmissionPolicy` — bounded pending queue: reject at the door
   instead of letting an overloaded queue grow without bound;
@@ -109,14 +108,6 @@ class AdmissionPolicy:
 
     def reject(self) -> None:
         self.rejected += 1
-
-    def admit(self, pending: int) -> bool:
-        """Convenience for transports without displacement: accept, or
-        count one rejection and return ``False``."""
-        if self.at_capacity(pending):
-            self.reject()
-            return False
-        return True
 
 
 class BucketPolicy:
@@ -501,10 +492,9 @@ class SchedCore:
     """The composite scheduling brain the transports drive.
 
     Holds per-model shape-keyed queues and the four policies; every method
-    is synchronous, lock-free and takes ``now`` — the sync transport calls
-    it under its lock, the asyncio gateway from its event loop, the
-    deterministic benchmarks from a virtual-clock simulation, and all
-    observe the identical schedule.
+    is synchronous, lock-free and takes ``now`` — the serving transport
+    calls it under its lock, the deterministic benchmarks from a
+    virtual-clock simulation, and both observe the identical schedule.
     """
 
     def __init__(

@@ -14,16 +14,19 @@ after another in the core's order, on the thread that took them; after
 each, its measured span calibrates the core's ``exec_estimate`` for the
 deadline shed.
 
-:class:`Server` (one model, int ids) and the multi-model
-:class:`~repro.serve.router.Router` front it.  Drive them synchronously
-(``poll``/``flush``, and a ``submit`` that makes a batch due, run batches
-on the caller — deterministic with an injected clock) or threaded
-(``start``, then ``wait_result`` from any number of client threads).
-:class:`ModelRuntime` and :class:`ServingMetrics` are shared with the
-asyncio :class:`~repro.serve.gateway.AsyncGateway`.
+:class:`Server` (one model, int ids), the multi-model
+:class:`~repro.serve.router.Router` and the asyncio
+:class:`~repro.serve.gateway.AsyncGateway` front it.  Drive the first two
+synchronously (``poll``/``flush``, and a ``submit`` that makes a batch due,
+run batches on the caller — deterministic with an injected clock) or
+threaded (``start``, then ``wait_result`` from any number of client
+threads).  The gateway always runs the worker thread and awaits each
+request on an asyncio future, which the worker resolves on the future's
+own loop when the request settles.
 """
 from __future__ import annotations
 
+import asyncio
 import itertools
 import threading
 import time
@@ -176,10 +179,25 @@ def cache_delta(now: dict, base: dict) -> dict:
     return window
 
 
-def breaker_snapshots(models: dict[str, "ModelRuntime"]) -> dict[str, dict]:
-    """Per-model circuit-breaker snapshots (breaker-enabled models only)."""
-    return {name: runtime.breaker.snapshot()
-            for name, runtime in models.items() if runtime.breaker is not None}
+def _shed_error(rid: int, deadline: bool) -> RequestShed:
+    """What a shed request's waiter gets: :class:`DeadlineExceeded` for a
+    deadline shed, :class:`RequestShed` for a shutdown shed."""
+    if deadline:
+        return DeadlineExceeded(
+            f"request {rid} was shed: its deadline (latency budget) passed "
+            f"while it was still queued"
+        )
+    return RequestShed(f"request {rid} was shed on shutdown before executing")
+
+
+def _resolve(future, outcome) -> None:
+    """Settle an awaited request's future; runs on the future's loop."""
+    if future.done():   # its awaiter was cancelled
+        return
+    if isinstance(outcome, BaseException):
+        future.set_exception(outcome)
+    else:
+        future.set_result(outcome)
 
 
 def resolve_model(name: str, model, build_kwargs: dict):
@@ -343,7 +361,8 @@ class SyncTransport:
     defaults); ``clock``/``sleep`` are injectable for deterministic tests.
     Request ids come from the core and are unique across the transport's
     models.  Subclasses add models with :meth:`_add` and map their request
-    keys to ids with :meth:`_rid`.
+    keys to ids with :meth:`_rid`.  A request submitted with an asyncio
+    future also settles into that future (:meth:`_settle_locked`).
     """
 
     def __init__(self, config: ServingPolicy | None,
@@ -365,13 +384,15 @@ class SyncTransport:
         self._failed: OrderedDict[int, RequestFailed] = OrderedDict()
         self._shed_ids: OrderedDict[int, bool] = OrderedDict()  # id -> deadline?
         self._waiting: set[int] = set()                # ids with a blocked waiter
+        self._futures: dict[int, asyncio.Future] = {}  # ids an await-er waits on
         self._last_id = -1
         self._worker: threading.Thread | None = None
         self._stopping = False
 
     # -- models ---------------------------------------------------------------
 
-    def _add(self, name: str, model, input_shapes) -> None:
+    def _add(self, name: str, model, input_shapes,
+             request_cost: float = 1.0) -> None:
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
         executor = ModelExecutor(
@@ -381,7 +402,8 @@ class SyncTransport:
         )
         with self._lock:
             self._models[name] = ModelRuntime(executor, self.config.make_breaker())
-            self.core.add_model(name, exec_estimate=None)
+            self.core.add_model(name, request_cost=request_cost,
+                                exec_estimate=None)
 
     def _require(self, name: str) -> ModelRuntime:
         try:
@@ -399,7 +421,8 @@ class SyncTransport:
 
     # -- request lifecycle ----------------------------------------------------
 
-    def _submit(self, model: str, image, deadline: float | None) -> int:
+    def _submit(self, model: str, image, deadline: float | None,
+                future: asyncio.Future | None = None) -> int:
         """Admit one ``(C, H, W)`` image for ``model``; returns its id.
 
         ``deadline`` is an absolute clock reading: under
@@ -407,6 +430,8 @@ class SyncTransport:
         and later completions count in ``deadline_misses``.  Raises
         :class:`ModelUnavailable` or :class:`QueueFull`.  Without a worker
         thread, batches this submit made due run before it returns.
+        ``future`` is registered in the same locked section that admits the
+        request, so the request cannot settle before its future exists.
         """
         runtime = self._require(model)
         image = np.asarray(image, dtype=np.float32)
@@ -426,6 +451,8 @@ class SyncTransport:
                 )
             rid = self._last_id = outcome.request.id
             self._pending.add(rid)
+            if future is not None:
+                self._futures[rid] = future
             if runtime.started is None:
                 runtime.started = now
             inline = self._worker is None
@@ -513,14 +540,7 @@ class SyncTransport:
                     if rid in self._failed:
                         raise self._failed[rid]
                     if rid in self._shed_ids:
-                        if self._shed_ids[rid]:
-                            raise DeadlineExceeded(
-                                f"request {rid} was shed: its deadline "
-                                f"passed while it was still queued"
-                            )
-                        raise RequestShed(
-                            f"request {rid} was shed on shutdown before executing"
-                        )
+                        raise _shed_error(rid, self._shed_ids[rid])
                     remaining = end - time.monotonic()
                     if remaining <= 0:
                         raise ResultTimeout(rid, timeout, self._status_locked(rid))
@@ -565,6 +585,7 @@ class SyncTransport:
                 outcomes = runtime.fold(batch, rows, errors, stats, timing)
                 for request, outcome in zip(batch.requests, outcomes):
                     self._pending.discard(request.id)
+                    self._settle_locked(request.id, outcome)
                     if isinstance(outcome, RequestFailed):
                         self._failed[request.id] = outcome
                     else:
@@ -582,9 +603,22 @@ class SyncTransport:
                 runtime.shed_deadline += 1
             else:
                 runtime.shed += 1
+            self._settle_locked(victim.id, _shed_error(victim.id, deadline))
         if victims:
             self._trim_locked()
             self._cond.notify_all()
+
+    def _settle_locked(self, rid: int, outcome) -> None:
+        """Hand a settled request's outcome (its result, its
+        :class:`RequestFailed` or its shed error) to the future awaiting
+        it, if any, resolved on that future's loop."""
+        future = self._futures.pop(rid, None)
+        if future is None:
+            return
+        try:
+            future.get_loop().call_soon_threadsafe(_resolve, future, outcome)
+        except RuntimeError:   # its loop is closed: nobody is left to await it
+            pass
 
     def _trim_locked(self) -> None:
         """Bound retention: oldest records go first; a result someone is
@@ -662,8 +696,11 @@ class SyncTransport:
                 runtime.reset()
 
     def breaker_snapshots(self) -> dict[str, dict]:
+        """Per-model circuit-breaker snapshots (breaker-enabled models only)."""
         with self._lock:
-            return breaker_snapshots(self._models)
+            return {name: runtime.breaker.snapshot()
+                    for name, runtime in self._models.items()
+                    if runtime.breaker is not None}
 
 
 class Server(SyncTransport):

@@ -17,9 +17,9 @@ DEFAULT_DTYPE = np.float32
 
 # Grad mode is *thread-local* (as in PyTorch): each serving worker or
 # client thread toggles recording for itself only.  A process-global flag
-# would race under the async gateway's pool — two overlapping no_grad()
-# blocks on different threads could interleave their save/restore and
-# leave recording disabled for the whole process.
+# would race when client threads run inline serving drains at once — two
+# overlapping no_grad() blocks on different threads could interleave
+# their save/restore and leave recording disabled for the whole process.
 _grad_state = threading.local()
 
 

@@ -1,7 +1,6 @@
-"""The shared worker pool, backend selection and run-to-run bits.
+"""The environment stamp, backend selection and run-to-run bits.
 
-The pool runs the async gateway's batch offloads; these tests pin its
-submission discipline (a dead pool is terminal) and worker sizing, exact
+These tests pin the stamp's worker count (``REPRO_NUM_WORKERS``), exact
 :class:`KernelStats` totals under concurrent ``record``, the
 ``REPRO_BACKEND`` selection rules, and that a model on the ``numpy``
 backend gives the same bits from run to run.
@@ -13,85 +12,30 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import pytest
 
-from repro.backend import KernelRegistry, KernelStats, env_backend_order
+from repro.backend import KernelRegistry, KernelStats, env_backend_order, env_stamp
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 # ---------------------------------------------------------------------------
-# Submission shutdown discipline: a pool that refuses work is terminal
+# The environment stamp's worker count: configuration only when pinned
 # ---------------------------------------------------------------------------
 
-class _DeadExecutor:
-    """Stands in for a pool whose ``submit`` can never succeed again."""
-
-    def __init__(self, message: str):
-        self.message = message
-        self.submits = 0
-
-    def submit(self, fn, /, *args):
-        self.submits += 1
-        raise RuntimeError(self.message)
-
-
-def test_submit_pooled_raises_at_interpreter_shutdown(monkeypatch):
-    # At interpreter shutdown no pool can accept work again, so the error
-    # must propagate after exactly one attempt, never spin.
-    from repro.backend import parallel as par
-
-    dead = _DeadExecutor("cannot schedule new futures after interpreter shutdown")
-    monkeypatch.setattr(par, "_executor", lambda: dead)
-    with pytest.raises(RuntimeError, match="interpreter shutdown"):
-        par.submit_pooled(lambda: 1)
-    assert dead.submits == 1
-
-
-def test_dead_pool_nobody_rebuilt_is_terminal_not_a_spin(monkeypatch):
-    # A pool shut down underneath can never accept work again; retrying
-    # would re-raise identically forever, so the error propagates.
-    from repro.backend import parallel as par
-
-    dead = _DeadExecutor("cannot schedule new futures after shutdown")
-    monkeypatch.setattr(par, "_executor", lambda: dead)
-    with pytest.raises(RuntimeError, match="after shutdown"):
-        par.submit_pooled(lambda: 1)
-    assert dead.submits == 1
-
-
-# ---------------------------------------------------------------------------
-# Worker sizing honours the scheduler affinity mask (cgroup/taskset limits)
-# ---------------------------------------------------------------------------
-
-def test_default_num_workers_uses_affinity_mask(monkeypatch):
-    from repro.backend.parallel import default_num_workers
-
+def test_env_stamp_ignores_affinity_when_unpinned(monkeypatch):
+    # Unpinned, the stamp must not echo a machine property (perfbench's
+    # compare refuses runs whose stamps differ).
     monkeypatch.delenv("REPRO_NUM_WORKERS", raising=False)
-    # A process pinned to 2 CPUs of a big host must get a 2-worker pool,
-    # not a host-sized one.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    assert default_num_workers() == 2
+    assert env_stamp()["num_workers"] is None
 
 
-def test_default_num_workers_falls_back_to_cpu_count(monkeypatch):
-    from repro.backend.parallel import default_num_workers
-
-    monkeypatch.delenv("REPRO_NUM_WORKERS", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert default_num_workers() == 5
-
-
-def test_repro_num_workers_env_still_wins_over_affinity(monkeypatch):
-    from repro.backend.parallel import default_num_workers
-
+def test_env_stamp_records_pinned_num_workers(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
                         raising=False)
     monkeypatch.setenv("REPRO_NUM_WORKERS", "7")
-    assert default_num_workers() == 7
+    assert env_stamp()["num_workers"] == 7
 
 
 # ---------------------------------------------------------------------------

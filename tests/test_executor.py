@@ -1,19 +1,17 @@
 """Concurrent kernel execution is bitwise-equal to serial.
 
-The async gateway runs different models' batches on pool threads at once,
-so kernels must give **bitwise-identical** results whatever else runs
-beside them.  The workloads are numpy conv, depthwise and SCC
+Inline ``Server``/``Router`` drains run batches on whichever client thread
+made them due, so concurrent clients run kernels at once, and kernels must
+give **bitwise-identical** results whatever else runs beside them.  The workloads are numpy conv, depthwise and SCC
 forward+backward passes run concurrently on a thread pool, so they also
 exercise the process-wide plans and the thread-local ``SCCPlan.w_full``
 scratch from several threads at once.
 """
-import concurrent.futures
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from repro.backend.parallel import submit_pooled
 from repro.tensor.conv_ops import Conv2d
 from repro.utils import seed_all
 
@@ -78,9 +76,3 @@ def test_pooled_bitwise_identical_to_one_worker(workload, workers):
             np.testing.assert_array_equal(
                 ref, arr, err_msg=f"seed {seed} diverged at {workers} workers"
             )
-
-
-def test_submit_pooled_returns_future():
-    future = submit_pooled(pow, 3, 4)
-    assert isinstance(future, concurrent.futures.Future)
-    assert future.result(timeout=30) == 81

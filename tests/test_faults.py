@@ -15,7 +15,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.backend import REGISTRY, backend_override, submit_pooled
+from repro.backend import REGISTRY, backend_override
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -594,16 +594,3 @@ def test_gateway_breaker_opens_sheds_and_recloses():
                          ("half_open", "closed")]
 
     asyncio.run(main())
-
-
-# ---------------------------------------------------------------------------
-# Worker-pool submission faults
-# ---------------------------------------------------------------------------
-
-def test_pool_submit_fault_fires_once_then_recovers():
-    inj = FaultInjector([FaultSpec(site="pool_submit", rate=1.0, max_fires=1)])
-    with use_faults(inj):
-        with pytest.raises(InjectedFault, match="pool_submit"):
-            submit_pooled(len, [1, 2])
-        future = submit_pooled(len, [1, 2, 3])   # budget spent: flows again
-        assert future.result(timeout=10) == 3

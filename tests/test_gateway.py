@@ -10,12 +10,16 @@ import threading
 import numpy as np
 import pytest
 
+from repro.faults import FaultInjector, FaultSpec, use_faults
 from repro.models import build_model
 from repro.serve import (
     AsyncGateway,
     DeadlineExceeded,
     QueueFull,
+    RequestFailed,
+    RequestResult,
     RequestShed,
+    RequestStatus,
     Server,
     ServingPolicy,
 )
@@ -193,6 +197,8 @@ def test_gateway_metrics_split_and_fairness_accounting():
         )
         await gw.stop()
         assert all(r.latency >= r.queue_wait >= 0.0 for r in results)
+        # The transport's tables answer for gateway requests too.
+        assert all(gw.status(r.id) is RequestStatus.DONE for r in results)
         metrics = gw.metrics()
         assert metrics["a"].completed == 4 and metrics["b"].completed == 2
         for m in metrics.values():
@@ -313,3 +319,86 @@ def test_gateway_stop_without_drain_counts_shutdown_sheds():
     metrics = asyncio.run(main())
     assert metrics.shed == 3 and metrics.shed_deadline == 0
     assert metrics.completed == 0
+
+
+# ---------------------------------------------------------------------------
+# Shutdown under load: the worker is mid-batch when stop() is called
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("drain", [False, True])
+def test_stop_under_load_resolves_every_future_once(drain):
+    # Every batch's injected slow_batch delay goes through this sleep, which
+    # holds the worker inside its first batch until a timer releases it
+    # shortly after stop() was called.
+    started, release = threading.Event(), threading.Event()
+
+    def hold(seconds):
+        started.set()
+        assert release.wait(10)
+
+    async def main():
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(4,), max_latency=30.0,
+                                        adaptive_buckets=False), sleep=hold)
+        gw.register("m", _model(), input_shapes=[INPUT])
+        inj = FaultInjector([FaultSpec(site="slow_batch", rate=1.0, delay=1.0)])
+        with use_faults(inj):
+            waiters = [asyncio.ensure_future(gw.submit("m", im))
+                       for im in _images(4, seed=40)]
+            for _ in range(10_000):          # the full bucket is executing
+                if started.is_set():
+                    break
+                await asyncio.sleep(0.001)
+            assert started.is_set()
+            waiters += [asyncio.ensure_future(gw.submit("m", im))
+                        for im in _images(6, seed=41)]
+            await asyncio.sleep(0)           # all six queued behind it
+            timer = threading.Timer(0.05, release.set)
+            timer.start()
+            await gw.stop(drain=drain)
+            # stop() returned only after the in-flight batch finished:
+            # every request has settled, and no future is left registered.
+            m = gw.metrics()["m"]
+            assert m.completed + m.shed + m.failed == 10
+            assert not gw._futures
+            await gw.stop(drain=drain)
+            timer.join(10)
+            assert not timer.is_alive()
+        outcomes = await asyncio.wait_for(
+            asyncio.gather(*waiters, return_exceptions=True), timeout=30)
+        return gw, outcomes
+
+    gw, outcomes = asyncio.run(main())
+    assert len(outcomes) == 10
+    assert all(isinstance(o, (RequestResult, RequestShed, RequestFailed))
+               for o in outcomes)
+    completed = sum(isinstance(o, RequestResult) for o in outcomes)
+    shed = sum(isinstance(o, RequestShed) for o in outcomes)
+    m = gw.metrics()["m"]
+    assert (m.completed, m.shed, m.failed) == (completed, shed, 0)
+    if drain:
+        assert completed == 10
+    else:
+        # The in-flight batch finished; the two requests short of a full
+        # bucket were never due, so they (at least) were shed.
+        assert completed >= 4 and shed >= 2
+
+
+def test_gateway_outlives_a_loop_closed_with_a_request_in_flight():
+    # The first loop closes while its request is still executing; the
+    # worker must survive settling it there and serve the next loop.
+    gw = AsyncGateway(ServingPolicy(bucket_sizes=(1,), max_latency=0.005))
+    gw.register("m", _model(), input_shapes=[INPUT])
+    image = _images(1, seed=50)[0]
+
+    async def leave_in_flight():
+        asyncio.ensure_future(gw.submit("m", image))
+        await asyncio.sleep(0)           # admitted; the batch is due
+
+    async def serve_again():
+        result = await asyncio.wait_for(gw.submit("m", image), timeout=30)
+        await gw.stop()
+        return result
+
+    asyncio.run(leave_in_flight())
+    assert asyncio.run(serve_again()).output.shape == (10,)
+    assert gw.metrics()["m"].completed == 2

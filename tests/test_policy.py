@@ -10,7 +10,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.serve import AsyncGateway, Server, ServingPolicy
+from repro.serve import AsyncGateway, BucketPolicy, Server, ServingPolicy
 from repro.serve.sched import RetryPolicy, SchedCore
 
 
@@ -53,11 +53,12 @@ def test_policy_sorts_and_dedups_buckets():
 
 
 def test_policy_bucket_helpers():
-    policy = ServingPolicy(bucket_sizes=(2, 4, 8))
-    assert policy.max_bucket == 8
-    assert policy.bucket_for(1) == 2
-    assert policy.bucket_for(3) == 4
-    assert policy.bucket_for(9) == 8
+    # The policy's buckets, as the core's BucketPolicy pads to them.
+    buckets = BucketPolicy(ServingPolicy(bucket_sizes=(2, 4, 8)).bucket_sizes)
+    assert buckets.max_bucket == 8
+    assert buckets.fit_bucket(1) == 2
+    assert buckets.fit_bucket(3) == 4
+    assert buckets.fit_bucket(9) == 8
 
 
 def test_make_breaker_mirrors_knobs():

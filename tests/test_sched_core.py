@@ -26,13 +26,13 @@ SHAPE = (3, 16, 16)
 
 def test_admission_bounds_and_counts():
     policy = AdmissionPolicy(max_pending=2)
-    assert policy.admit(0) and policy.admit(1)
-    assert not policy.admit(2)
+    assert not policy.at_capacity(0) and not policy.at_capacity(1)
+    assert policy.at_capacity(2) and policy.at_capacity(3)
+    policy.reject()
     assert policy.rejected == 1
-    assert not policy.at_capacity(1) and policy.at_capacity(3)
 
     unbounded = AdmissionPolicy(None)
-    assert all(unbounded.admit(n) for n in (0, 10**6))
+    assert not any(unbounded.at_capacity(n) for n in (0, 10**6))
     with pytest.raises(ValueError, match="max_pending"):
         AdmissionPolicy(0)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.models import build_model
-from repro.serve import Server, ServingPolicy
+from repro.serve import BucketPolicy, Server, ServingPolicy
 from repro.serve import server as server_module
 from repro.tensor import Tensor, no_grad
 from repro.utils import seed_all
@@ -231,8 +231,9 @@ def test_server_config_validation():
         ServingPolicy(max_latency=0)
     config = ServingPolicy(bucket_sizes=(8, 2, 2, 4))
     assert config.bucket_sizes == (2, 4, 8)
-    assert config.bucket_for(1) == 2 and config.bucket_for(5) == 8
-    assert config.bucket_for(64) == 8
+    buckets = BucketPolicy(config.bucket_sizes)
+    assert buckets.fit_bucket(1) == 2 and buckets.fit_bucket(5) == 8
+    assert buckets.fit_bucket(64) == 8
     model = _model()
     server = Server(model, input_shapes=[INPUT])
     with pytest.raises(ValueError, match="image"):
@@ -491,7 +492,7 @@ def test_adaptive_server_shrinks_bucket_under_light_load():
     # adaptive_buckets=True: sparse arrivals target the smallest bucket, so
     # a lone request flushes as soon as one batch-mate window passes — and
     # outputs stay bitwise-equal to the fixed-bucket server (same
-    # bucket_for padding at execution).
+    # fit_bucket padding at execution).
     clock = [0.0]
     model = _model()
     server = Server(model, input_shapes=[INPUT],
