@@ -8,16 +8,11 @@ plan cache resized *below* the three models' combined plan working set so
 eviction is live during the whole window — the regime the single-model
 serving benchmark never enters.
 
-Reported:
-
-- per-model p50/p95 latency, throughput and exact (owner-attributed)
-  plan-cache hit rate, plus the aggregate hit rate the acceptance gate
-  cares about (>= 0.90 with the cache at ~60% of the working set);
-- an eviction-policy ablation: the same stream with the cache's
-  traffic-weighted victim selection reduced to pure LRU
-  (``eviction_candidates=1``), measuring whether the weighting protects
-  the hot model from the cold models' churn (the verdict printed under
-  the table is computed from its rows).
+Reported: per-model p50/p95 latency, throughput and exact
+(owner-attributed) plan-cache hit rate and evictions — the cache evicts its
+least recently used plan and charges it to the model that built it — plus
+the aggregate hit rate the acceptance gate cares about (>= 0.90 with the
+cache at ~60% of the working set).
 
 The router's drain is serial in its scheduling core's order, synchronous
 and seeded, so every count (hits, misses, evictions, hit rates) is
@@ -40,7 +35,6 @@ MODELS = (
 )
 TRAFFIC = {"mnet-hot": 0.70, "mnet-warm": 0.20, "res-cold": 0.10}
 CAPACITY_FRACTION = 0.6    # gate point: cache capacity / runtime working set
-CONTENDED_FRACTION = 0.4   # ablation point: hot model's plans reach the LRU tail
 
 
 def _build_router() -> Router:
@@ -73,7 +67,7 @@ def _serve(router: Router, stream) -> dict:
 
 
 def _measure(router: Router, stream, fraction: float, old_maxsize: int) -> dict:
-    """One policy run: re-warm from a cold cache, constrain capacity, serve.
+    """One run: re-warm from a cold cache, constrain capacity, serve.
 
     The *runtime* working set is measured by clearing the cache after
     registration and replaying a warm stream — the registration-time build
@@ -96,34 +90,9 @@ def _measure(router: Router, stream, fraction: float, old_maxsize: int) -> dict:
     }
 
 
-def _compare(label: str, weighted: float, pure_lru: float) -> str:
-    if weighted > pure_lru:
-        verdict = "weighted ahead"
-    elif weighted < pure_lru:
-        verdict = "weighted behind"
-    else:
-        verdict = "equal"
-    return f"{label} {weighted:.3f} vs {pure_lru:.3f} ({verdict})"
-
-
-def _ablation_verdict(weighted: dict, pure_lru: dict) -> str:
-    """One sentence comparing the two eviction policies' measured rows."""
-    return (
-        f"Traffic-weighted vs pure-LRU eviction at {CONTENDED_FRACTION:.0%} "
-        "capacity: "
-        + _compare("aggregate hit rate", weighted["aggregate_hit_rate"],
-                   pure_lru["aggregate_hit_rate"])
-        + "; "
-        + _compare("hot-model hit rate", weighted["hot_hit_rate"],
-                   pure_lru["hot_hit_rate"])
-        + "."
-    )
-
-
 def report_multimodel_serving():
     num_requests = 600 if full_mode() else 240
     old_maxsize = PLAN_CACHE.maxsize
-    old_candidates = PLAN_CACHE.eviction_candidates
     try:
         clear_plan_cache()
         router = _build_router()
@@ -132,15 +101,6 @@ def report_multimodel_serving():
         gate = _measure(router, stream, CAPACITY_FRACTION, old_maxsize)
         metrics = gate["metrics"]
         working_set, maxsize = gate["working_set"], gate["maxsize"]
-
-        # Eviction-policy ablation at tighter capacity, where the hot
-        # model's plans do drift to the LRU tail between its batches:
-        # the same stream under traffic-weighted vs pure-LRU victims.
-        contended = _measure(router, stream, CONTENDED_FRACTION, old_maxsize)
-        PLAN_CACHE.eviction_candidates = 1
-        contended_lru = _measure(router, stream, CONTENDED_FRACTION,
-                                 old_maxsize)
-        PLAN_CACHE.eviction_candidates = old_candidates
 
         counts = {name: sum(1 for n, _ in stream if n == name) for name in TRAFFIC}
         rows = []
@@ -157,16 +117,6 @@ def report_multimodel_serving():
                 "hit_rate": round(cache["hit_rate"], 4),
                 "evictions": cache["evictions"],
             })
-        ablation_rows = []
-        for policy, run in (("weighted", contended), ("pure-lru", contended_lru)):
-            m = run["metrics"]
-            ablation_rows.append({
-                "policy": policy,
-                "capacity": run["maxsize"],
-                "aggregate_hit_rate": round(m.aggregate_hit_rate, 4),
-                "hot_hit_rate": round(m.per_model_cache["mnet-hot"]["hit_rate"], 4),
-                "evictions": m.cache_evictions,
-            })
 
         table = format_table(
             ["Model", "traffic", "served", "req/s", "p50 (ms)", "p95 (ms)",
@@ -182,17 +132,9 @@ def report_multimodel_serving():
         table += (
             f"\nRuntime working set {working_set} plans, cache capacity "
             f"{maxsize}: aggregate hit rate {metrics.aggregate_hit_rate:.3f}, "
-            f"{metrics.cache_evictions} evictions, 0 lost requests.\n\n"
+            f"{metrics.cache_evictions} evictions, {gate['lost']} lost "
+            "requests."
         )
-        table += format_table(
-            ["Eviction policy", "capacity", "aggregate hit rate",
-             "hot-model hit rate", "evictions"],
-            [[r["policy"], str(r["capacity"]), f"{r['aggregate_hit_rate']:.3f}",
-              f"{r['hot_hit_rate']:.3f}", str(r["evictions"])]
-             for r in ablation_rows],
-            title=f"Eviction ablation at {CONTENDED_FRACTION:.0%} capacity",
-        )
-        table += "\n" + _ablation_verdict(*ablation_rows)
         data = {
             "num_requests": num_requests,
             "working_set": working_set,
@@ -200,14 +142,12 @@ def report_multimodel_serving():
             "capacity_fraction": CAPACITY_FRACTION,
             "aggregate_hit_rate": round(metrics.aggregate_hit_rate, 4),
             "evictions": metrics.cache_evictions,
-            "lost_requests": gate["lost"] + contended["lost"] + contended_lru["lost"],
+            "lost_requests": gate["lost"],
             "rows": rows,
-            "eviction_ablation": ablation_rows,
             "cache": plan_cache_stats(),
         }
         return emit("multimodel_serving", table, data=data), data
     finally:
-        PLAN_CACHE.eviction_candidates = old_candidates
         PLAN_CACHE.resize(old_maxsize)
         clear_plan_cache()
 
@@ -223,10 +163,6 @@ def test_multimodel_aggregate_hit_rate_gate():
     # The hot model is protected: its hit rate stays above the aggregate.
     hot = next(r for r in data["rows"] if r["model"] == "mnet-hot")
     assert hot["hit_rate"] >= data["aggregate_hit_rate"], data["rows"]
-    # Under contention the weighted policy keeps the hot model warmer than
-    # pure LRU serving the identical stream.
-    weighted, pure_lru = data["eviction_ablation"]
-    assert weighted["hot_hit_rate"] > pure_lru["hot_hit_rate"], data
 
 
 if __name__ == "__main__":

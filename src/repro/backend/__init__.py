@@ -45,10 +45,9 @@ Execution-plan cache (``repro.backend.workload`` / ``repro.backend.plan``)
     the builder exactly once.  Traffic is attributable: wrap a client in
     :func:`plan_owner` (the multi-model serving router tags each model
     this way) and :func:`plan_cache_owner_stats` reports per-owner
-    hit/miss/build/eviction counts that sum to the global ones, while
-    eviction under capacity pressure is traffic-weighted LRU — victims
-    are drawn from the LRU tail, preferring owners with the least recent
-    traffic, so a hot model's plans survive a cold model's churn.
+    hit/miss/build/eviction counts that sum to the global ones.  A full
+    cache evicts its least recently used plan, charged to the owner that
+    built it.
 
 Model plans (``repro.backend.model_plan``)
     :class:`ModelPlan` lifts planning to whole models: one warm-up pass at

@@ -124,15 +124,6 @@ class ModelPlan:
 
     # -- observability --------------------------------------------------------
 
-    def stats(self) -> dict:
-        return {
-            "fused_layers": self.fused_layers,
-            "prebuilt_plans": self.prebuilt_plans,
-            "batch_size": self.batch_size,
-            "input_shape": self.input_shape,
-            "include_backward": self.include_backward,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ModelPlan(batch={self.batch_size}, input={self.input_shape}, "

@@ -12,14 +12,13 @@ latency and throughput.  The tier is three layers:
 - **transport** — one transport (``SyncTransport``, in
   :mod:`repro.serve.server`) over a single :class:`SchedCore`, fronted by
   :class:`Server` (one model), :class:`Router` (many models, DRR order
-  between them, shared plan cache with owner-tagged accounting and
-  traffic-weighted eviction) and the asyncio :class:`AsyncGateway`
-  (``await``-able submit, per-request latency budgets, shed surfaced as
-  exceptions); batches run serially through the one
-  :class:`ModelExecutor` batch engine (:mod:`repro.serve.engine`) — which
-  is what makes every front's outputs bitwise-identical at a fixed bucket
-  size — and completions fold into the same per-model ``ModelRuntime``
-  record;
+  between them, shared plan cache with owner-tagged accounting) and the
+  asyncio :class:`AsyncGateway` (``await``-able submit, per-request
+  latency budgets, shed surfaced as exceptions); batches run serially
+  through the one :class:`ModelExecutor` batch engine
+  (:mod:`repro.serve.engine`) — which is what makes every front's outputs
+  bitwise-identical at a fixed bucket size — and completions fold into the
+  same per-model ``ModelRuntime`` record;
 - **observability** — :class:`ServingMetrics` / :class:`RouterMetrics`
   with the queue-wait vs exec-time latency split, deadline-miss rate,
   shed-by-deadline counts and the live adaptive bucket target;

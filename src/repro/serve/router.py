@@ -5,15 +5,12 @@ multi-model front of :class:`~repro.serve.server.SyncTransport`, so
 admission (per model, ``ServingPolicy.max_pending``), bucketing, deadline
 shedding and the deficit-round-robin order between models are decided in
 one :class:`~repro.serve.sched.SchedCore`.  All models share the
-process-wide :data:`~repro.backend.workload.PLAN_CACHE` under their names
-as cache *owner* tags (:func:`repro.backend.plan_owner`), which buys:
-
-- **per-model cache accounting** — hit/miss/build/eviction counts per
-  model, reconcilable against the global counters, exact even while other
-  models, a trainer, or cache clears share the process;
-- **traffic-weighted eviction** — the cache's LRU victim selection weights
-  candidates by their owner's traffic, so a hot model's plans are not
-  thrashed out by a cold model churning through the LRU tail.
+process-wide :data:`~repro.backend.workload.PLAN_CACHE` (a plain LRU)
+under their names as cache *owner* tags (:func:`repro.backend.plan_owner`),
+which buys **per-model cache accounting**: hit/miss/build counts per
+accessing model and eviction/size counts per building model, reconcilable
+against the global counters, exact even while other models, a trainer, or
+cache clears share the process.
 
 Different models' batches run serially in the core's order, so the shared
 cache's access order (and its eviction counts) is deterministic.
@@ -26,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.backend import PLAN_CACHE, plan_cache_stats
+from repro.backend import plan_cache_stats
 from repro.serve.policy import ServingPolicy
 from repro.serve.server import (
     _CACHE_KEYS, ServingMetrics, SyncTransport, cache_delta, resolve_model,
@@ -89,12 +86,6 @@ class Router(SyncTransport):
         served under (``None`` = defaults).
     clock, sleep:
         time source and backoff sleep (injectable for tests).
-    cache_owner_floor:
-        when set, configures the shared plan cache's per-owner quota
-        (``PlanCache.owner_floor``): every registered model keeps at least
-        this many resident plans no matter how hard the other models churn
-        the cache.  Applied process-wide (the cache is shared); ``None``
-        leaves the cache's current setting untouched.
 
     Request keys are :class:`RouterHandle` s; ``result``/``status``/
     ``wait_result``/``was_shed``/``failure``/``poll``/``flush``/``start``/
@@ -105,15 +96,8 @@ class Router(SyncTransport):
         self,
         server_config: ServingPolicy | None = None,
         clock: Callable[[], float] = time.perf_counter,
-        cache_owner_floor: int | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if cache_owner_floor is not None:
-            if cache_owner_floor < 0:
-                raise ValueError(
-                    f"cache_owner_floor must be >= 0, got {cache_owner_floor}"
-                )
-            PLAN_CACHE.owner_floor = cache_owner_floor
         super().__init__(server_config, clock, sleep)
         self.reset_metrics()
 

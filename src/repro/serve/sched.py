@@ -91,23 +91,19 @@ class SubmitOutcome:
 class AdmissionPolicy:
     """Bounded-queue backpressure: at most ``max_pending`` queued requests.
 
-    The policy itself is just the bound and the rejection counter; *what*
-    to do at capacity (reject the newcomer, or displace a blown-budget
-    victim first) is composed in :meth:`SchedCore.submit` from the
-    :class:`ShedPolicy`.
+    The policy itself is just the bound; *what* to do at capacity (reject
+    the newcomer, or displace a blown-budget victim first) is composed in
+    :meth:`SchedCore.submit` from the :class:`ShedPolicy`.  The transport
+    counts rejections and sheds in its per-model metrics window.
     """
 
     def __init__(self, max_pending: int | None = None) -> None:
         if max_pending is not None and max_pending < 1:
             raise ValueError(f"max_pending must be >= 1 or None, got {max_pending}")
         self.max_pending = max_pending
-        self.rejected = 0
 
     def at_capacity(self, pending: int) -> bool:
         return self.max_pending is not None and pending >= self.max_pending
-
-    def reject(self) -> None:
-        self.rejected += 1
 
 
 class BucketPolicy:
@@ -472,7 +468,7 @@ class CircuitBreaker:
 
 @dataclass
 class _ModelState:
-    """Per-model queues, policies and shed/reject accounting."""
+    """Per-model queues and policies."""
 
     name: str
     admission: AdmissionPolicy
@@ -485,7 +481,6 @@ class _ModelState:
     exec_seen: bool = False
     queues: dict[tuple, deque] = field(default_factory=dict)
     pending: int = 0
-    shed_deadline: int = 0
 
 
 class SchedCore:
@@ -624,7 +619,6 @@ class SchedCore:
             if self.shed.policy == "deadline":
                 displaced = self._shed_blown(state, now)
             if state.admission.at_capacity(state.pending):
-                state.admission.reject()
                 return SubmitOutcome(False, None, displaced)
         request = SchedRequest(
             id=next(self._ids), model=model, shape=tuple(shape),
@@ -645,7 +639,6 @@ class SchedCore:
                 queue.extend(viable)
                 victims.extend(blown)
         state.pending -= len(victims)
-        state.shed_deadline += len(victims)
         return victims
 
     def shed_blown(self, now: float) -> list[SchedRequest]:
@@ -755,8 +748,6 @@ class SchedCore:
         state = self._require(model)
         return {
             "pending": state.pending,
-            "rejected": state.admission.rejected,
-            "shed_deadline": state.shed_deadline,
             "bucket_target": state.buckets.target_bucket(),
             "arrival_rate": state.buckets.arrival_rate(),
             "exec_estimate": state.exec_estimate,

@@ -233,9 +233,6 @@ class ModelRuntime:
         self.reset()
 
     def reset(self) -> None:
-        # ``rejected`` and ``shed_deadline`` repeat SchedCore's lifetime
-        # counts of the same events, counted here again so that they reset
-        # with the measurement window.
         self.completed = self.failed = self.retries = self.isolations = 0
         self.rejected = self.shed = self.shed_deadline = self.unavailable = 0
         self.deadline_misses = self.deadline_total = 0
