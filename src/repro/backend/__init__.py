@@ -5,9 +5,12 @@ This package is the single execution layer behind ``repro.tensor.conv_ops``,
 cross-checks.  It separates **what** is computed from **how**:
 
 Kernel registry (``repro.backend.registry``)
-    Named ops — ``conv2d``, ``conv2d_backward``, ``scc_forward``,
-    ``scc_backward``, ``maxpool2d``, ``avgpool2d`` (each with a
-    ``*_backward`` pair) — dispatched to pluggable backends:
+    Named ops — ``conv2d``, ``scc_forward``, ``maxpool2d``,
+    ``avgpool2d``, each with a ``*_backward`` pair — dispatched to
+    pluggable backends.  ``conv2d`` and ``scc_forward`` take an optional
+    ``epilogue=`` (:class:`~repro.backend.plan.EpilogueArgs`): fused
+    inference layers run their bias/BN/activation stages inside the same
+    op, on the same cached plan as the unfused layer.  The backends:
 
     ============  =======================================================
     reference     naive loop kernels; ground truth for every fast path
@@ -92,12 +95,9 @@ from repro.backend.model_plan import ModelPlan
 from repro.backend.plan import (
     Conv2dPlan,
     EpilogueArgs,
-    EpilogueSpec,
-    FusedConv2dPlan,
     Pool2dPlan,
     SCCPlan,
     contraction_path,
-    conv2d_fused_plan,
     conv2d_plan,
     conv_out_size,
     planned_einsum,
@@ -139,12 +139,9 @@ __all__ = [
     "ModelPlan",
     "Conv2dPlan",
     "EpilogueArgs",
-    "EpilogueSpec",
-    "FusedConv2dPlan",
     "Pool2dPlan",
     "SCCPlan",
     "contraction_path",
-    "conv2d_fused_plan",
     "conv2d_plan",
     "conv_out_size",
     "planned_einsum",

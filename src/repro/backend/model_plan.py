@@ -10,7 +10,7 @@ analog of topi's per-workload schedule tables compiled ahead of a run:
   forward for inference plans; a training forward plus backward for
   training plans, with the model's state snapshotted and restored around
   it — so every plan that pass reaches (conv, SCC and pooling geometry,
-  fused epilogues, backward contraction paths) is cache-resident, and
+  backward contraction paths) is cache-resident, and
 - pre-allocates the batch-staging buffer the serving/training front-ends
   fill in place.
 
@@ -57,15 +57,6 @@ class ModelPlan:
         self.input_shape = tuple(input_shape)
         self.batch_size = batch_size
         self.include_backward = include_backward
-        # Layers carrying a fused epilogue (repro.nn.fuse): their inference
-        # dispatch goes through conv2d_fused / SCC epilogue plans, which the
-        # warm-up pass below makes cache-resident.
-        self.fused_layers = sum(
-            1
-            for _, m in model.named_modules()
-            if getattr(m, "_fused_epilogue", None) is not None
-        )
-
         base_builds = PLAN_CACHE.stats()["builds"]
         self._warmup_execution()
         self.prebuilt_plans = PLAN_CACHE.stats()["builds"] - base_builds

@@ -26,7 +26,6 @@ import numpy as np
 from repro.backend.plan import (
     Conv2dPlan,
     EpilogueArgs,
-    FusedConv2dPlan,
     Pool2dPlan,
     SCCPlan,
     planned_einsum,
@@ -353,8 +352,14 @@ def _unpad_grad(grad_xp: np.ndarray | None, padding: int) -> np.ndarray | None:
 
 
 @register_kernel("conv2d", "numpy")
-def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
-    return _conv_forward(plan, x, weight)
+def conv2d(
+    plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray,
+    epilogue: EpilogueArgs | None = None,
+):
+    """Forward and backward context; an inference ``epilogue`` (bias, BN
+    affine, activation) runs per output slab while it is cache-hot, so no
+    intermediate tensors are materialized."""
+    return _conv_forward(plan, x, weight, epilogue)
 
 
 @register_kernel("conv2d_backward", "numpy")
@@ -405,16 +410,6 @@ def conv2d_backward(
                         j : j + wo * stride : stride,
                     ] += contrib
     return _unpad_grad(grad_xp, plan.padding), grad_w
-
-
-@register_kernel("conv2d_fused", "numpy")
-def conv2d_fused(
-    fplan: FusedConv2dPlan, x: np.ndarray, weight: np.ndarray, epilogue: EpilogueArgs
-):
-    """Inference-only conv2d with its staged epilogue applied per output
-    slab while it is cache-hot — no intermediate bias/BN/activation tensors
-    are materialized.  Returns the output only (no backward context)."""
-    return _conv_forward(fplan.base, x, weight, epilogue)[0]
 
 
 # ---------------------------------------------------------------------------

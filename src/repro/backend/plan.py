@@ -144,34 +144,8 @@ def conv2d_plan(
 
 
 # ---------------------------------------------------------------------------
-# Fused plans: staged conv -> bias -> BN-affine -> activation epilogues
+# Kernel epilogues: staged conv -> bias -> BN-affine -> activation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EpilogueSpec:
-    """The *static* shape of a fused epilogue — part of the fused plan key.
-
-    Which stages exist (bias add, eval-mode BN affine, which activation) is
-    static per layer; the parameter *values* arrive per call as an
-    :class:`EpilogueArgs`.
-    """
-
-    bias: bool = False
-    affine: bool = False              # BN eval affine: (x - mean) * scale + beta
-    activation: str | None = None     # None | "relu" | "relu6"
-
-    def __post_init__(self) -> None:
-        if self.activation not in (None, "relu", "relu6"):
-            raise ValueError(
-                f"activation must be None, 'relu' or 'relu6', got "
-                f"{self.activation!r}"
-            )
-
-    @property
-    def stages(self) -> int:
-        """Fused elementwise stages (for the gpusim fusion term)."""
-        return int(self.bias) + int(self.affine) + int(self.activation is not None)
-
 
 @dataclass
 class EpilogueArgs:
@@ -190,7 +164,14 @@ class EpilogueArgs:
     mean: np.ndarray | None = None
     scale: np.ndarray | None = None
     beta: np.ndarray | None = None
-    activation: str | None = None
+    activation: str | None = None     # None | "relu" | "relu6"
+
+    def __post_init__(self) -> None:
+        if self.activation not in (None, "relu", "relu6"):
+            raise ValueError(
+                f"activation must be None, 'relu' or 'relu6', got "
+                f"{self.activation!r}"
+            )
 
     def apply(self, out: np.ndarray, ch: slice = slice(None)) -> None:
         """Apply the epilogue in place to ``out``, an output slab holding
@@ -210,48 +191,6 @@ class EpilogueArgs:
             np.subtract(six, out, out=out)
             np.maximum(out, 0, out=out)
             np.subtract(six, out, out=out)
-
-    def spec(self) -> EpilogueSpec:
-        return EpilogueSpec(
-            bias=self.bias is not None,
-            affine=self.scale is not None,
-            activation=self.activation,
-        )
-
-
-@dataclass(frozen=True)
-class FusedConv2dPlan:
-    """A conv2d plan that has learned its staged epilogue.
-
-    Distinct cache entries per epilogue shape: a model serving both a fused
-    and an unfused instance of one geometry keeps both plans resident.
-    """
-
-    base: Conv2dPlan
-    spec: EpilogueSpec
-
-
-def conv2d_fused_plan(
-    x_shape: tuple,
-    w_shape: tuple,
-    stride: int,
-    padding: int,
-    groups: int,
-    dtype,
-    spec: EpilogueSpec,
-) -> FusedConv2dPlan:
-    wl = Workload.make(
-        "conv2d_fused", x_shape, w_shape, dtype,
-        stride=stride, padding=padding, groups=groups,
-        bias=spec.bias, affine=spec.affine, activation=spec.activation,
-    )
-    return PLAN_CACHE.get_or_build(
-        wl,
-        lambda: FusedConv2dPlan(
-            base=conv2d_plan(x_shape, w_shape, stride, padding, groups, dtype),
-            spec=spec,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

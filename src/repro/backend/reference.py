@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend.plan import Conv2dPlan, Pool2dPlan, SCCPlan
+from repro.backend.plan import Conv2dPlan, EpilogueArgs, Pool2dPlan, SCCPlan
 from repro.backend.registry import register_kernel
 from repro.backend.stats import KernelStats
 from repro.utils.pad import pad2d
@@ -91,7 +91,10 @@ def scc_backward(
 
 
 @register_kernel("conv2d", "reference")
-def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
+def conv2d(
+    plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray,
+    epilogue: EpilogueArgs | None = None,
+):
     stride, padding, groups = plan.stride, plan.padding, plan.groups
     cout, cin_g, kh, kw = weight.shape
     _, _, ho, wo = plan.out_shape
@@ -107,7 +110,10 @@ def conv2d(plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray):
                     out[:, o] += weight[o, c, i, j] * chan[
                         :, i : i + ho * stride : stride, j : j + wo * stride : stride
                     ]
-    return out.astype(x.dtype), {"xp": xp, "w": weight}
+    out = out.astype(x.dtype)
+    if epilogue is not None:
+        epilogue.apply(out)
+    return out, {"xp": xp, "w": weight}
 
 
 @register_kernel("conv2d_backward", "reference")

@@ -1,8 +1,9 @@
 """The kernel registry: named ops dispatched to pluggable backends.
 
-Every execution primitive of the reproduction — ``conv2d``, ``scc_forward``,
-``scc_backward``, pooling — is registered here under one or more backend
-names.  Callers dispatch with :func:`get_kernel`:
+Every execution primitive of the reproduction — ``conv2d``, ``scc_forward``
+(both with an optional fused ``epilogue=``), their ``*_backward`` pairs and
+pooling — is registered here under one or more backend names.  Callers
+dispatch with :func:`get_kernel`:
 
 - ``"reference"`` — naive loop kernels, the ground truth every fast path is
   tested against;
@@ -70,9 +71,9 @@ def env_backend_order(
     A set ``REPRO_BACKEND`` (e.g. ``reference``) is *prepended* to the base
     order rather than replacing it: resolution falls through to the next
     registered backend per op, so ``REPRO_BACKEND=reference`` still
-    dispatches the ops ``reference`` does not implement (such as
-    ``conv2d_fused``).  A name no op registers raises ``ValueError`` — a
-    typo must not silently run the default backend.
+    dispatches any op ``reference`` does not implement.  A name no op
+    registers raises ``ValueError`` — a typo must not silently run the
+    default backend.
     """
     name = (os.environ.get("REPRO_BACKEND", "") if env is None else env).strip()
     if not name or name == "default":

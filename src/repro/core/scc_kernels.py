@@ -79,8 +79,11 @@ class _StrategyBase:
         self.backend = backend
         self.plan = scc_plan(config)
         self.stats = KernelStats()
-        self._forward_kernel = get_kernel("scc_forward", backend)
-        self._backward_kernel = get_kernel("scc_backward", backend)
+        # Kernels are looked up per call (as conv and pool are), so a
+        # backend_override() around a forward reaches SCC layers too; these
+        # lookups only reject an unknown backend name at construction.
+        get_kernel("scc_forward", backend)
+        get_kernel("scc_backward", backend)
         self._backward_kwargs: dict = {}
         # Per-call state the kernel saves between forward and backward; the
         # autograd wrapper (repro.core.scc) checkpoints this dict so one
@@ -113,11 +116,9 @@ class _StrategyBase:
     def forward(self, x: np.ndarray, w: np.ndarray, epilogue=None) -> np.ndarray:
         self._check_shapes(x, w)
         self.stats.reset()
-        # The kwarg is passed only when set, so backends (or test doubles)
-        # with the pre-fusion signature keep working unfused.
-        kwargs = {} if epilogue is None else {"epilogue": epilogue}
-        out, self._saved = self._forward_kernel(
-            self.plan, x, w, strategy=self.name, stats=self.stats, **kwargs
+        out, self._saved = get_kernel("scc_forward", self.backend)(
+            self.plan, x, w, strategy=self.name, stats=self.stats,
+            epilogue=epilogue,
         )
         return out
 
@@ -126,7 +127,7 @@ class _StrategyBase:
     ) -> tuple[np.ndarray | None, np.ndarray | None]:
         if self._saved is None:
             raise RuntimeError(f"{type(self).__name__}.backward called before forward")
-        return self._backward_kernel(
+        return get_kernel("scc_backward", self.backend)(
             self.plan,
             self._saved,
             grad_out,

@@ -109,8 +109,8 @@ def build_serving_model(
     eval-mode model, absorbing bias/BN/activation stages into staged kernel
     epilogues — bitwise-identical outputs, fewer materialized
     intermediates.  Fusion happens *before* any ``plan_input_shape``
-    pre-building so the :class:`~repro.backend.ModelPlan` warmup makes the
-    fused plans cache-resident.  The count lands on ``model.fused_layers``.
+    pre-building so the :class:`~repro.backend.ModelPlan` warmup runs the
+    fused path (:func:`repro.nn.count_fused` reports how many layers fused).
 
     :meth:`repro.serve.Router.register` calls this when handed a registry
     name instead of a built module.
@@ -121,7 +121,8 @@ def build_serving_model(
     plan_batch_size = kwargs.pop("plan_batch_size", 1)
     plan_backward = kwargs.pop("plan_backward")
     model = build_model(name, **kwargs).eval()
-    model.fused_layers = nn.fuse_inference(model) if fuse else 0
+    if fuse:
+        nn.fuse_inference(model)
     if plan_input_shape is not None:
         from repro.backend import ModelPlan
 

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_kernel
-from repro.backend.plan import conv2d_fused_plan
+from repro.backend import conv2d_plan, get_kernel
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
@@ -75,16 +74,14 @@ class Conv2d(Module):
 
     def _forward_fused(self, x: Tensor, ep) -> Tensor:
         if not self.training and not is_grad_enabled():
-            try:
-                kernel = get_kernel("conv2d_fused", self.backend)
-            except ValueError:
-                kernel = None  # backend without a fused kernel: compose below
-            if kernel is not None:
-                fplan = conv2d_fused_plan(
-                    x.shape, self.weight.shape, self.stride, self.padding,
-                    self.groups, x.data.dtype, ep.spec(),
-                )
-                return Tensor(kernel(fplan, x.data, self.weight.data, ep.kernel_args()))
+            plan = conv2d_plan(
+                x.shape, self.weight.shape, self.stride, self.padding,
+                self.groups, x.data.dtype,
+            )
+            out, _ = get_kernel("conv2d", self.backend)(
+                plan, x.data, self.weight.data, epilogue=ep.kernel_args()
+            )
+            return Tensor(out)
         out = conv_ops.Conv2d.apply(
             x, self.weight, stride=self.stride, padding=self.padding,
             groups=self.groups, backend=self.backend,

@@ -2,10 +2,10 @@
 
 :func:`fuse_inference` rewrites an ``eval()``-mode model in place so each
 ``Conv2d`` (or SCC layer) followed by its ``BatchNorm2d`` / activation
-applies those stages as a **staged epilogue** inside the fused kernel
-(``conv2d_fused`` / the SCC forward's ``epilogue=``), per output slab while
-it is cache-hot — the intermediate bias/BN/activation tensors are never
-materialized.  The epilogue replays the exact elementwise op sequence the
+applies those stages as a **staged epilogue** inside its forward kernel
+(the ``epilogue=`` argument of ``conv2d`` and ``scc_forward``, on the same
+cached plan the unfused layer uses), per output slab while it is cache-hot —
+the intermediate bias/BN/activation tensors are never materialized.  The epilogue replays the exact elementwise op sequence the
 unfused module stack composes (see
 :class:`~repro.backend.plan.EpilogueArgs`), so fused output == unfused
 output **bitwise**.
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.backend.plan import EpilogueArgs, EpilogueSpec
+from repro.backend.plan import EpilogueArgs
 from repro.nn.conv import Conv2d
 from repro.nn.layers import BatchNorm2d, Identity, ReLU, ReLU6
 from repro.nn.module import Module, Sequential
@@ -50,13 +50,6 @@ class FusedEpilogue:
     bias: object | None = None       # the conv's bias Parameter (or None)
     bn: BatchNorm2d | None = None    # absorbed BN, pinned to eval mode
     activation: str | None = None    # None | "relu" | "relu6"
-
-    def spec(self) -> EpilogueSpec:
-        return EpilogueSpec(
-            bias=self.bias is not None,
-            affine=self.bn is not None,
-            activation=self.activation,
-        )
 
     def kernel_args(self) -> EpilogueArgs:
         """Fresh per-call kernel operands, broadcast-shaped ``(1, C, 1, 1)``.
@@ -82,8 +75,7 @@ class FusedEpilogue:
 
     def apply_composed(self, out: Tensor) -> Tensor:
         """Composed fallback: the same stages as graph-level Tensor ops
-        (used when a fused layer runs under autograd or on a backend with
-        no ``conv2d_fused`` kernel)."""
+        (used when a fused layer runs in training mode or under autograd)."""
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         if self.bn is not None:

@@ -22,6 +22,7 @@ import numpy as np
 from repro.backend import ModelPlan, plan_owner
 from repro.backend.registry import REGISTRY, backend_override
 from repro.faults import PoisonedRequest, active_faults
+from repro.nn import count_fused
 from repro.tensor import Tensor, no_grad
 
 __all__ = [
@@ -109,11 +110,7 @@ class ModelExecutor:
         self.bucket_sizes = tuple(sorted(set(bucket_sizes)))
         # Layers dispatching through fused conv->bias/BN->activation
         # epilogues (repro.nn.fuse_inference); surfaced in serving metrics.
-        self.fused_layers = sum(
-            1
-            for _, m in self.model.named_modules()
-            if getattr(m, "_fused_epilogue", None) is not None
-        )
+        self.fused_layers = count_fused(self.model)
         self.exec_lock = threading.Lock()
         # Graceful degradation ladder: after `degrade_after` consecutive
         # non-poison kernel faults on one (shape, bucket) workload, demote

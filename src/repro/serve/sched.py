@@ -194,23 +194,19 @@ class ShedPolicy:
 
     POLICIES = ("deadline", "newest")
 
-    def __init__(self, policy: str = "deadline", exec_estimate: float = 0.0) -> None:
+    def __init__(self, policy: str = "deadline") -> None:
         if policy not in self.POLICIES:
             raise ValueError(f"policy must be one of {self.POLICIES}, got {policy!r}")
-        if exec_estimate < 0:
-            raise ValueError(f"exec_estimate must be >= 0, got {exec_estimate}")
         self.policy = policy
-        self.exec_estimate = exec_estimate
 
     def blown(self, request: SchedRequest, now: float,
-              exec_estimate: float | None = None) -> bool:
+              exec_estimate: float = 0.0) -> bool:
         if request.deadline is None:
             return False
-        estimate = self.exec_estimate if exec_estimate is None else exec_estimate
-        return request.deadline < now + estimate
+        return request.deadline < now + exec_estimate
 
     def split_blown(
-        self, requests, now: float, exec_estimate: float | None = None
+        self, requests, now: float, exec_estimate: float = 0.0
     ) -> tuple[list[SchedRequest], list[SchedRequest]]:
         """Partition ``requests`` into (viable, blown)."""
         viable, blown = [], []

@@ -138,7 +138,7 @@ class ServingMetrics:
     rejected: int = 0            # submits refused by admission control
     shed: int = 0                # queued requests dropped by stop(drain=False)
     exec_seconds_total: float = 0.0  # summed batch execution time (busy time)
-    fused_layers: int = 0        # layers serving through fused epilogue plans
+    fused_layers: int = 0        # layers serving through fused epilogues
     shed_deadline: int = 0       # requests dropped with their budget blown
     deadline_misses: int = 0     # completed past their deadline
     deadline_miss_rate: float = 0.0  # misses / completions that had deadlines

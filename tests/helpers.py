@@ -1,10 +1,14 @@
-"""Shared test utilities: numerical gradient checking + condition waits."""
+"""Shared test utilities: numerical gradient checking, condition waits,
+kernel-call recording and the composed (unfused) epilogue."""
 from __future__ import annotations
 
 import time
-from typing import Callable
+from contextlib import contextmanager
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
+
+from repro.backend import REGISTRY
 
 
 def wait_for(
@@ -51,3 +55,59 @@ def assert_grad_close(
     denom = max(np.abs(numeric).max(), np.abs(analytic).max(), 1e-8)
     err = np.abs(analytic - numeric).max() / denom
     assert err < rtol, f"{name} gradient mismatch: rel err {err:.2e} >= {rtol:.0e}"
+
+
+class KernelCall(NamedTuple):
+    op: str
+    backend: str
+    plan: object
+    kwargs: dict
+
+
+@contextmanager
+def record_kernel_calls() -> Iterator[list[KernelCall]]:
+    """Record every registry kernel call made while the block runs.
+
+    Each registered kernel is re-registered behind a recording wrapper and
+    restored on exit.  Enter it before building the model under test, so a
+    layer that resolves its kernel at construction is recorded too.
+    """
+    calls: list[KernelCall] = []
+    originals = [
+        (op, backend, REGISTRY.get(op, backend))
+        for op in REGISTRY.ops()
+        for backend in REGISTRY.backends(op)
+    ]
+
+    def recording(op, backend, fn):
+        def kernel(plan, *args, **kwargs):
+            calls.append(KernelCall(op, backend, plan, kwargs))
+            return fn(plan, *args, **kwargs)
+        return kernel
+
+    for op, backend, fn in originals:
+        REGISTRY.register(op, backend)(recording(op, backend, fn))
+    try:
+        yield calls
+    finally:
+        for op, backend, fn in originals:
+            REGISTRY.register(op, backend)(fn)
+
+
+def compose_epilogue(out: np.ndarray, ep) -> np.ndarray:
+    """An ``EpilogueArgs``' stages as separate out-of-place ops, the way the
+    unfused layer stack computes them."""
+    y = out
+    if ep.bias is not None:
+        y = y + ep.bias
+    if ep.scale is not None:
+        y = (y - ep.mean) * ep.scale + ep.beta
+    if ep.activation == "relu":
+        y = y * (y > 0)
+    elif ep.activation == "relu6":
+        six = np.asarray(6.0, dtype=y.dtype)
+        y = y * (y > 0)
+        y = six - y
+        y = y * (y > 0)
+        y = six - y
+    return y

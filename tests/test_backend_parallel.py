@@ -71,14 +71,14 @@ def test_env_backend_order_prepends_and_falls_through():
     assert env_backend_order(env="default") == ("numpy", "reference")
     assert env_backend_order(env="reference") == ("reference", "numpy")
     assert env_backend_order(env="numpy") == ("numpy", "reference")
-    # Resolution falls through per op: reference registers no conv2d_fused,
+    # Resolution falls through per op: reference registers no numpy_only_op,
     # so the prepended order still dispatches it to numpy.
     reg = KernelRegistry(env_backend_order(env="reference"))
     reg.register("conv2d", "numpy")(lambda: "np")
     reg.register("conv2d", "reference")(lambda: "ref")
-    reg.register("conv2d_fused", "numpy")(lambda: "np-fused")
+    reg.register("numpy_only_op", "numpy")(lambda: "np-only")
     assert reg.resolve_name("conv2d") == "reference"
-    assert reg.resolve_name("conv2d_fused") == "numpy"
+    assert reg.resolve_name("numpy_only_op") == "numpy"
 
 
 def _resolve_in_subprocess(extra_env: dict) -> subprocess.CompletedProcess:

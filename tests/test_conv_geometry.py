@@ -10,17 +10,18 @@ spatial sizes, float32/float64 and every gradient-request combination:
 
 - ``numpy`` is allclose to ``reference``, and gives the same bits when
   run again;
-- ``conv2d_fused`` equals ``conv2d`` followed by the composed epilogue
-  stages, bit for bit;
+- ``conv2d`` with an ``epilogue=`` equals ``conv2d`` followed by the
+  composed epilogue stages, bit for bit, on ``numpy`` and ``reference``;
 - a batch row computed alone equals the same row inside a larger batch,
-  for ``conv2d`` and ``conv2d_fused`` (serving's bitwise contract).
+  with and without an epilogue (serving's bitwise contract).
 """
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import conv2d_fused_plan, conv2d_plan, get_kernel
-from repro.backend.plan import EpilogueArgs, EpilogueSpec
+from repro.backend import conv2d_plan, get_kernel
+from repro.backend.plan import EpilogueArgs
+from tests.helpers import compose_epilogue
 
 TOL = {np.float32: dict(rtol=1e-4, atol=1e-4), np.float64: dict(rtol=1e-10, atol=1e-10)}
 NEEDS = [(True, True), (True, False), (False, True), (False, False)]
@@ -48,7 +49,7 @@ def conv_cases(draw):
         padding=padding,
         dtype=draw(st.sampled_from([np.float32, np.float64])),
         need=draw(st.sampled_from(NEEDS)),
-        spec=EpilogueSpec(
+        stages=dict(
             bias=draw(st.booleans()), affine=draw(st.booleans()), activation=activation
         ),
         seed=draw(st.integers(0, 2**16)),
@@ -66,12 +67,6 @@ def _setup(case):
     return plan, x, w, grad
 
 
-def _fused_plan(plan, x_shape, spec):
-    return conv2d_fused_plan(
-        x_shape, plan.w_shape, plan.stride, plan.padding, plan.groups, plan.dtype, spec
-    )
-
-
 def _run(backend, plan, x, w, grad, need):
     out, ctx = get_kernel("conv2d", backend)(plan, x, w)
     gx, gw = get_kernel("conv2d_backward", backend)(
@@ -80,38 +75,21 @@ def _run(backend, plan, x, w, grad, need):
     return out, gx, gw
 
 
-def _epilogue(spec, channels, dtype, seed):
+def _epilogue(stages, channels, dtype, seed):
     rng = np.random.default_rng(seed + 1)
 
     def per_channel(scale=1.0, shift=0.0):
         v = rng.standard_normal(channels) * scale + shift
         return v.astype(dtype).reshape(1, -1, 1, 1)
 
+    affine = stages["affine"]
     return EpilogueArgs(
-        bias=per_channel() if spec.bias else None,
-        mean=per_channel() if spec.affine else None,
-        scale=per_channel(0.2, 1.0) if spec.affine else None,
-        beta=per_channel() if spec.affine else None,
-        activation=spec.activation,
+        bias=per_channel() if stages["bias"] else None,
+        mean=per_channel() if affine else None,
+        scale=per_channel(0.2, 1.0) if affine else None,
+        beta=per_channel() if affine else None,
+        activation=stages["activation"],
     )
-
-
-def _compose(out, ep):
-    """The unfused layer stack's stages as separate (out-of-place) ops."""
-    y = out
-    if ep.bias is not None:
-        y = y + ep.bias
-    if ep.scale is not None:
-        y = (y - ep.mean) * ep.scale + ep.beta
-    if ep.activation == "relu":
-        y = y * (y > 0)
-    elif ep.activation == "relu6":
-        six = np.asarray(6.0, dtype=y.dtype)
-        y = y * (y > 0)
-        y = six - y
-        y = y * (y > 0)
-        y = six - y
-    return y
 
 
 @settings(max_examples=50, deadline=None)
@@ -135,36 +113,30 @@ def test_conv_numpy_close_to_reference_and_repeatable(case):
 @given(conv_cases())
 def test_conv_fused_equals_composed_stages(case):
     plan, x, w, _ = _setup(case)
-    spec = case["spec"]
-    ep = _epilogue(spec, w.shape[0], case["dtype"], case["seed"])
-    fplan = _fused_plan(plan, x.shape, spec)
-    out, _ = get_kernel("conv2d", "numpy")(plan, x, w)
-    fused = get_kernel("conv2d_fused", "numpy")(fplan, x, w, ep)
-    assert np.array_equal(fused, _compose(out, ep))
+    ep = _epilogue(case["stages"], w.shape[0], case["dtype"], case["seed"])
+    for backend in ("numpy", "reference"):
+        conv = get_kernel("conv2d", backend)
+        out, _ = conv(plan, x, w)
+        fused, _ = conv(plan, x, w, epilogue=ep)
+        assert np.array_equal(fused, compose_epilogue(out, ep))
 
 
 @settings(max_examples=40, deadline=None)
 @given(conv_cases())
 def test_conv_batch_row_alone_equals_row_in_bucket(case):
     plan, x, w, _ = _setup(case)
-    spec = case["spec"]
-    ep = _epilogue(spec, w.shape[0], case["dtype"], case["seed"])
+    ep = _epilogue(case["stages"], w.shape[0], case["dtype"], case["seed"])
+    conv = get_kernel("conv2d", "numpy")
     bucket = np.concatenate([x, x[::-1], x])       # the rows at other offsets
     bplan = conv2d_plan(bucket.shape, w.shape, plan.stride, plan.padding,
                         plan.groups, bucket.dtype)
-    full, _ = get_kernel("conv2d", "numpy")(bplan, bucket, w)
-    full_fused = get_kernel("conv2d_fused", "numpy")(
-        _fused_plan(plan, bucket.shape, spec), bucket, w, ep
-    )
+    full, _ = conv(bplan, bucket, w)
+    full_fused, _ = conv(bplan, bucket, w, epilogue=ep)
     for r in range(x.shape[0]):
         row = x[r : r + 1]
-        alone, _ = get_kernel("conv2d", "numpy")(
-            conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
-                        plan.groups, row.dtype),
-            row, w,
-        )
-        alone_fused = get_kernel("conv2d_fused", "numpy")(
-            _fused_plan(plan, row.shape, spec), row, w, ep
-        )
+        rplan = conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
+                            plan.groups, row.dtype)
+        alone, _ = conv(rplan, row, w)
+        alone_fused, _ = conv(rplan, row, w, epilogue=ep)
         assert np.array_equal(alone[0], full[r])
         assert np.array_equal(alone_fused[0], full_fused[r])

@@ -13,8 +13,10 @@ float32/float64 and every gradient-request combination:
 - ``numpy`` is allclose to ``reference``; forward and grad-input are even
   bit-identical to it (same per-element operation order), and a second
   run gives the same bits;
+- ``conv2d`` with an ``epilogue=`` equals ``conv2d`` followed by the
+  composed epilogue stages, bit for bit, on ``numpy`` and ``reference``;
 - a batch row computed alone equals the same row inside a larger batch,
-  for ``conv2d`` and ``conv2d_fused`` (serving's bitwise contract);
+  with and without an epilogue (serving's bitwise contract);
 - float32 grad-weight stays close to float64 on the training step's widest
   reductions (batch 32 at 32x32 and on the 128-channel 4x4 layer);
 - pinned stride-2 and stride-3 geometries whose phases hold different
@@ -26,9 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import conv2d_fused_plan, conv2d_plan, get_kernel
+from repro.backend import conv2d_plan, get_kernel
 from repro.backend.numpy_backend import stage_depthwise, unstage_depthwise
-from repro.backend.plan import EpilogueArgs, EpilogueSpec
+from repro.backend.plan import EpilogueArgs
+from tests.helpers import compose_epilogue
 
 TOL = {np.float32: dict(rtol=1e-4, atol=1e-4), np.float64: dict(rtol=1e-10, atol=1e-10)}
 
@@ -116,31 +119,33 @@ def _epilogue(channels, dtype, rng):
 
 @settings(max_examples=30, deadline=None)
 @given(depthwise_cases())
+def test_depthwise_fused_equals_composed_stages(case):
+    plan, x, w, _ = _setup(case)
+    ep = _epilogue(w.shape[0], case["dtype"], np.random.default_rng(case["seed"]))
+    for backend in ("numpy", "reference"):
+        conv = get_kernel("conv2d", backend)
+        out, _ = conv(plan, x, w)
+        fused, _ = conv(plan, x, w, epilogue=ep)
+        assert np.array_equal(fused, compose_epilogue(out, ep))
+
+
+@settings(max_examples=30, deadline=None)
+@given(depthwise_cases())
 def test_depthwise_batch_row_alone_equals_row_in_bucket(case):
     plan, x, w, _ = _setup(case)
     ep = _epilogue(w.shape[0], case["dtype"], np.random.default_rng(case["seed"]))
-    spec = EpilogueSpec(bias=True, affine=True, activation="relu6")
+    conv = get_kernel("conv2d", "numpy")
     bucket = np.concatenate([x, x[::-1], x])       # the rows at other offsets
     bplan = conv2d_plan(bucket.shape, w.shape, plan.stride, plan.padding,
                         plan.groups, bucket.dtype)
-    full, _ = get_kernel("conv2d", "numpy")(bplan, bucket, w)
-    full_fused = get_kernel("conv2d_fused", "numpy")(
-        conv2d_fused_plan(bucket.shape, w.shape, plan.stride, plan.padding,
-                          plan.groups, bucket.dtype, spec),
-        bucket, w, ep,
-    )
+    full, _ = conv(bplan, bucket, w)
+    full_fused, _ = conv(bplan, bucket, w, epilogue=ep)
     for r in range(x.shape[0]):
         row = x[r : r + 1]
-        alone, _ = get_kernel("conv2d", "numpy")(
-            conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
-                        plan.groups, row.dtype),
-            row, w,
-        )
-        alone_fused = get_kernel("conv2d_fused", "numpy")(
-            conv2d_fused_plan(row.shape, w.shape, plan.stride, plan.padding,
-                              plan.groups, row.dtype, spec),
-            row, w, ep,
-        )
+        rplan = conv2d_plan(row.shape, w.shape, plan.stride, plan.padding,
+                            plan.groups, row.dtype)
+        alone, _ = conv(rplan, row, w)
+        alone_fused, _ = conv(rplan, row, w, epilogue=ep)
         assert np.array_equal(alone[0], full[r])
         assert np.array_equal(alone_fused[0], full_fused[r])
 

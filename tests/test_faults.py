@@ -11,6 +11,7 @@ the backend chain; and the chaos soak sustains >= 99% goodput for
 non-poisoned requests with zero silent drops.
 """
 import asyncio
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from repro.faults import (
     active_faults,
     use_faults,
 )
-from repro.models import build_model
+from repro.models import build_model, build_serving_model
 from repro.serve import (
     AsyncGateway,
     CircuitBreaker,
@@ -38,7 +39,9 @@ from repro.serve import (
     Server,
     ServingPolicy,
 )
+from repro.tensor import Tensor, no_grad
 from repro.utils import seed_all
+from tests.helpers import record_kernel_calls
 
 INPUT = (3, 16, 16)
 
@@ -331,6 +334,24 @@ def test_default_chain_demotes_off_the_default_backend():
             failed.append(len(errors))
     assert failed == [2, 2, 0, 0]
     assert [e["backend"] for e in executor.degraded()] == ["reference"]
+
+
+def test_backend_override_reaches_every_kernel_of_a_fused_scc_model():
+    # The ladder demotes a workload by running its forward under
+    # backend_override(): every conv and SCC layer of a fused serving model
+    # must follow it, including layers built before the override began.
+    with record_kernel_calls() as calls:
+        model = build_serving_model("mobilenet", scheme="scc",
+                                    width_mult=0.25, seed=4)
+        x = Tensor(np.stack(_images(1, seed=9)))
+        with backend_override("reference"), no_grad():
+            demoted = model(x).data
+    used = Counter((c.op, c.backend) for c in calls)
+    assert used[("conv2d", "reference")] == 14
+    assert used[("scc_forward", "reference")] == 13
+    assert not [key for key in used if key[1] == "numpy"]
+    with backend_override("numpy"), no_grad():
+        np.testing.assert_allclose(demoted, model(x).data, rtol=1e-4, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

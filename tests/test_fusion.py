@@ -6,20 +6,23 @@ into the producing kernel's staged epilogue.  The contract under test:
 - fused output == unfused output **bitwise** — the epilogue replays the
   exact elementwise op sequence the module stack composes, for Conv2d and
   SCC layers, with and without BN, for both activations;
-- the fused fast path engages only under no-grad eval execution; under
-  autograd (or on a backend without a fused kernel) the layer composes
-  the same stages as Tensor ops and still matches bitwise;
-- fusion bookkeeping surfaces end to end: ``count_fused``, ModelPlan's
-  ``fused_layers``, and the serving ``Server``/``Router`` metrics.
+- the fused fast path engages only under no-grad eval execution, as one
+  ``conv2d`` call with ``epilogue=`` on every backend; under autograd the
+  layer composes the same stages as Tensor ops and still matches bitwise;
+- a fused layer uses the same cached ``Conv2dPlan`` as an unfused one, so a
+  fused model's warm-up caches one plan per conv geometry;
+- fusion bookkeeping surfaces end to end: ``count_fused`` and the serving
+  ``Server``/``Router`` metrics.
 """
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.backend import EpilogueSpec
+from repro.backend import EpilogueArgs
 from repro.core.blocks import DepthwiseSeparableBlock
 from repro.core.scc import SlidingChannelConv2d
 from repro.tensor import Tensor, no_grad
+from tests.helpers import record_kernel_calls
 
 
 def _randomize_bn(bn: nn.BatchNorm2d, rng: np.random.Generator) -> None:
@@ -68,9 +71,9 @@ def test_conv_bn_relu_fuses_bitwise(backend):
     assert isinstance(model._modules["1"], nn.Identity)
     assert isinstance(model._modules["2"], nn.Identity)
     conv = model._modules["0"]
-    assert conv._fused_epilogue.spec() == EpilogueSpec(
-        bias=True, affine=True, activation="relu")
-    assert conv._fused_epilogue.spec().stages == 3
+    ep = conv._fused_epilogue
+    assert ep.bias is conv.bias
+    assert isinstance(ep.bn, nn.BatchNorm2d) and ep.activation == "relu"
 
 
 def test_bias_only_conv_fuses_bitwise():
@@ -80,9 +83,8 @@ def test_bias_only_conv_fuses_bitwise():
     )
     x = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
     _assert_fuse_bitwise(model, x, expect_fused=1)
-    spec = model._modules["0"]._fused_epilogue.spec()
-    assert spec == EpilogueSpec(bias=True, affine=False, activation=None)
-    assert spec.stages == 1
+    ep = model._modules["0"]._fused_epilogue
+    assert ep.bias is not None and ep.bn is None and ep.activation is None
 
 
 def test_conv_relu6_fuses_bitwise():
@@ -94,8 +96,8 @@ def test_conv_relu6_fuses_bitwise():
     # Large inputs so the 6.0 clamp actually clips some activations.
     x = (rng.standard_normal((2, 4, 5, 5)) * 4).astype(np.float32)
     _assert_fuse_bitwise(model, x, expect_fused=1)
-    spec = model._modules["0"]._fused_epilogue.spec()
-    assert spec.activation == "relu6" and spec.stages == 1
+    ep = model._modules["0"]._fused_epilogue
+    assert ep.bias is None and ep.bn is None and ep.activation == "relu6"
 
 
 def test_scc_bn_relu_fuses_bitwise():
@@ -156,13 +158,12 @@ def test_bn_width_mismatch_not_absorbed():
         nn.BatchNorm2d(8),
     )
     assert nn.fuse_inference(model) == 1          # bias-only fusion
-    spec = model._modules["0"]._fused_epilogue.spec()
-    assert spec.affine is False
+    assert model._modules["0"]._fused_epilogue.bn is None
     assert isinstance(model._modules["2"], nn.BatchNorm2d)  # BN kept live
 
 
 # ---------------------------------------------------------------------------
-# Fallback paths: autograd and fused-kernel-less backends
+# Dispatch: the kernel epilogue on every backend, composed under autograd
 # ---------------------------------------------------------------------------
 
 def test_fused_layer_composes_under_autograd():
@@ -185,24 +186,33 @@ def test_fused_layer_composes_under_autograd():
     assert np.isfinite(inp.grad).all()
 
 
-def test_fused_layer_composes_on_backend_without_fused_kernel():
-    # The reference backend registers no conv2d_fused: the fused layer must
-    # silently compose the same epilogue with Tensor ops.
+def test_reference_fused_layer_runs_the_kernel_epilogue():
+    # The reference conv2d kernel applies the epilogue itself: the fused
+    # layer makes one kernel call, with epilogue=, and still equals the
+    # unfused stack bitwise.
     rng = np.random.default_rng(15)
     model = nn.Sequential(
         nn.Conv2d(4, 8, 3, padding=1, bias=True, backend="reference",
                   rng=np.random.default_rng(16)),
+        nn.BatchNorm2d(8),
         nn.ReLU(),
     )
+    _randomize_bn(model._modules["1"], rng)
     x = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
-    _assert_fuse_bitwise(model, x, expect_fused=1)
+    before = _eval_out(model, x)
+    assert nn.fuse_inference(model) == 1
+    with record_kernel_calls() as calls:
+        after = _eval_out(model, x)
+    assert [(c.op, c.backend) for c in calls] == [("conv2d", "reference")]
+    assert isinstance(calls[0].kwargs["epilogue"], EpilogueArgs)
+    assert np.array_equal(before, after)
 
 
-def test_epilogue_spec_validation():
+def test_epilogue_args_validation():
     with pytest.raises(ValueError, match="activation"):
-        EpilogueSpec(activation="sigmoid")
-    assert EpilogueSpec().stages == 0
-    assert EpilogueSpec(bias=True, activation="relu6").stages == 2
+        EpilogueArgs(activation="sigmoid")
+    for activation in (None, "relu", "relu6"):
+        assert EpilogueArgs(activation=activation).activation == activation
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +234,30 @@ def _tiny_fused_model(seed: int) -> nn.Module:
     return model
 
 
-def test_model_plan_reports_fused_layers():
-    from repro.backend import ModelPlan
+def test_model_plan_warmup_caches_one_plan_per_conv_geometry():
+    # Fused and unfused layers share one Conv2dPlan per geometry: after the
+    # warm-up the cache holds exactly the plans the forward's kernels use,
+    # and a second forward runs on hits alone.
+    from repro.backend import ModelPlan, clear_plan_cache, plan_cache_stats
+    from repro.models import build_serving_model
 
-    model = _tiny_fused_model(17)
-    plan = ModelPlan(model, (3, 8, 8), include_backward=False)
-    assert plan.fused_layers == 2
+    clear_plan_cache()
+    model = build_serving_model("mobilenet", scheme="scc", width_mult=0.25,
+                                seed=17)
+    assert nn.count_fused(model) == 27
+    plan = ModelPlan(model, (3, 16, 16), include_backward=False)
+    before = plan_cache_stats()
+    with record_kernel_calls() as calls, no_grad():
+        model(Tensor(plan.stage_batch(np.ones((1, 3, 16, 16), np.float32))))
+    after = plan_cache_stats()
+    conv_plans = {id(c.plan): c.plan for c in calls if c.op == "conv2d"}
+    geometries = {(p.x_shape, p.w_shape, p.stride, p.padding, p.groups)
+                  for p in conv_plans.values()}
+    assert len(conv_plans) == len(geometries) > 0
+    assert before["size"] == len({id(c.plan) for c in calls})
+    assert after["misses"] == before["misses"]
+    assert after["builds"] == before["builds"]
+    assert after["hits"] > before["hits"]
 
 
 def test_server_metrics_report_fused_layers():

@@ -130,11 +130,12 @@ def test_request_exactly_at_deadline_is_not_blown():
 def test_exec_estimate_sharpens_blown_detection():
     # With a known batch execution time, a request whose remaining budget
     # cannot cover the execution is already blown *before* the deadline.
-    policy = ShedPolicy("deadline", exec_estimate=2.0)
+    policy = ShedPolicy("deadline")
     req = _req(0, deadline=5.0)
-    assert not policy.blown(req, 3.0)     # 3.0 + 2.0 == 5.0: still makes it
-    assert policy.blown(req, 3.5)         # 3.5 + 2.0 > 5.0: cannot make it
-    viable, blown = policy.split_blown([_req(1, 10.0), _req(2, 4.0)], 3.0)
+    assert not policy.blown(req, 3.0, 2.0)   # 3.0 + 2.0 == 5.0: still makes it
+    assert policy.blown(req, 3.5, 2.0)       # 3.5 + 2.0 > 5.0: cannot make it
+    assert not policy.blown(req, 3.5)        # no estimate: deadline not yet due
+    viable, blown = policy.split_blown([_req(1, 10.0), _req(2, 4.0)], 3.0, 2.0)
     assert [r.id for r in viable] == [1] and [r.id for r in blown] == [2]
 
 
