@@ -9,8 +9,8 @@ NumPy kernels: per-filter contraction vs per-cycle batched contraction.
 import numpy as np
 
 from common import emit, full_mode
+from repro.backend import get_kernel, scc_plan
 from repro.core.channel_map import SCCConfig, channel_windows
-from repro.core.scc_kernels import Dsxplore
 from repro.utils import format_table, time_callable
 
 
@@ -35,18 +35,19 @@ def report_ablation_vectorization():
         x = rng.standard_normal((8, cin, hw, hw)).astype(np.float32)
         w = rng.standard_normal((cout, cfg.group_width)).astype(np.float32)
         wins = channel_windows(cin, cout, 2, 0.5)
-        fused = Dsxplore(cfg)
+        plan = scc_plan(cfg)
+        fused = get_kernel("scc_forward")
         np.testing.assert_allclose(
-            per_filter_forward(x, w, wins), fused.forward(x, w), atol=1e-4
+            per_filter_forward(x, w, wins), fused(plan, x, w)[0], atol=1e-4
         )
         t_filter = time_callable(lambda: per_filter_forward(x, w, wins),
                                  repeats=repeats, warmup=1).median
-        t_fused = time_callable(lambda: fused.forward(x, w),
+        t_fused = time_callable(lambda: fused(plan, x, w),
                                 repeats=repeats, warmup=1).median
         rows.append({
             "layer": f"{cin}->{cout}@{hw}x{hw}",
             "per_filter_gemms": cout,
-            "per_cycle_gemms": fused.cyclic_dist,
+            "per_cycle_gemms": plan.cyclic_dist,
             "per_filter_ms": t_filter * 1e3,
             "fused_ms": t_fused * 1e3,
             "speedup": t_filter / t_fused,
@@ -87,8 +88,7 @@ def test_ablation_fused(benchmark):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    benchmark(strat.forward, x, w)
+    benchmark(get_kernel("scc_forward"), scc_plan(cfg), x, w)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,8 @@ per cycle position.
 import numpy as np
 
 from common import emit
+from repro.backend import KernelStats, get_kernel, scc_plan
 from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import ChannelStack, ConvStackCC
 from repro.gpusim import MemoryModel, extract_layer_shapes, tesla_v100
 from repro.models import build_model
 from repro.models.registry import PAPER_MODELS
@@ -38,11 +38,12 @@ def measured_layer_memory():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
-    chs = ChannelStack(cfg)
-    chs.forward(x, w)
-    cos = ConvStackCC(cfg)
-    cos.forward(x, w)
-    return chs.stats.bytes_materialized, cos.stats.bytes_materialized
+    measured = []
+    for strategy in ("channel_stack", "conv_stack"):
+        stats = KernelStats()
+        get_kernel("scc_forward")(scc_plan(cfg), x, w, strategy=strategy, stats=stats)
+        measured.append(stats.bytes_materialized)
+    return tuple(measured)
 
 
 def report_fig10(device=None):

@@ -5,9 +5,9 @@ channel), normalized to cg=1.  Modelled per model + measured real kernels.
 """
 import numpy as np
 
-from common import emit, full_mode
+from common import emit, full_mode, scc_step
+from repro.backend import scc_plan
 from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import Dsxplore
 from repro.gpusim import extract_layer_shapes, tesla_v100, training_step_time
 from repro.models import build_model
 from repro.models.registry import PAPER_MODELS
@@ -40,13 +40,9 @@ def measured_sweep(cin=64, cout=128, hw=16, n=8):
         co = 0.5 if cg > 1 else 0.0
         cfg = SCCConfig(cin, cout, cg, co)
         w = rng.standard_normal((cout, cfg.group_width)).astype(np.float32)
-        strat = Dsxplore(cfg)
-
-        def step():
-            strat.forward(x, w)
-            strat.backward(g)
-
-        times.append(time_callable(step, repeats=repeats, warmup=2).median)
+        plan = scc_plan(cfg)
+        times.append(time_callable(lambda: scc_step(plan, x, w, g),
+                                   repeats=repeats, warmup=2).median)
     return [t / times[0] for t in times]
 
 

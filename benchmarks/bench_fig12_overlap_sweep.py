@@ -6,9 +6,9 @@ co=10%.  We sweep the paper's 10%..90% grid, modelled and measured.
 """
 import numpy as np
 
-from common import emit, full_mode
+from common import emit, full_mode, scc_step
+from repro.backend import get_kernel, scc_plan
 from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import Dsxplore
 from repro.gpusim import extract_layer_shapes, tesla_v100, training_step_time
 from repro.models import build_model
 from repro.models.registry import PAPER_MODELS
@@ -39,13 +39,9 @@ def measured_sweep(cin=64, cout=128, hw=16, n=8):
     for co in COS:
         cfg = SCCConfig(cin, cout, 2, co)
         w = rng.standard_normal((cout, cfg.group_width)).astype(np.float32)
-        strat = Dsxplore(cfg)
-
-        def step():
-            strat.forward(x, w)
-            strat.backward(g)
-
-        times.append(time_callable(step, repeats=repeats, warmup=2).median)
+        plan = scc_plan(cfg)
+        times.append(time_callable(lambda: scc_step(plan, x, w, g),
+                                   repeats=repeats, warmup=2).median)
     return [t / times[0] for t in times]
 
 
@@ -90,8 +86,7 @@ def test_fig12_layer_step(benchmark):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    benchmark(strat.forward, x, w)
+    benchmark(get_kernel("scc_forward"), scc_plan(cfg), x, w)
 
 
 if __name__ == "__main__":

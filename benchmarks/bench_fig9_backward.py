@@ -12,8 +12,8 @@ The input-centric backward ablation.  Three outputs:
 import numpy as np
 
 from common import emit, full_mode
+from repro.backend import KernelStats, get_kernel, scc_plan
 from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import ChannelStack, ConvStackCC, Dsxplore
 from repro.gpusim import extract_layer_shapes, tesla_v100
 from repro.gpusim.timeline import backward_only_time
 from repro.models import build_model
@@ -36,26 +36,45 @@ def modelled_bp_times(device):
     return rows
 
 
+# Paper label -> (strategy, backward design) of the SCC kernels.
+IMPLEMENTATIONS = {
+    "Pytorch-Base": ("channel_stack", "input_centric"),
+    "Pytorch-Opt": ("conv_stack", "input_centric"),
+    "DSXplore-Var": ("dsxplore", "output_centric"),
+    "DSXplore": ("dsxplore", "input_centric"),
+}
+
+
+def layer_backward(cfg, x, w, strategy, design):
+    """One forward through the registry kernels; returns
+    ``backward(g, stats=None)``, a backward over that forward's context."""
+    plan = scc_plan(cfg)
+    _, ctx = get_kernel("scc_forward")(plan, x, w, strategy=strategy)
+    bwd = get_kernel("scc_backward")
+
+    def backward(g, stats=None):
+        bwd(plan, ctx, g, strategy=strategy, backward_design=design, stats=stats)
+
+    return backward
+
+
 def measured_layer_bp(cin=64, cout=128, hw=16, n=8):
-    """Real-kernel backward times on one SCC layer."""
+    """Real-kernel backward times on one SCC layer, and the scatter updates
+    of one backward."""
     cfg = SCCConfig(cin, cout, 2, 0.5)
     rng = np.random.default_rng(0)
     x = rng.standard_normal((n, cin, hw, hw)).astype(np.float32)
     w = rng.standard_normal((cout, cfg.group_width)).astype(np.float32)
     g = rng.standard_normal((n, cout, hw, hw)).astype(np.float32)
-    strategies = {
-        "Pytorch-Base": ChannelStack(cfg),
-        "Pytorch-Opt": ConvStackCC(cfg),
-        "DSXplore-Var": Dsxplore(cfg, backward_design="output_centric"),
-        "DSXplore": Dsxplore(cfg, backward_design="input_centric"),
-    }
     times, atomics = {}, {}
     repeats = 20 if full_mode() else 7
-    for label, strat in strategies.items():
-        strat.forward(x, w)
-        times[label] = time_callable(lambda s=strat: s.backward(g),
+    for label, (strategy, design) in IMPLEMENTATIONS.items():
+        backward = layer_backward(cfg, x, w, strategy, design)
+        times[label] = time_callable(lambda: backward(g),
                                      repeats=repeats, warmup=2).median
-        atomics[label] = strat.stats.scatter_adds
+        stats = KernelStats()
+        backward(g, stats)
+        atomics[label] = stats.scatter_adds
     return times, atomics
 
 
@@ -100,9 +119,7 @@ def test_fig9_input_centric_backward(benchmark):
     x = rng.standard_normal((8, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
     g = rng.standard_normal((8, 128, 16, 16)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    strat.forward(x, w)
-    benchmark(strat.backward, g)
+    benchmark(layer_backward(cfg, x, w, "dsxplore", "input_centric"), g)
 
 
 def test_fig9_output_centric_backward(benchmark):
@@ -111,9 +128,7 @@ def test_fig9_output_centric_backward(benchmark):
     x = rng.standard_normal((8, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
     g = rng.standard_normal((8, 128, 16, 16)).astype(np.float32)
-    strat = Dsxplore(cfg, backward_design="output_centric")
-    strat.forward(x, w)
-    benchmark(strat.backward, g)
+    benchmark(layer_backward(cfg, x, w, "dsxplore", "output_centric"), g)
 
 
 if __name__ == "__main__":

@@ -9,10 +9,10 @@ import numpy as np
 
 from common import emit, full_mode, reduced_training_setup, train_and_score
 from repro import nn
+from repro.backend import get_kernel, scc_plan
 from repro.core.blocks import make_separable_block
 from repro.core.channel_map import channel_windows
 from repro.core.design_space import layer_costs
-from repro.core.scc_kernels import Dsxplore
 from repro.core.channel_map import SCCConfig
 from repro.utils import format_table, seed_all
 
@@ -79,8 +79,7 @@ def test_scc_forward_kernel(benchmark):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((16, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    benchmark(strat.forward, x, w)
+    benchmark(get_kernel("scc_forward"), scc_plan(cfg), x, w)
 
 
 if __name__ == "__main__":

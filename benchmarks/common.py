@@ -57,6 +57,15 @@ def emit(report_name: str, text: str, data=None) -> str:
     return out
 
 
+def scc_step(plan, x, w, grad):
+    """One fused DSXplore SCC forward + input-centric backward through the
+    registry kernels on ``plan``, as a layer's training step runs them."""
+    from repro.backend import get_kernel
+
+    _, ctx = get_kernel("scc_forward")(plan, x, w)
+    get_kernel("scc_backward")(plan, ctx, grad)
+
+
 def reduced_training_setup(
     num_samples: int,
     image_size: int = 16,

@@ -1,7 +1,7 @@
 """Unified kernel backend: op registry + execution-plan cache.
 
 This package is the single execution layer behind ``repro.tensor.conv_ops``,
-``repro.core.scc_kernels``, ``repro.nn`` layers and the ``repro.gpusim``
+``repro.core.scc``, ``repro.nn`` layers and the ``repro.gpusim``
 cross-checks.  It separates **what** is computed from **how**:
 
 Kernel registry (``repro.backend.registry``)
@@ -34,7 +34,7 @@ Execution-plan cache (``repro.backend.workload`` / ``repro.backend.plan``)
 
     - SCC window matrices, channel cycles and zero-copy segment tables
       (paper Algorithms 1+2) — built once per configuration, shared by all
-      strategy instances and layers;
+      layers and kernel calls;
     - ``np.einsum_path`` contraction plans — the per-call path search of
       ``optimize=True`` is paid once per shape-class;
     - convolution patch-view geometry and scratch workspaces (the dense

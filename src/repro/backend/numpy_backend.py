@@ -14,10 +14,10 @@ comment above :func:`depthwise_fwd_block`.
 
 SCC kernels implement all three of the paper's execution strategies behind
 one registered op pair (``scc_forward`` / ``scc_backward``) parameterised by
-``strategy``; see :mod:`repro.core.scc_kernels` for the paper mapping.  The
-DSXplore strategy's segment GEMMs and input-centric pull GEMM are direct
-batched ``np.matmul`` calls on the zero-copy views; see the comment above
-:func:`segment_fwd_gemm`.
+``strategy``; the table that maps each strategy to the paper heads the SCC
+section below.  The DSXplore strategy's segment GEMMs and input-centric pull
+GEMM are direct batched ``np.matmul`` calls on the zero-copy views; see the
+comment above :func:`segment_fwd_gemm`.
 """
 from __future__ import annotations
 
@@ -461,6 +461,40 @@ def avgpool2d_backward(plan: Pool2dPlan, ctx: dict, grad: np.ndarray):
 # ---------------------------------------------------------------------------
 # SCC: the three execution strategies (paper Section IV)
 # ---------------------------------------------------------------------------
+#
+# SCC is spatially 1x1 (it replaces the PW stage of a DW+PW block), so one
+# call is fully described by the input ``x (N, Cin, H, W)``, the weight
+# ``w (Cout, group_width)`` and the plan's window matrix.  Each strategy is
+# a forward + full backward pair mirroring one of the paper's
+# implementations, and bumps the KernelStats counters repro.gpusim
+# cross-checks:
+#
+# ================  =====================================================
+# channel_stack     *Pytorch-Base* (Fig. 3a): gather every filter's window
+#                   into one huge (N, Cout, gw, H, W) stacked tensor
+#                   (massive data duplication), then one grouped
+#                   reduction.  Backward keeps the stacked tensor and
+#                   scatter-adds the input gradient (the "conflict update"
+#                   of paper Fig. 4a).
+# conv_stack        *Pytorch-Opt* (Fig. 6b): channel-cyclic optimisation —
+#                   only the ``cyclic_dist`` distinct windows of the first
+#                   cycle are gathered (copied); filters p, p+cd, p+2cd, ...
+#                   share window p and run as one GEMM, written strided.
+# dsxplore          the fused kernel (Section IV-B): output-centric forward
+#                   reading input channels through zero-copy views (no
+#                   gather, no duplication); input-centric backward
+#                   computing grad_x as one "pull" GEMM against the dense
+#                   W_full (Cout, Cin) with zero scatter traffic.
+#                   ``backward_design="output_centric"`` is the paper's
+#                   *DSXplore-Var* push: per-filter contributions
+#                   scatter-added with ``np.add.at``.
+# ================  =====================================================
+#
+# CPU/GPU mapping (the premise repro.gpusim models): relative costs transfer
+# because the dominant effects — materialised bytes, number of distinct
+# kernel invocations, and serialised conflicting updates — exist on both
+# targets.  ``np.add.at`` is NumPy's unbuffered scatter-add: conflicting
+# updates are applied sequentially, the same serialisation GPU atomics pay.
 
 def _count_push_scatter(plan: SCCPlan, stats: KernelStats, total_updates: int) -> None:
     cfg = plan.config
@@ -638,16 +672,7 @@ def _dsxplore_forward(plan, x, w, stats, epilogue=None):
     return out, {"x": x, "w": w}
 
 
-def check_backward_design(backward_design: str) -> None:
-    if backward_design not in ("input_centric", "output_centric"):
-        raise ValueError(
-            f"backward_design must be 'input_centric' or 'output_centric', "
-            f"got {backward_design!r}"
-        )
-
-
 def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_design):
-    check_backward_design(backward_design)
     x, w = saved["x"], saved["w"]
     grad_w = None
     if need_w:
@@ -698,13 +723,8 @@ def scc_forward(
     stats: KernelStats | None = None,
     epilogue: EpilogueArgs | None = None,
 ):
-    try:
-        fwd = _FORWARD[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown SCC strategy {strategy!r}; available: {sorted(_FORWARD)}"
-        ) from None
-    return fwd(
+    plan.check(strategy, x=x, w=w)
+    return _FORWARD[strategy](
         plan, x, w, stats if stats is not None else KernelStats(), epilogue=epilogue
     )
 
@@ -721,17 +741,13 @@ def scc_backward(
     need_weight_grad: bool = True,
     stats: KernelStats | None = None,
 ):
+    plan.check(strategy, backward_design, x=saved["x"], grad_out=grad_out)
     stats = stats if stats is not None else KernelStats()
     if strategy == "dsxplore":
         return _dsxplore_backward(
             plan, saved, grad_out, need_input_grad, need_weight_grad, stats,
             backward_design,
         )
-    try:
-        bwd = _BACKWARD[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown SCC strategy {strategy!r}; available: "
-            f"{sorted(_BACKWARD) + ['dsxplore']}"
-        ) from None
-    return bwd(plan, saved, grad_out, need_input_grad, need_weight_grad, stats)
+    return _BACKWARD[strategy](
+        plan, saved, grad_out, need_input_grad, need_weight_grad, stats
+    )

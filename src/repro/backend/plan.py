@@ -13,8 +13,9 @@ once per :class:`~repro.backend.workload.Workload` and cached in the global
 - :func:`pool2d_plan` — pooling window geometry;
 - :func:`scc_plan` — the SCC window matrix, channel cycle, per-cycle gather
   indices and contiguous segment table (paper Algorithms 1+2), shared by
-  every strategy instance with the same (Cin, Cout, cg, co), plus the dense
-  ``W_full`` scratch workspace of the input-centric backward.
+  every layer and kernel call with the same (Cin, Cout, cg, co), plus the
+  dense ``W_full`` scratch workspace of the input-centric backward;
+  :meth:`SCCPlan.check` validates an SCC kernel call against it.
 """
 from __future__ import annotations
 
@@ -252,14 +253,22 @@ def pool2d_plan(
 # SCC plans
 # ---------------------------------------------------------------------------
 
+#: The paper's SCC execution strategies (the ``strategy=`` of the SCC
+#: kernels, the ``impl=`` of :class:`~repro.core.scc.SlidingChannelConv2d`).
+SCC_STRATEGIES = ("channel_stack", "conv_stack", "dsxplore")
+#: The backward designs of the ``dsxplore`` strategy; the composed
+#: strategies accept either and ignore it.
+SCC_BACKWARD_DESIGNS = ("input_centric", "output_centric")
+
+
 @dataclass
 class SCCPlan:
     """Shared index tables + scratch of one SCC configuration.
 
-    One plan per (Cin, Cout, cg, co) serves every strategy instance — the
-    window matrix, channel cycle (paper Algorithm 1), per-cycle gather index
-    vectors and zero-copy segment table (Algorithm 2) are computed exactly
-    once per process instead of once per layer construction.
+    One plan per (Cin, Cout, cg, co) serves every layer and kernel call —
+    the window matrix, channel cycle (paper Algorithm 1), per-cycle gather
+    index vectors and zero-copy segment table (Algorithm 2) are computed
+    exactly once per process instead of once per layer construction.
     """
 
     config: "SCCConfig"
@@ -270,6 +279,47 @@ class SCCPlan:
     segments: list                          # per cycle position: [(chan_slice, col_slice)]
     flat_index: np.ndarray                  # (oid * Cin + windows).ravel(), for W_full fill
     _scratch: threading.local = field(default_factory=threading.local, repr=False)
+
+    def check(
+        self,
+        strategy: str,
+        backward_design: str = "input_centric",
+        x: np.ndarray | None = None,
+        w: np.ndarray | None = None,
+        grad_out: np.ndarray | None = None,
+    ) -> None:
+        """Reject an SCC call this plan cannot run, with a ``ValueError``.
+
+        Every backend's ``scc_forward``/``scc_backward`` and the layer
+        constructor call this one check: the strategy name, the backward
+        design and, when given, the operand shapes (``grad_out`` is checked
+        against the forward input ``x``).
+        """
+        if strategy not in SCC_STRATEGIES:
+            raise ValueError(
+                f"unknown SCC strategy {strategy!r}; available: {sorted(SCC_STRATEGIES)}"
+            )
+        if backward_design not in SCC_BACKWARD_DESIGNS:
+            raise ValueError(
+                f"backward_design must be 'input_centric' or 'output_centric', "
+                f"got {backward_design!r}"
+            )
+        cfg = self.config
+        if x is not None and (x.ndim != 4 or x.shape[1] != cfg.in_channels):
+            raise ValueError(
+                f"expected input (N, {cfg.in_channels}, H, W), got {x.shape}"
+            )
+        if w is not None and w.shape != (cfg.out_channels, cfg.group_width):
+            raise ValueError(
+                f"expected weight ({cfg.out_channels}, {cfg.group_width}), got {w.shape}"
+            )
+        if grad_out is not None:
+            n, _, h, wdt = x.shape
+            if grad_out.shape != (n, cfg.out_channels, h, wdt):
+                raise ValueError(
+                    f"expected grad_out {(n, cfg.out_channels, h, wdt)}, "
+                    f"got {grad_out.shape}"
+                )
 
     def w_full(self, w: np.ndarray) -> np.ndarray:
         """Dense (Cout, Cin) weight matrix, zeros outside each window.
@@ -296,7 +346,8 @@ class SCCPlan:
 
 def _build_scc_plan(config: "SCCConfig") -> SCCPlan:
     # Imported lazily to keep repro.backend import-independent of repro.core
-    # (repro.core.scc_kernels imports repro.backend at module level).
+    # (importing repro.core.channel_map runs repro.core's __init__, whose
+    # layer modules import repro.backend at module level).
     from repro.core.channel_map import (
         channel_windows,
         compute_channel_cycle,

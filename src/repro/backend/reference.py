@@ -6,7 +6,7 @@ kernels loop over filters, taps and windows; they are orders of magnitude
 slower and exist for correctness only (tests, cross-checks, debugging a new
 backend).  Instrumentation: reference kernels materialise nothing and count
 one "gemm" per filter reduction, so :class:`KernelStats` stays meaningful
-when a strategy runs on this backend.
+when an SCC strategy runs on this backend.
 """
 from __future__ import annotations
 
@@ -61,7 +61,8 @@ def scc_forward(
     epilogue=None,
 ):
     # All three strategies compute the same function; the reference backend
-    # runs the defining equation directly regardless of ``strategy``.
+    # runs the defining equation directly for whichever valid ``strategy``.
+    plan.check(strategy, x=x, w=w)
     if stats is not None:
         stats.gemm_calls += plan.config.out_channels
     out = scc_forward_loops(x, w, plan.windows)
@@ -82,6 +83,7 @@ def scc_backward(
     need_weight_grad: bool = True,
     stats: KernelStats | None = None,
 ):
+    plan.check(strategy, backward_design, x=saved["x"], grad_out=grad_out)
     if stats is not None:
         stats.gemm_calls += plan.config.out_channels
     return scc_backward_loops(

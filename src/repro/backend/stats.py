@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class KernelStats:
-    """Instrumentation counters accumulated by one strategy invocation.
+    """Instrumentation counters accumulated by the kernel calls handed this object.
 
     ``bytes_materialized`` counts *logically* materialised temporaries: a
     scratch workspace reused from the plan cache still counts, because the

@@ -4,12 +4,13 @@ Layout:
 
 - :mod:`repro.core.channel_map` — window algebra and the channel-cycle
   discovery of paper Algorithm 1 (plus the Algorithm-2 index-reuse helper),
-- :mod:`repro.core.scc_kernels` — the three execution strategies the paper
-  evaluates (channel-stack / convolution-stack+CC / fused DSXplore kernel)
-  as pure-ndarray kernels, with both backward designs (output-centric
-  "push with atomics" and input-centric "pull"),
 - :mod:`repro.core.scc` — autograd Function + the
-  :class:`~repro.core.scc.SlidingChannelConv2d` module,
+  :class:`~repro.core.scc.SlidingChannelConv2d` module over the registry's
+  ``scc_forward`` / ``scc_backward`` kernels, which implement the three
+  execution strategies the paper evaluates (channel-stack /
+  convolution-stack+CC / fused DSXplore kernel) with both backward designs
+  (output-centric "push with atomics" and input-centric "pull"); see
+  :mod:`repro.backend.numpy_backend`,
 - :mod:`repro.core.blocks` — DW+{PW,GPW,SCC} depthwise-separable blocks and
   the drop-in model-conversion pass,
 - :mod:`repro.core.design_space` — (cg, co) design-space enumeration, the

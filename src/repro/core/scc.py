@@ -5,7 +5,8 @@ original Pytorch framework as the drop-in replacement of the existing DSCs":
 :class:`SlidingChannelConv2d` slots anywhere a
 :class:`~repro.nn.conv.PointwiseConv2d` / GPW module does, and trains
 end-to-end through :mod:`repro.tensor` exactly like the CUDA kernel trains
-through ``torch.autograd.Function``.
+through ``torch.autograd.Function``.  The kernels themselves are the
+registry's ``scc_forward`` / ``scc_backward`` (:mod:`repro.backend`).
 """
 from __future__ import annotations
 
@@ -13,39 +14,52 @@ import math
 
 import numpy as np
 
+from repro.backend import KernelStats, SCCPlan, get_kernel, scc_plan
 from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import _StrategyBase, make_strategy
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
 from repro.tensor.function import Function
 from repro.utils.rng import get_rng
 
-class SCCFunction(Function):
-    """Differentiable SCC op delegating to a kernel strategy.
 
-    The per-call state a backend kernel saves between forward and backward
-    (``strategy._saved``) is checkpointed onto the Function node, so one
-    strategy instance — with its cached plan (window/segment tables, the
-    Algorithm-2 reuse) — can be shared across many forward calls and the
-    graph stays re-entrant.
+class SCCFunction(Function):
+    """Differentiable SCC op over the registry kernels.
+
+    Dispatches like :class:`~repro.tensor.conv_ops.Conv2d`: ``forward``
+    calls the ``scc_forward`` kernel on the shared plan and keeps the
+    returned context on this graph node, which ``backward`` hands to
+    ``scc_backward``.  Each call owns its context, so one layer can run
+    many forwards before any backward.
     """
 
-    def forward(self, x: np.ndarray, w: np.ndarray, strategy: _StrategyBase = None) -> np.ndarray:
-        if strategy is None:
-            raise ValueError("SCCFunction requires a kernel strategy instance")
-        self.strategy = strategy
-        out = strategy.forward(x, w)
-        self.saved_state = strategy._saved
+    def forward(
+        self,
+        x: np.ndarray,
+        w: np.ndarray,
+        plan: SCCPlan,
+        impl: str,
+        backward_design: str,
+        backend: str,
+        stats: KernelStats,
+    ) -> np.ndarray:
+        out, ctx = get_kernel("scc_forward", backend)(
+            plan, x, w, strategy=impl, stats=stats
+        )
+        self.plan = plan
+        self.ctx = ctx
+        self.impl = impl
+        self.backward_design = backward_design
+        self.backend = backend
+        self.stats = stats
         return out
 
     def backward(self, grad_output: np.ndarray):
-        strategy = self.strategy
-        strategy._saved = self.saved_state
         need_x, need_w = self.needs_input_grad
-        grad_x, grad_w = strategy.backward(
-            grad_output, need_input_grad=need_x, need_weight_grad=need_w
+        return get_kernel("scc_backward", self.backend)(
+            self.plan, self.ctx, grad_output,
+            strategy=self.impl, backward_design=self.backward_design,
+            need_input_grad=need_x, need_weight_grad=need_w, stats=self.stats,
         )
-        return grad_x, grad_w
 
 
 class SlidingChannelConv2d(Module):
@@ -65,15 +79,20 @@ class SlidingChannelConv2d(Module):
     impl:
         execution strategy: ``"dsxplore"`` (fused, default),
         ``"conv_stack"`` (*Pytorch-Opt*), or ``"channel_stack"``
-        (*Pytorch-Base*).  All three compute identical math; see
-        :mod:`repro.core.scc_kernels`.
+        (*Pytorch-Base*).  All three compute identical math; see the SCC
+        section of :mod:`repro.backend.numpy_backend`.
     backward_design:
         for ``impl="dsxplore"`` only: ``"input_centric"`` (default) or
         ``"output_centric"`` (the DSXplore-Var ablation).
     backend:
-        kernel backend the strategy dispatches through
+        kernel backend the layer dispatches through
         (:mod:`repro.backend`): ``"default"``, ``"numpy"`` or
         ``"reference"``.
+
+    ``plan`` is the shared :class:`~repro.backend.plan.SCCPlan` of the
+    layer's configuration, and ``stats`` accumulates the
+    :class:`~repro.backend.stats.KernelStats` counters of every kernel call
+    the layer makes.
     """
 
     def __init__(
@@ -90,6 +109,11 @@ class SlidingChannelConv2d(Module):
     ) -> None:
         super().__init__()
         self.config = SCCConfig(in_channels, out_channels, cg, co)
+        self.plan = scc_plan(self.config)
+        self.plan.check(impl, backward_design)
+        # Kernels are looked up per call (so backend_override() reaches
+        # them); this lookup only rejects an unknown backend at construction.
+        get_kernel("scc_forward", backend)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.cg = cg
@@ -97,8 +121,7 @@ class SlidingChannelConv2d(Module):
         self.impl = impl
         self.backward_design = backward_design
         self.backend = backend
-        kwargs = {"backward_design": backward_design} if impl == "dsxplore" else {}
-        self.strategy = make_strategy(impl, self.config, backend=backend, **kwargs)
+        self.stats = KernelStats()
 
         gen = rng if rng is not None else get_rng()
         gw = self.config.group_width
@@ -113,11 +136,17 @@ class SlidingChannelConv2d(Module):
         # stages applied per cycle-position slab inside the SCC forward.
         self._fused_epilogue = None
 
+    def _scc(self, x: Tensor) -> Tensor:
+        return SCCFunction.apply(
+            x, self.weight, self.plan, self.impl, self.backward_design,
+            self.backend, self.stats,
+        )
+
     def forward(self, x: Tensor) -> Tensor:
         ep = self._fused_epilogue
         if ep is not None:
             return self._forward_fused(x, ep)
-        out = SCCFunction.apply(x, self.weight, strategy=self.strategy)
+        out = self._scc(x)
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
@@ -126,30 +155,24 @@ class SlidingChannelConv2d(Module):
         from repro.tensor.tensor import is_grad_enabled
 
         if not self.training and not is_grad_enabled():
-            out = self.strategy.forward(
-                x.data, self.weight.data, epilogue=ep.kernel_args()
+            out, _ = get_kernel("scc_forward", self.backend)(
+                self.plan, x.data, self.weight.data, strategy=self.impl,
+                stats=self.stats, epilogue=ep.kernel_args(),
             )
             return Tensor(out)
-        out = SCCFunction.apply(x, self.weight, strategy=self.strategy)
-        return ep.apply_composed(out)
+        return ep.apply_composed(self._scc(x))
 
     @property
     def cyclic_dist(self) -> int:
-        return self.strategy.cyclic_dist
+        return self.plan.cyclic_dist
 
     def set_impl(self, impl: str, backward_design: str | None = None) -> None:
         """Swap execution strategy in place (weights unchanged)."""
+        if backward_design is None:
+            backward_design = self.backward_design
+        self.plan.check(impl, backward_design)
         self.impl = impl
-        if backward_design is not None:
-            self.backward_design = backward_design
-        kwargs = (
-            {"backward_design": self.backward_design} if impl == "dsxplore" else {}
-        )
-        object.__setattr__(
-            self,
-            "strategy",
-            make_strategy(impl, self.config, backend=self.backend, **kwargs),
-        )
+        self.backward_design = backward_design
 
     def __repr__(self) -> str:
         return (

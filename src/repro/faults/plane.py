@@ -154,14 +154,10 @@ class FaultInjector:
     specs:
         the :class:`FaultSpec` sources to draw from.
     seed:
-        hash seed for every fire/poison/jitter decision.
+        hash seed for every fire/jitter decision.
     poison_ids:
-        explicit ``(model, request_id)`` pairs (or bare ids, matching any
-        model) that poison every batch containing them.
-    poison_rate:
-        probability that any given request id is poisoned, drawn
-        deterministically per ``(seed, model, id)`` — the statistical way
-        to poison a trace without enumerating ids.
+        ``(model, request_id)`` pairs (or bare ids, matching any model)
+        that poison every batch containing them.
 
     Fire decisions are pure functions of the draw key; only the
     ``max_fires`` budgets and the observability counters are mutable state
@@ -173,17 +169,9 @@ class FaultInjector:
         specs: Sequence[FaultSpec] = (),
         seed: int = 0,
         poison_ids: Sequence[int | tuple[str | None, int]] = (),
-        poison_rate: float = 0.0,
-        poison_models: Sequence[str] | None = None,
     ) -> None:
-        if not 0.0 <= poison_rate <= 1.0:
-            raise ValueError(f"poison_rate must be in [0, 1], got {poison_rate}")
         self.specs = list(specs)
         self.seed = seed
-        self.poison_rate = poison_rate
-        self.poison_models = (
-            tuple(poison_models) if poison_models is not None else None
-        )
         self._poison: set[tuple[str | None, int]] = set()
         for entry in poison_ids:
             if isinstance(entry, tuple):
@@ -225,23 +213,11 @@ class FaultInjector:
     def poisoned_subset(
         self, ids: Sequence[int], model: str | None = None
     ) -> list[int]:
-        """The poisoned ids among ``ids`` (explicit set plus rate draws)."""
-        hit = []
-        for rid in ids:
-            if (model, rid) in self._poison or (None, rid) in self._poison:
-                hit.append(rid)
-                continue
-            if self.poison_rate > 0.0 and (
-                self.poison_models is None or model in self.poison_models
-            ):
-                if _u01(self.seed, "poison", model, rid) < self.poison_rate:
-                    hit.append(rid)
-        return hit
-
-    def poison(self, request_id: int, model: str | None = None) -> None:
-        """Explicitly poison one request id (optionally model-scoped)."""
-        with self._lock:
-            self._poison.add((model, int(request_id)))
+        """The poisoned ids among ``ids``."""
+        return [
+            rid for rid in ids
+            if (model, rid) in self._poison or (None, rid) in self._poison
+        ]
 
     # -- hooks the stack calls -------------------------------------------------
 

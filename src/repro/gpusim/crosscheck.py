@@ -27,9 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import KernelStats
+from repro.backend import KernelStats, get_kernel, scc_plan
 from repro.core.channel_map import SCCConfig, cyclic_distance
-from repro.core.scc_kernels import make_strategy
 from repro.gpusim.workloads import DTYPE_BYTES, LayerShape, SCCGeometry, scc_layer_kernels
 
 
@@ -79,8 +78,8 @@ def crosscheck_scc_stats(
     backend: str = "default",
 ) -> StatsCrossCheck:
     """Run real kernels through the registry and compare to the simulator."""
-    kwargs = {"backward_design": backward_design} if strategy == "dsxplore" else {}
-    strat = make_strategy(strategy, cfg, backend=backend, **kwargs)
+    plan = scc_plan(cfg)
+    stats = KernelStats()
     rng = np.random.default_rng(0)
     x = rng.standard_normal(
         (batch, cfg.in_channels, hw, hw)
@@ -88,9 +87,14 @@ def crosscheck_scc_stats(
     w = rng.standard_normal(
         (cfg.out_channels, cfg.group_width)
     ).astype(np.float32)
-    out = strat.forward(x, w)
-    fwd_stats = strat.stats.snapshot()
-    strat.backward(np.ones_like(out))
+    out, ctx = get_kernel("scc_forward", backend)(
+        plan, x, w, strategy=strategy, stats=stats
+    )
+    fwd_stats = stats.snapshot()
+    get_kernel("scc_backward", backend)(
+        plan, ctx, np.ones_like(out), strategy=strategy,
+        backward_design=backward_design, stats=stats,
+    )
 
     kernels = scc_layer_kernels(_layer_shape(cfg, hw), batch, strategy, backward_design)
     fwd_kernels = scc_layer_kernels(
@@ -101,12 +105,12 @@ def crosscheck_scc_stats(
         strategy=strategy,
         backward_design=backward_design,
         measured_forward=fwd_stats,
-        measured_total=strat.stats.snapshot(),
+        measured_total=stats.snapshot(),
     )
     checks = result.checks
     if strategy != "conv_stack":
         checks["atomic_ops"] = (
-            float(strat.stats.scatter_adds),
+            float(stats.scatter_adds),
             float(sum(k.atomic_ops for k in kernels)),
         )
     if strategy == "conv_stack":
@@ -115,7 +119,7 @@ def crosscheck_scc_stats(
         # atomic_ops while the measuring kernel counts its scatter updates,
         # so no atomic comparison is meaningful — the equalities that are
         # meaningful here are the gather/GEMM ones below.
-        cd = strat.cyclic_dist
+        cd = plan.cyclic_dist
         win_bytes = batch * cfg.group_width * hw * hw * DTYPE_BYTES
         checks["forward_gather_bytes"] = (
             float(fwd_stats.bytes_materialized), float(cd * win_bytes)

@@ -360,8 +360,8 @@ class CircuitBreaker:
     States: ``closed`` (all traffic admitted, outcomes recorded in a
     sliding window), ``open`` (everything rejected until ``cooldown``
     elapses — the fail-fast that keeps a broken model from dragging the
-    shared pool down), ``half_open`` (up to ``probe_quota`` probe requests
-    admitted; one success closes, one failure re-opens).  Every transition
+    shared worker down), ``half_open`` (exactly one probe request admitted;
+    its success closes, its failure re-opens).  Every transition
     is timestamped in :attr:`transitions`, which is what the chaos soak's
     "breaker transitions are visible" acceptance gate reads.
     """
@@ -376,7 +376,6 @@ class CircuitBreaker:
         threshold: float = 0.5,
         min_samples: int = 8,
         cooldown: float = 1.0,
-        probe_quota: int = 1,
     ) -> None:
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
@@ -386,13 +385,10 @@ class CircuitBreaker:
             raise ValueError(f"min_samples must be >= 1, got {min_samples}")
         if cooldown < 0:
             raise ValueError(f"cooldown must be >= 0, got {cooldown}")
-        if probe_quota < 1:
-            raise ValueError(f"probe_quota must be >= 1, got {probe_quota}")
         self.window = window
         self.threshold = threshold
         self.min_samples = min_samples
         self.cooldown = cooldown
-        self.probe_quota = probe_quota
         self.state = self.CLOSED
         self.opens = 0
         self.closes = 0
@@ -400,7 +396,7 @@ class CircuitBreaker:
         self.transitions: list[tuple[float, str, str]] = []
         self._outcomes: deque[bool] = deque(maxlen=window)
         self._opened_at: float | None = None
-        self._probes_issued = 0
+        self._probe_issued = False
 
     def _transition(self, now: float, state: str) -> None:
         self.transitions.append((now, self.state, state))
@@ -412,7 +408,7 @@ class CircuitBreaker:
             self.closes += 1
             self._outcomes.clear()
         elif state == self.HALF_OPEN:
-            self._probes_issued = 0
+            self._probe_issued = False
 
     def error_rate(self) -> float:
         if not self._outcomes:
@@ -429,10 +425,10 @@ class CircuitBreaker:
                 self.rejected += 1
                 return False
         if self.state == self.HALF_OPEN:
-            if self._probes_issued >= self.probe_quota:
+            if self._probe_issued:
                 self.rejected += 1
                 return False
-            self._probes_issued += 1
+            self._probe_issued = True
         return True
 
     def record(self, success: bool, now: float) -> None:

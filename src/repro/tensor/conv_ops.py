@@ -2,8 +2,9 @@
 
 These are the "cuDNN primitives" of the reproduction: the standard / grouped
 convolution here is what the paper's *Pytorch-Base* and *Pytorch-Opt* SCC
-strategies composite (Section IV-A), while the fused DSXplore SCC kernel
-lives in :mod:`repro.core.scc_kernels`.
+strategies composite (Section IV-A), while the SCC kernels, the fused
+DSXplore one included, live in :mod:`repro.backend` and run through
+:class:`repro.core.scc.SCCFunction`.
 
 Execution routes through the :mod:`repro.backend` registry: each Function
 resolves its workload to a cached execution plan (geometry, tile schedule

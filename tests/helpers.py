@@ -1,5 +1,6 @@
 """Shared test utilities: numerical gradient checking, condition waits,
-kernel-call recording and the composed (unfused) epilogue."""
+kernel-call recording, SCC kernel runs and the composed (unfused)
+epilogue."""
 from __future__ import annotations
 
 import time
@@ -8,7 +9,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from repro.backend import REGISTRY
+from repro.backend import REGISTRY, KernelStats, get_kernel, scc_plan
 
 
 def wait_for(
@@ -92,6 +93,40 @@ def record_kernel_calls() -> Iterator[list[KernelCall]]:
     finally:
         for op, backend, fn in originals:
             REGISTRY.register(op, backend)(fn)
+
+
+def run_scc(
+    cfg,
+    x: np.ndarray,
+    w: np.ndarray,
+    grad=None,
+    strategy: str = "dsxplore",
+    backward_design: str = "input_centric",
+    backend: str = "default",
+    need_input_grad: bool = True,
+    need_weight_grad: bool = True,
+):
+    """One SCC forward through the registry kernels on ``cfg``'s plan, then
+    a backward when ``grad`` is given (a scalar fills the output's shape).
+
+    Returns ``(out, grad_x, grad_w, stats)``: without ``grad`` both grads
+    are ``None`` and ``stats`` counts the forward alone.
+    """
+    plan = scc_plan(cfg)
+    stats = KernelStats()
+    out, ctx = get_kernel("scc_forward", backend)(
+        plan, x, w, strategy=strategy, stats=stats
+    )
+    if grad is None:
+        return out, None, None, stats
+    if np.isscalar(grad):
+        grad = np.full_like(out, grad)
+    grad_x, grad_w = get_kernel("scc_backward", backend)(
+        plan, ctx, grad, strategy=strategy, backward_design=backward_design,
+        need_input_grad=need_input_grad, need_weight_grad=need_weight_grad,
+        stats=stats,
+    )
+    return out, grad_x, grad_w, stats
 
 
 def compose_epilogue(out: np.ndarray, ep) -> np.ndarray:

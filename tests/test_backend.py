@@ -16,9 +16,11 @@ from repro.backend import (
     pool2d_plan,
 )
 from repro.core.channel_map import SCCConfig, channel_windows
-from repro.core.scc_kernels import make_strategy
+from repro.core.scc import SlidingChannelConv2d
 from repro.tensor import Tensor
 from repro.utils import seed_all
+
+from tests.helpers import run_scc
 
 
 @pytest.fixture(autouse=True)
@@ -118,11 +120,10 @@ def test_plan_cache_hits_on_repeated_shapes():
 
 
 def test_scc_plan_shared_across_strategy_instances():
-    cfg = SCCConfig(8, 16, 2, 0.5)
-    s1 = make_strategy("dsxplore", cfg)
-    s2 = make_strategy("channel_stack", cfg)
+    s1 = SlidingChannelConv2d(8, 16, cg=2, co=0.5, impl="dsxplore")
+    s2 = SlidingChannelConv2d(8, 16, cg=2, co=0.5, impl="channel_stack")
     assert s1.plan is s2.plan
-    np.testing.assert_array_equal(s1.windows, channel_windows(8, 16, 2, 0.5))
+    np.testing.assert_array_equal(s1.plan.windows, channel_windows(8, 16, 2, 0.5))
 
 
 def test_plan_cache_eviction_bounded():
@@ -212,12 +213,10 @@ def test_scc_reference_backend_matches_numpy(strategy):
     rng = np.random.default_rng(4)
     x = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
     w = rng.standard_normal((12, 4)).astype(np.float32)
-    fast = make_strategy(strategy, cfg, backend="numpy")
-    slow = make_strategy(strategy, cfg, backend="reference")
-    np.testing.assert_allclose(slow.forward(x, w), fast.forward(x, w), atol=1e-5)
     grad = rng.standard_normal((2, 12, 3, 3)).astype(np.float32)
-    gx_f, gw_f = fast.backward(grad)
-    gx_s, gw_s = slow.backward(grad)
+    out_f, gx_f, gw_f, _ = run_scc(cfg, x, w, grad, strategy, backend="numpy")
+    out_s, gx_s, gw_s, _ = run_scc(cfg, x, w, grad, strategy, backend="reference")
+    np.testing.assert_allclose(out_s, out_f, atol=1e-5)
     np.testing.assert_allclose(gx_s, gx_f, rtol=1e-3, atol=1e-4)
     np.testing.assert_allclose(gw_s, gw_f, rtol=1e-3, atol=1e-4)
 
@@ -243,13 +242,11 @@ def test_nn_conv_backend_threading_end_to_end():
 
 
 def test_scc_module_backend_threading():
-    from repro.core.scc import SlidingChannelConv2d
-
     layer = SlidingChannelConv2d(8, 16, cg=2, co=0.5, backend="reference",
                                  rng=np.random.default_rng(11))
-    assert layer.strategy.backend == "reference"
+    assert layer.backend == "reference"
     layer.set_impl("conv_stack")
-    assert layer.strategy.backend == "reference"   # backend survives impl swap
+    assert layer.backend == "reference"   # backend survives impl swap
     x = Tensor(np.random.default_rng(12).standard_normal((2, 8, 4, 4)).astype(np.float32))
     assert layer(x).shape == (2, 16, 4, 4)
 
@@ -261,15 +258,3 @@ def test_build_model_backend_threading():
                         backend="reference", rng=np.random.default_rng(13))
     convs = [m for _, m in model.named_modules() if hasattr(m, "backend")]
     assert convs and all(m.backend == "reference" for m in convs)
-
-
-def test_make_strategy_rejects_unknown_kwargs_naming_strategy():
-    cfg = SCCConfig(8, 8, 2, 0.5)
-    with pytest.raises(ValueError, match="'channel_stack'.*backward_design"):
-        make_strategy("channel_stack", cfg, backward_design="input_centric")
-    with pytest.raises(ValueError, match="'dsxplore'.*'warp_factor'"):
-        make_strategy("dsxplore", cfg, warp_factor=9)
-    # Valid kwargs still work.
-    strat = make_strategy("dsxplore", cfg, backward_design="output_centric",
-                          backend="numpy")
-    assert strat.backward_design == "output_centric"

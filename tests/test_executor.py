@@ -15,6 +15,8 @@ import pytest
 from repro.tensor.conv_ops import Conv2d
 from repro.utils import seed_all
 
+from tests.helpers import run_scc
+
 
 @pytest.fixture(autouse=True)
 def _seed():
@@ -42,19 +44,16 @@ def _depthwise_workload(seed):
 
 
 def _scc_workload(seed):
-    """One SCC strategy forward+backward.  Its input-centric pull GEMM
+    """One dsxplore SCC forward+backward.  Its input-centric pull GEMM
     fills the plan's thread-local ``w_full`` scratch; every seed has its
     own weights, so a scratch shared between threads would mix them."""
     from repro.core.channel_map import SCCConfig
-    from repro.core.scc_kernels import Dsxplore
 
     cfg = SCCConfig(in_channels=64, out_channels=128, cg=4, co=0.5)
-    layer = Dsxplore(cfg)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((4, 64, 16, 16)).astype(np.float32)
     w = rng.standard_normal((128, cfg.group_width)).astype(np.float32)
-    out = layer.forward(x, w)
-    gx, gw = layer.backward(np.ones_like(out))
+    out, gx, gw, _ = run_scc(cfg, x, w, 1.0)
     return out, gx, gw
 
 

@@ -7,16 +7,19 @@ Two classes of guarantee:
   (the classic NumPy footgun that would double memory traffic and invalidate
   the byte accounting);
 - **stats**: the instrumentation counters agree with both the strategy
-  definitions (Dsxplore forward materialises 0 bytes, the input-centric
+  definitions (the dsxplore forward materialises 0 bytes, the input-centric
   backward issues 0 scatter updates) and the gpusim analytic kernel model
   (:mod:`repro.gpusim.crosscheck`).
 """
 import numpy as np
 import pytest
 
+from repro.backend import KernelStats, get_kernel, scc_plan
+from repro.backend.reference import scc_forward_loops
 from repro.core.channel_map import SCCConfig, channel_windows
-from repro.core.scc_kernels import make_strategy, scc_forward_reference
 from repro.gpusim import crosscheck_all, crosscheck_scc_stats
+
+from tests.helpers import run_scc
 
 CONFIGS = [
     SCCConfig(8, 16, 2, 0.5),
@@ -44,16 +47,14 @@ def _rand32(cfg, n=2, hw=4, seed=0):
                          ids=["chs", "cos", "dsx-pull", "dsx-push"])
 def test_float32_preserved_and_matches_reference(cfg, name, kwargs):
     x, w = _rand32(cfg)
-    strat = make_strategy(name, cfg, **kwargs)
-    out = strat.forward(x, w)
+    out_shape = (x.shape[0], cfg.out_channels) + x.shape[2:]
+    grad = np.random.default_rng(1).standard_normal(out_shape).astype(np.float32)
+    out, gx, gw, _ = run_scc(cfg, x, w, grad, strategy=name, **kwargs)
     assert out.dtype == np.float32, f"{name} forward promoted to {out.dtype}"
     wins = channel_windows(cfg.in_channels, cfg.out_channels, cfg.cg, cfg.co)
-    ref = scc_forward_reference(x, w, wins)
+    ref = scc_forward_loops(x, w, wins)
     assert ref.dtype == np.float32
     np.testing.assert_allclose(out, ref, atol=1e-5)
-
-    grad = np.random.default_rng(1).standard_normal(out.shape).astype(np.float32)
-    gx, gw = strat.backward(grad)
     assert gx.dtype == np.float32, f"{name} grad_x promoted to {gx.dtype}"
     assert gw.dtype == np.float32, f"{name} grad_w promoted to {gw.dtype}"
 
@@ -77,23 +78,21 @@ def test_conv2d_float32_preserved(backend):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_dsxplore_forward_materializes_zero_bytes(cfg):
     x, w = _rand32(cfg)
-    strat = make_strategy("dsxplore", cfg)
-    strat.forward(x, w)
-    assert strat.stats.bytes_materialized == 0
-    assert strat.stats.scatter_adds == 0
+    stats = run_scc(cfg, x, w)[3]
+    assert stats.bytes_materialized == 0
+    assert stats.scatter_adds == 0
 
 
 def test_input_centric_no_scatter_output_centric_scatters():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand32(cfg)
-    pull = make_strategy("dsxplore", cfg, backward_design="input_centric")
-    push = make_strategy("dsxplore", cfg, backward_design="output_centric")
-    for strat in (pull, push):
-        out = strat.forward(x, w)
-        strat.backward(np.ones_like(out))
-    assert pull.stats.scatter_adds == 0
-    assert push.stats.scatter_adds > 0
-    assert push.stats.conflicting_scatter_adds > 0
+    pull, push = (
+        run_scc(cfg, x, w, 1.0, backward_design=design)[3]
+        for design in ("input_centric", "output_centric")
+    )
+    assert pull.scatter_adds == 0
+    assert push.scatter_adds > 0
+    assert push.conflicting_scatter_adds > 0
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
@@ -116,9 +115,10 @@ def test_crosscheck_channel_stack_atomics_scale_with_batch():
 def test_stats_reset_between_forward_calls():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand32(cfg)
-    strat = make_strategy("channel_stack", cfg)
-    strat.forward(x, w)
-    first = strat.stats.snapshot()
-    strat.forward(x, w)
-    assert strat.stats.bytes_materialized == first.bytes_materialized
-    assert strat.stats.gemm_calls == first.gemm_calls
+    fwd, stats = get_kernel("scc_forward"), KernelStats()
+    fwd(scc_plan(cfg), x, w, strategy="channel_stack", stats=stats)
+    first = stats.snapshot()
+    stats.reset()
+    fwd(scc_plan(cfg), x, w, strategy="channel_stack", stats=stats)
+    assert stats.bytes_materialized == first.bytes_materialized
+    assert stats.gemm_calls == first.gemm_calls

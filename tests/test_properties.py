@@ -5,10 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.channel_map import SCCConfig
-from repro.core.scc_kernels import Dsxplore
 from repro.tensor import Tensor
 from repro.tensor.function import unbroadcast
 from repro.utils import seed_all
+
+from tests.helpers import run_scc
 
 
 @pytest.fixture(autouse=True)
@@ -77,10 +78,8 @@ def test_scc_gradient_consistent_with_forward_jvp(seed):
     w = rng.standard_normal((12, 4)).astype(np.float32)
     v = rng.standard_normal(x.shape).astype(np.float32)
     g = rng.standard_normal((2, 12, 3, 3)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    jv = strat.forward(v, w)            # J v (linear in x)
-    strat.forward(x, w)
-    jt_g, _ = strat.backward(g, need_weight_grad=False)
+    jv = run_scc(cfg, v, w)[0]          # J v (linear in x)
+    _, jt_g, _, _ = run_scc(cfg, x, w, g, need_weight_grad=False)
     lhs = float((jv * g).sum())
     rhs = float((v * jt_g).sum())
     assert abs(lhs - rhs) <= 1e-3 * max(abs(lhs), abs(rhs), 1.0)
@@ -96,10 +95,8 @@ def test_scc_weight_gradient_adjoint(seed):
     w = rng.standard_normal((12, 4)).astype(np.float32)
     dw = rng.standard_normal(w.shape).astype(np.float32)
     g = rng.standard_normal((2, 12, 3, 3)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    j_dw = strat.forward(x, dw)         # linear in w too
-    strat.forward(x, w)
-    _, jt_g = strat.backward(g, need_input_grad=False)
+    j_dw = run_scc(cfg, x, dw)[0]       # linear in w too
+    _, _, jt_g, _ = run_scc(cfg, x, w, g, need_input_grad=False)
     lhs = float((j_dw * g).sum())
     rhs = float((dw * jt_g).sum())
     assert abs(lhs - rhs) <= 1e-3 * max(abs(lhs), abs(rhs), 1.0)
@@ -117,12 +114,11 @@ def test_scc_output_permutes_under_cyclic_input_shift(seed, co):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((1, 8, 3, 3)).astype(np.float32)
     w = rng.standard_normal((8, cfg.group_width)).astype(np.float32)
-    strat = Dsxplore(cfg)
     # With identical weights in every filter, filter o applied to the input
     # rolled back by one stride sees exactly what filter o+1 sees on the
     # original input: rolled[o] == base[o+1].
     w_const = np.tile(w[:1], (8, 1))
-    base_c = strat.forward(x, w_const)
-    rolled_c = strat.forward(np.roll(x, -stride, axis=1), w_const)
+    base_c = run_scc(cfg, x, w_const)[0]
+    rolled_c = run_scc(cfg, np.roll(x, -stride, axis=1), w_const)[0]
     for o in range(8 - 1):
         np.testing.assert_allclose(rolled_c[0, o], base_c[0, o + 1], atol=1e-4)

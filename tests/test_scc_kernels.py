@@ -10,14 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import get_kernel, scc_plan
+from repro.backend.reference import scc_forward_loops
 from repro.core.channel_map import SCCConfig, channel_windows
-from repro.core.scc_kernels import (
-    ChannelStack,
-    ConvStackCC,
-    Dsxplore,
-    make_strategy,
-    scc_forward_reference,
-)
+
+from tests.helpers import run_scc
 
 STRATEGY_NAMES = ("channel_stack", "conv_stack", "dsxplore")
 
@@ -46,8 +43,8 @@ CONFIGS = [
 def test_forward_matches_reference(cfg, name):
     x, w = _rand(cfg)
     wins = channel_windows(cfg.in_channels, cfg.out_channels, cfg.cg, cfg.co)
-    ref = scc_forward_reference(x, w, wins)
-    out = make_strategy(name, cfg).forward(x, w)
+    ref = scc_forward_loops(x, w, wins)
+    out = run_scc(cfg, x, w, strategy=name)[0]
     np.testing.assert_allclose(out, ref, atol=1e-5)
 
 
@@ -64,10 +61,9 @@ def test_forward_matches_reference(cfg, name):
 def test_backward_matches_reference(cfg, name, kwargs):
     x, w = _rand(cfg, seed=3)
     wins = channel_windows(cfg.in_channels, cfg.out_channels, cfg.cg, cfg.co)
-    strat = make_strategy(name, cfg, **kwargs)
-    out = strat.forward(x, w)
-    grad = np.random.default_rng(4).standard_normal(out.shape).astype(np.float32)
-    gx, gw = strat.backward(grad)
+    out_shape = (x.shape[0], cfg.out_channels) + x.shape[2:]
+    grad = np.random.default_rng(4).standard_normal(out_shape).astype(np.float32)
+    _, gx, gw, _ = run_scc(cfg, x, w, grad, strategy=name, **kwargs)
 
     gw_ref = np.zeros_like(w)
     gx_ref = np.zeros_like(x)
@@ -82,79 +78,97 @@ def test_backward_matches_reference(cfg, name, kwargs):
 def test_backward_partial_grads():
     cfg = SCCConfig(8, 8, 2, 0.5)
     x, w = _rand(cfg)
-    strat = Dsxplore(cfg)
-    out = strat.forward(x, w)
-    grad = np.ones_like(out)
-    gx, gw = strat.backward(grad, need_input_grad=False)
+    _, gx, gw, _ = run_scc(cfg, x, w, 1.0, need_input_grad=False)
     assert gx is None and gw is not None
-    gx, gw = strat.backward(grad, need_weight_grad=False)
+    _, gx, gw, _ = run_scc(cfg, x, w, 1.0, need_weight_grad=False)
     assert gx is not None and gw is None
 
 
 def test_shape_validation():
     cfg = SCCConfig(8, 8, 2, 0.5)
-    strat = Dsxplore(cfg)
     with pytest.raises(ValueError, match="expected input"):
-        strat.forward(np.zeros((1, 4, 2, 2), dtype=np.float32), np.zeros((8, 4), dtype=np.float32))
+        run_scc(cfg, np.zeros((1, 4, 2, 2), dtype=np.float32), np.zeros((8, 4), dtype=np.float32))
     with pytest.raises(ValueError, match="expected weight"):
-        strat.forward(np.zeros((1, 8, 2, 2), dtype=np.float32), np.zeros((8, 3), dtype=np.float32))
+        run_scc(cfg, np.zeros((1, 8, 2, 2), dtype=np.float32), np.zeros((8, 3), dtype=np.float32))
 
 
 def test_unknown_strategy_rejected():
+    cfg = SCCConfig(4, 4, 2, 0.5)
+    x, w = _rand(cfg)
     with pytest.raises(ValueError, match="unknown SCC strategy"):
-        make_strategy("nope", SCCConfig(4, 4, 2, 0.5))
+        run_scc(cfg, x, w, strategy="nope")
 
 
 def test_unknown_backward_design_rejected():
+    cfg = SCCConfig(4, 4, 2, 0.5)
+    x, w = _rand(cfg)
     with pytest.raises(ValueError, match="backward_design"):
-        Dsxplore(SCCConfig(4, 4, 2, 0.5), backward_design="sideways")
+        run_scc(cfg, x, w, 1.0, backward_design="sideways")
+
+
+@pytest.mark.parametrize("backend", ["numpy", "reference"])
+def test_kernels_validate_every_call(backend):
+    # Both backends run the one SCCPlan.check: a bad strategy name, backward
+    # design or operand shape is a ValueError naming it, never an output or
+    # a raw indexing/matmul error.
+    cfg = SCCConfig(8, 8, 2, 0.5)
+    x, w = _rand(cfg)
+    plan = scc_plan(cfg)
+    fwd = get_kernel("scc_forward", backend)
+    bwd = get_kernel("scc_backward", backend)
+    with pytest.raises(ValueError, match="unknown SCC strategy 'bogus'"):
+        fwd(plan, x, w, strategy="bogus")
+    with pytest.raises(ValueError, match=r"expected input \(N, 8, H, W\)"):
+        fwd(plan, x[:, :4], w)
+    with pytest.raises(ValueError, match=r"expected weight \(8, 4\)"):
+        fwd(plan, x, w[:, :3])
+    out, ctx = fwd(plan, x, w)
+    with pytest.raises(ValueError, match="unknown SCC strategy 'bogus'"):
+        bwd(plan, ctx, out, strategy="bogus")
+    with pytest.raises(ValueError, match="backward_design.*'sideways'"):
+        bwd(plan, ctx, out, backward_design="sideways")
+    with pytest.raises(ValueError, match="expected grad_out"):
+        bwd(plan, ctx, out[:, :4])
 
 
 def test_channel_stack_materialises_duplicated_bytes():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand(cfg)
-    strat = ChannelStack(cfg)
-    strat.forward(x, w)
+    stats = run_scc(cfg, x, w, strategy="channel_stack")[3]
     # Stacked tensor: N * Cout * gw * H * W * 4 bytes.
     expected = 2 * 16 * 4 * 4 * 4 * 4
-    assert strat.stats.bytes_materialized == expected
+    assert stats.bytes_materialized == expected
 
 
 def test_conv_stack_materialises_only_one_cycle():
     cfg = SCCConfig(8, 16, 2, 0.5)   # cd = 4
     x, w = _rand(cfg)
-    strat = ConvStackCC(cfg)
-    strat.forward(x, w)
+    stats = run_scc(cfg, x, w, strategy="conv_stack")[3]
+    cd = scc_plan(cfg).cyclic_dist
     window_bytes = 2 * 4 * 4 * 4 * 4
-    assert strat.cyclic_dist == 4
-    assert strat.stats.bytes_materialized == strat.cyclic_dist * window_bytes
+    assert cd == 4
+    assert stats.bytes_materialized == cd * window_bytes
     # CC optimisation: strictly less duplication than channel-stack.
-    chs = ChannelStack(cfg)
-    chs.forward(x, w)
-    assert strat.stats.bytes_materialized < chs.stats.bytes_materialized
+    chs = run_scc(cfg, x, w, strategy="channel_stack")[3]
+    assert stats.bytes_materialized < chs.bytes_materialized
 
 
 def test_dsxplore_forward_materialises_nothing():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand(cfg)
-    strat = Dsxplore(cfg)
-    strat.forward(x, w)
-    assert strat.stats.bytes_materialized == 0
+    stats = run_scc(cfg, x, w)[3]
+    assert stats.bytes_materialized == 0
 
 
 def test_input_centric_backward_has_no_scatter():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand(cfg)
-    pull = Dsxplore(cfg, backward_design="input_centric")
-    out = pull.forward(x, w)
-    pull.backward(np.ones_like(out))
-    assert pull.stats.scatter_adds == 0
+    pull = run_scc(cfg, x, w, 1.0, backward_design="input_centric")[3]
+    assert pull.scatter_adds == 0
 
-    push = Dsxplore(cfg, backward_design="output_centric")
-    out = push.forward(x, w)
-    push.backward(np.ones_like(out))
-    assert push.stats.scatter_adds > 0
-    assert push.stats.conflicting_scatter_adds > 0
+    push = run_scc(cfg, x, w, 1.0, backward_design="output_centric")[3]
+    assert push.scatter_adds > 0
+    assert push.conflicting_scatter_adds > 0
 
 
 def test_atomic_reduction_exceeds_ninety_percent():
@@ -163,25 +177,19 @@ def test_atomic_reduction_exceeds_ninety_percent():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((2, 64, 4, 4)).astype(np.float32)
     w = rng.standard_normal((128, 32)).astype(np.float32)
-    push = Dsxplore(cfg, backward_design="output_centric")
-    pull = Dsxplore(cfg, backward_design="input_centric")
     g = np.ones((2, 128, 4, 4), dtype=np.float32)
-    push.forward(x, w)
-    push.backward(g)
-    pull.forward(x, w)
-    pull.backward(g)
-    assert pull.stats.scatter_adds <= 0.1 * push.stats.scatter_adds
+    push = run_scc(cfg, x, w, g, backward_design="output_centric")[3]
+    pull = run_scc(cfg, x, w, g, backward_design="input_centric")[3]
+    assert pull.scatter_adds <= 0.1 * push.scatter_adds
 
 
 def test_gemm_call_counts_follow_cycle_structure():
     cfg = SCCConfig(8, 16, 2, 0.5)   # cd=4, no wraparound splits at gw=4? some wrap
     x, w = _rand(cfg)
-    cos = ConvStackCC(cfg)
-    cos.forward(x, w)
-    assert cos.stats.gemm_calls == cos.cyclic_dist
-    chs = ChannelStack(cfg)
-    chs.forward(x, w)
-    assert chs.stats.gemm_calls == 1
+    cos = run_scc(cfg, x, w, strategy="conv_stack")[3]
+    assert cos.gemm_calls == scc_plan(cfg).cyclic_dist
+    chs = run_scc(cfg, x, w, strategy="channel_stack")[3]
+    assert chs.gemm_calls == 1
 
 
 @settings(max_examples=30, deadline=None)
@@ -197,7 +205,7 @@ def test_strategies_agree_on_random_configs(cin, cout, cg, co, seed):
         return
     cfg = SCCConfig(cin, cout, cg, co)
     x, w = _rand(cfg, n=1, h=3, w=3, seed=seed)
-    outs = [make_strategy(n, cfg).forward(x, w) for n in STRATEGY_NAMES]
+    outs = [run_scc(cfg, x, w, strategy=n)[0] for n in STRATEGY_NAMES]
     np.testing.assert_allclose(outs[0], outs[1], atol=1e-5)
     np.testing.assert_allclose(outs[0], outs[2], atol=1e-5)
 
@@ -211,7 +219,6 @@ def test_scc_is_linear_in_input(seed):
     x1 = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
     x2 = rng.standard_normal((2, 8, 3, 3)).astype(np.float32)
     w = rng.standard_normal((12, 4)).astype(np.float32)
-    strat = Dsxplore(cfg)
-    lhs = strat.forward(2.0 * x1 + 3.0 * x2, w)
-    rhs = 2.0 * strat.forward(x1, w) + 3.0 * strat.forward(x2, w)
+    lhs = run_scc(cfg, 2.0 * x1 + 3.0 * x2, w)[0]
+    rhs = 2.0 * run_scc(cfg, x1, w)[0] + 3.0 * run_scc(cfg, x2, w)[0]
     np.testing.assert_allclose(lhs, rhs, atol=1e-4)

@@ -2,12 +2,13 @@
 import numpy as np
 import pytest
 
+from repro.backend.reference import scc_backward_loops, scc_forward_loops
 from repro.core.channel_map import channel_windows
 from repro.core.scc import SCCFunction, SlidingChannelConv2d
 from repro.tensor import Tensor
 from repro.utils import seed_all
 
-from tests.helpers import assert_grad_close, numerical_grad
+from tests.helpers import assert_grad_close, numerical_grad, run_scc
 
 
 @pytest.fixture(autouse=True)
@@ -74,18 +75,54 @@ def test_output_centric_backward_grads_match_input_centric():
 
 
 def test_reentrant_double_forward_then_backward():
-    # Two forward calls through the same layer before backward: per-call
-    # saved state must not be clobbered (checkpointed on the Function node).
-    layer = SlidingChannelConv2d(4, 4, cg=2, co=0.5, bias=False)
-    rng = np.random.default_rng(2)
-    x1 = Tensor(rng.standard_normal((1, 4, 3, 3)).astype(np.float32), requires_grad=True)
-    x2 = Tensor(rng.standard_normal((1, 4, 3, 3)).astype(np.float32), requires_grad=True)
-    out = (layer(x1) * layer(x2)).sum()
-    out.backward()
-    assert x1.grad is not None and x2.grad is not None
-    # d/dx1 sum(f(x1)*f(x2)) where f linear: grad_x1 = f^T(f(x2)); nonzero.
-    assert np.abs(x1.grad).max() > 0
-    assert np.abs(x2.grad).max() > 0
+    # Two forward calls through the same layer before backward: each call's
+    # kernel context lives on its own Function node, so neither is clobbered.
+    for design in ("input_centric", "output_centric"):
+        layer = SlidingChannelConv2d(4, 4, cg=2, co=0.5, bias=False,
+                                     backward_design=design)
+        rng = np.random.default_rng(2)
+        x1 = Tensor(rng.standard_normal((1, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        x2 = Tensor(rng.standard_normal((1, 4, 3, 3)).astype(np.float32), requires_grad=True)
+        out = (layer(x1) * layer(x2)).sum()
+        out.backward()
+        assert x1.grad is not None and x2.grad is not None
+        # d/dx1 sum(f(x1)*f(x2)) where f linear: grad_x1 = f^T(f(x2)); nonzero.
+        assert np.abs(x1.grad).max() > 0
+        assert np.abs(x2.grad).max() > 0
+        # ... and equal to the loop VJPs: each node kept its own input.
+        w, wins = layer.weight.data, layer.plan.windows
+        f1, f2 = (scc_forward_loops(x.data, w, wins) for x in (x1, x2))
+        gx1, gw1 = scc_backward_loops(f2, x1.data, w, wins)
+        gx2, gw2 = scc_backward_loops(f1, x2.data, w, wins)
+        np.testing.assert_allclose(x1.grad, gx1, rtol=1e-5, atol=1e-5, err_msg=design)
+        np.testing.assert_allclose(x2.grad, gx2, rtol=1e-5, atol=1e-5, err_msg=design)
+        np.testing.assert_allclose(layer.weight.grad, gw1 + gw2, rtol=1e-5,
+                                   atol=1e-5, err_msg=design)
+
+
+@pytest.mark.parametrize("impl,design", [
+    ("channel_stack", "input_centric"),
+    ("conv_stack", "input_centric"),
+    ("dsxplore", "input_centric"),
+    ("dsxplore", "output_centric"),
+])
+def test_autograd_bitwise_equals_direct_kernel_calls(impl, design):
+    layer = SlidingChannelConv2d(12, 10, cg=3, co=0.25, bias=False, impl=impl,
+                                 backward_design=design, backend="numpy")
+    rng = np.random.default_rng(6)
+    x_data = rng.standard_normal((2, 12, 5, 3)).astype(np.float32)
+    grad = rng.standard_normal((2, 10, 5, 3)).astype(np.float32)
+    x = Tensor(x_data, requires_grad=True)
+    out = layer(x)
+    out.backward(grad)
+    want_out, want_gx, want_gw, want_stats = run_scc(
+        layer.config, x_data, layer.weight.data, grad, impl, design,
+        backend="numpy",
+    )
+    assert np.array_equal(out.data, want_out)
+    assert np.array_equal(x.grad, want_gx)
+    assert np.array_equal(layer.weight.grad, want_gw)
+    assert layer.stats == want_stats
 
 
 def test_same_math_across_impls_same_weights():
@@ -111,7 +148,8 @@ def test_invalid_configuration_raises_at_construction():
 
 
 def test_function_requires_strategy():
-    with pytest.raises(ValueError, match="strategy"):
+    # The plan and the strategy name (``impl``) are required arguments.
+    with pytest.raises(TypeError, match="'plan', 'impl'"):
         SCCFunction.apply(Tensor(np.zeros((1, 4, 2, 2))), Tensor(np.zeros((4, 2))))
 
 
