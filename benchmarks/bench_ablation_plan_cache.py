@@ -23,12 +23,11 @@ reuse plans differently:
 
 Warm cache counters come from a separate, untimed warm pass.
 """
-import time
 from functools import partial
 
 import numpy as np
 
-from common import emit, full_mode, scc_step
+from common import alternating_medians, emit, full_mode, scc_step
 from repro.backend import (
     clear_plan_cache,
     conv2d_plan,
@@ -73,20 +72,6 @@ def conv_warm_step(x, w):
     get_kernel("conv2d_backward")(plan, ctx, out)
 
 
-def alternating_medians(cold_fn, warm_fn, repeats):
-    """Median seconds of ``cold_fn`` and of ``warm_fn``, timed alternately
-    in one loop; the side that runs first switches on every repeat."""
-    samples = ([], [])
-    for i in range(repeats):
-        order = (0, 1) if i % 2 else (1, 0)
-        for side in order:
-            fn = (cold_fn, warm_fn)[side]
-            start = time.perf_counter()
-            fn()
-            samples[side].append(time.perf_counter() - start)
-    return float(np.median(samples[0])), float(np.median(samples[1]))
-
-
 def report_ablation_plan_cache():
     repeats = 60 if full_mode() else 25
     rows = []
@@ -112,7 +97,7 @@ def report_ablation_plan_cache():
         # already).  A cold call leaves the plans it rebuilt in the cache,
         # so the warm conv call after it still hits.
         cold_fn()
-        t_cold, t_warm = alternating_medians(cold_fn, warm_fn, repeats)
+        t_cold, t_warm = alternating_medians([cold_fn, warm_fn], repeats)
         rows.append({
             "workload": label,
             "cold_ms": round(t_cold * 1e3, 3),

@@ -7,16 +7,18 @@ Modelled numbers run the full-size networks through the V100 execution
 model; the measured column repeats the comparison with real NumPy kernels
 on a width-reduced VGG16 (forward+backward wall time per step).
 """
+from functools import partial
+
 import numpy as np
 
-from common import emit, full_mode
+from common import alternating_medians, emit, full_mode
 from repro.core.blocks import set_scc_impl
 from repro.gpusim import extract_layer_shapes, tesla_v100, training_step_time
 from repro.models import build_model
 from repro.models.registry import PAPER_MODELS
 from repro.tensor import Tensor
 from repro.train import cross_entropy
-from repro.utils import format_table, seed_all, time_callable
+from repro.utils import format_table, seed_all
 
 SETTINGS_A = [(2, 0.5), (4, 0.5), (8, 0.5)]
 SETTINGS_B = [(2, 0.25), (2, 0.5), (2, 0.75)]
@@ -42,25 +44,30 @@ def modelled_speedups(device, settings):
 
 
 def measured_speedup(name="vgg16", cg=2, co=0.5):
-    """Real NumPy-kernel training-step times, reduced model."""
+    """Real NumPy-kernel training-step times, reduced model.
+
+    The three strategies are timed in turn in one loop (see
+    ``alternating_medians``), so host drift during the run lands on all
+    three alike instead of on whichever ran last."""
     seed_all(23)
     model = build_model(name, scheme="scc", cg=cg, co=co, width_mult=0.125)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((8, 3, 32, 32)).astype(np.float32))
     labels = rng.integers(0, 10, 8)
 
-    def step():
+    def step(strategy, bwd):
+        set_scc_impl(model, strategy, bwd)
         model.zero_grad()
         loss = cross_entropy(model(x), labels)
         loss.backward()
 
-    times = {}
-    repeats = 5 if full_mode() else 3
-    for strategy, bwd in [("channel_stack", None), ("conv_stack", None),
-                          ("dsxplore", "input_centric")]:
-        set_scc_impl(model, strategy, bwd)
-        times[strategy] = time_callable(step, repeats=repeats, warmup=1).median
-    return times
+    steps = {s: partial(step, s, b) for s, b in [("channel_stack", None),
+                                                 ("conv_stack", None),
+                                                 ("dsxplore", "input_centric")]}
+    for fn in steps.values():   # warm-up
+        fn()
+    repeats = 7 if full_mode() else 5
+    return dict(zip(steps, alternating_medians(list(steps.values()), repeats)))
 
 
 def report_fig7(device=None):

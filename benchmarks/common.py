@@ -3,7 +3,10 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from pathlib import Path
+
+import numpy as np
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -55,6 +58,20 @@ def emit(report_name: str, text: str, data=None) -> str:
         json.dumps(payload, indent=2, default=str) + "\n"
     )
     return out
+
+
+def alternating_medians(fns, repeats: int) -> list[float]:
+    """Median seconds of each callable in ``fns``, timed in turn in one
+    loop; the one that runs first rotates on every repeat, so drift of the
+    host lands on every side alike."""
+    samples = [[] for _ in fns]
+    for i in range(repeats):
+        first = -(i + 1) % len(fns)
+        for side in (*range(first, len(fns)), *range(first)):
+            start = time.perf_counter()
+            fns[side]()
+            samples[side].append(time.perf_counter() - start)
+    return [float(np.median(s)) for s in samples]
 
 
 def scc_step(plan, x, w, grad):

@@ -317,9 +317,10 @@ def _conv_forward(
     plan: Conv2dPlan, x: np.ndarray, weight: np.ndarray,
     epilogue: EpilogueArgs | None = None,
 ) -> tuple[np.ndarray, dict]:
-    """Forward of any conv geometry and its backward context; ``epilogue``
-    runs per output slab.  Depthwise convs stage ``x`` once
-    (:func:`stage_depthwise`), the others pad it."""
+    """Forward of any conv geometry and its backward context.  Depthwise
+    convs stage ``x`` once (:func:`stage_depthwise`) and run ``epilogue``
+    per batch chunk; the others pad ``x`` and run it once over the finished
+    output."""
     groups = plan.groups
     if plan.depthwise:
         xs = stage_depthwise(x, plan.stride, plan.padding)
@@ -340,8 +341,8 @@ def _conv_forward(
     for g in range(groups):
         gsl = slice(g * og, (g + 1) * og)
         out[:, gsl] = im2col_gemm(patches[:, g * cg : (g + 1) * cg], weight[gsl])
-        if epilogue is not None:
-            epilogue.apply(out[:, gsl], gsl)
+    if epilogue is not None:
+        epilogue.apply(out)
     return out, {"xp": xp, "w": weight}
 
 
@@ -357,7 +358,7 @@ def conv2d(
     epilogue: EpilogueArgs | None = None,
 ):
     """Forward and backward context; an inference ``epilogue`` (bias, BN
-    affine, activation) runs per output slab while it is cache-hot, so no
+    affine, activation) runs in place on the kernel's own output, so no
     intermediate tensors are materialized."""
     return _conv_forward(plan, x, weight, epilogue)
 
@@ -571,9 +572,10 @@ def pull_gemm(grad_out: np.ndarray, w_full: np.ndarray) -> np.ndarray:
 # Per-cycle-position blocks.  Cycle position ``p`` owns the output
 # interleave ``out[:, p::cd]`` (and the weight rows ``w[p::cd]``), so the
 # blocks of different ``p`` write disjoint memory; the strategies run them
-# over every ``p`` in order.
+# over every ``p`` in order, then run any inference epilogue once over the
+# finished output.
 
-def conv_stack_fwd_block(plan, x, w, out, gathered, p, stats, epilogue=None) -> None:
+def conv_stack_fwd_block(plan, x, w, out, gathered, p, stats) -> None:
     """Gather cycle position ``p``'s window and run its grouped GEMM."""
     cd = plan.cyclic_dist
     win = x[:, plan.cycle_index[p]]                   # (N, gw, H, W) copy
@@ -581,8 +583,6 @@ def conv_stack_fwd_block(plan, x, w, out, gathered, p, stats, epilogue=None) -> 
     gathered[p] = win
     out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
     stats.gemm_calls += 1
-    if epilogue is not None:
-        epilogue.apply(out[:, p::cd], slice(p, None, cd))
 
 
 def conv_stack_bwd_block(plan, w, gathered, grad_out, grad_w, contribs, p, stats) -> None:
@@ -613,7 +613,7 @@ def apply_conv_stack_contribs(plan, grad_x, contribs, stats) -> None:
         stats.scatter_adds += contrib.size
 
 
-def dsxplore_fwd_block(plan, x, w, out, p, stats, epilogue=None) -> None:
+def dsxplore_fwd_block(plan, x, w, out, p, stats) -> None:
     """Cycle position ``p``'s segment GEMMs, summed into ``out[:, p::cd]``
     in segment order.  ``x[:, chan_slice]`` is a view: zero bytes copied."""
     cd = plan.cyclic_dist
@@ -626,8 +626,6 @@ def dsxplore_fwd_block(plan, x, w, out, p, stats, epilogue=None) -> None:
         else:
             out_p[...] = prod
         stats.gemm_calls += 1
-    if epilogue is not None:
-        epilogue.apply(out_p, slice(p, None, cd))
 
 
 def dsxplore_gradw_block(plan, x, grad_out, grad_w, p, stats) -> None:
@@ -645,7 +643,9 @@ def _conv_stack_forward(plan, x, w, stats, epilogue=None):
     out = np.empty((n, cfg.out_channels, h, wdt), dtype=x.dtype)
     gathered = [None] * plan.cyclic_dist
     for p in range(plan.cyclic_dist):
-        conv_stack_fwd_block(plan, x, w, out, gathered, p, stats, epilogue)
+        conv_stack_fwd_block(plan, x, w, out, gathered, p, stats)
+    if epilogue is not None:
+        epilogue.apply(out)
     return out, {"x": x, "w": w, "gathered": gathered}
 
 
@@ -668,7 +668,9 @@ def _dsxplore_forward(plan, x, w, stats, epilogue=None):
     n, _, h, wdt = x.shape
     out = np.empty((n, plan.config.out_channels, h, wdt), dtype=x.dtype)
     for p in range(plan.cyclic_dist):
-        dsxplore_fwd_block(plan, x, w, out, p, stats, epilogue)
+        dsxplore_fwd_block(plan, x, w, out, p, stats)
+    if epilogue is not None:
+        epilogue.apply(out)
     return out, {"x": x, "w": w}
 
 

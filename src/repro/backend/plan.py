@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.backend.workload import PLAN_CACHE, Workload
+from repro.backend.workload import PLAN_CACHE, Workload, dtype_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.channel_map import SCCConfig
@@ -135,11 +135,18 @@ def _build_conv2d_plan(wl: Workload) -> Conv2dPlan:
     )
 
 
+# ``conv2d_plan`` and ``pool2d_plan`` run on every conv and pool call, so
+# they build their key directly: their arguments are already ints and int
+# tuples, which key the same entry as ``Workload.make``'s canonical form
+# (numpy integers compare and hash equal to Python ints) without its
+# recursive walk.  Params are listed in ``Workload.make``'s sorted order.
+
 def conv2d_plan(
     x_shape: tuple, w_shape: tuple, stride: int, padding: int, groups: int, dtype
 ) -> Conv2dPlan:
-    wl = Workload.make(
-        "conv2d", x_shape, w_shape, dtype, stride=stride, padding=padding, groups=groups
+    wl = Workload(
+        "conv2d", tuple(x_shape), tuple(w_shape), dtype_name(dtype),
+        (("groups", groups), ("padding", padding), ("stride", stride)),
     )
     return PLAN_CACHE.get_or_build(wl, lambda: _build_conv2d_plan(wl))
 
@@ -150,15 +157,16 @@ def conv2d_plan(
 
 @dataclass
 class EpilogueArgs:
-    """Per-call epilogue operands, broadcast-shaped ``(1, C, 1, 1)``.
+    """Epilogue operands of one fused layer, broadcast-shaped ``(1, C, 1, 1)``.
 
-    :meth:`apply` replays, **in place on an output slab**, exactly the
+    :meth:`apply` replays, **in place on a kernel's output**, exactly the
     elementwise op sequence the unfused layer stack composes — bias add,
     then the eval-mode BN affine in its ``(x - mean) * scale + beta`` order,
     then the activation as the autograd ops compute it (``relu`` is
     ``max(x, 0)``; ``relu6`` is the literal ``6 - relu(6 - relu(x))``
-    sequence).  Elementwise ops are bitwise-insensitive to slab
-    partitioning, so fused output == unfused output bit-for-bit.
+    sequence).  Each element gets the same op sequence whether the output
+    is passed whole or in batch chunks, so fused output == unfused output
+    bit-for-bit.
     """
 
     bias: np.ndarray | None = None
@@ -174,16 +182,15 @@ class EpilogueArgs:
                 f"{self.activation!r}"
             )
 
-    def apply(self, out: np.ndarray, ch: slice = slice(None)) -> None:
-        """Apply the epilogue in place to ``out``, an output slab holding
-        the channels selected by ``ch`` (a slice into the full channel
-        axis, matching how the per-channel operands are indexed)."""
+    def apply(self, out: np.ndarray) -> None:
+        """Apply the epilogue in place to ``out``, an ``(N, C, H, W)``
+        output or a batch chunk of one, holding every channel."""
         if self.bias is not None:
-            np.add(out, self.bias[:, ch], out=out)
+            np.add(out, self.bias, out=out)
         if self.scale is not None:
-            np.subtract(out, self.mean[:, ch], out=out)
-            np.multiply(out, self.scale[:, ch], out=out)
-            np.add(out, self.beta[:, ch], out=out)
+            np.subtract(out, self.mean, out=out)
+            np.multiply(out, self.scale, out=out)
+            np.add(out, self.beta, out=out)
         if self.activation == "relu":
             np.maximum(out, 0, out=out)
         elif self.activation == "relu6":
@@ -242,9 +249,9 @@ def _build_pool2d_plan(wl: Workload) -> Pool2dPlan:
 def pool2d_plan(
     kind: str, x_shape: tuple, kernel: int, stride: int, padding: int, dtype
 ) -> Pool2dPlan:
-    wl = Workload.make(
-        f"{kind}pool2d", x_shape, dtype=dtype,
-        kind=kind, kernel=kernel, stride=stride, padding=padding,
+    wl = Workload(
+        f"{kind}pool2d", tuple(x_shape), (), dtype_name(dtype),
+        (("kernel", kernel), ("kind", kind), ("padding", padding), ("stride", stride)),
     )
     return PLAN_CACHE.get_or_build(wl, lambda: _build_pool2d_plan(wl))
 

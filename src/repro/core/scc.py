@@ -133,7 +133,7 @@ class SlidingChannelConv2d(Module):
         else:
             self.bias = None
         # Set by repro.nn.fuse.fuse_inference: absorbed bias/BN/activation
-        # stages applied per cycle-position slab inside the SCC forward.
+        # stages applied in one pass over the SCC forward's output.
         self._fused_epilogue = None
 
     def _scc(self, x: Tensor) -> Tensor:

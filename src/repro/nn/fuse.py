@@ -4,8 +4,11 @@
 ``Conv2d`` (or SCC layer) followed by its ``BatchNorm2d`` / activation
 applies those stages as a **staged epilogue** inside its forward kernel
 (the ``epilogue=`` argument of ``conv2d`` and ``scc_forward``, on the same
-cached plan the unfused layer uses), per output slab while it is cache-hot —
-the intermediate bias/BN/activation tensors are never materialized.  The epilogue replays the exact elementwise op sequence the
+cached plan the unfused layer uses), in place on the kernel's output — the
+intermediate bias/BN/activation tensors are never materialized.  Each layer
+runs its epilogue in one pass over the finished output, except the
+depthwise conv, which runs it per batch chunk while the chunk is
+cache-hot.  The epilogue replays the exact elementwise op sequence the
 unfused module stack composes (see
 :class:`~repro.backend.plan.EpilogueArgs`), so fused output == unfused
 output **bitwise**.
@@ -17,15 +20,16 @@ forward).  Arbitrary modules (e.g. residual blocks applying children out of
 order around a skip add) are left alone; their ``Sequential`` sub-stacks
 are still fused.
 
-Fused models are **inference-only**: the absorbed BN keeps its frozen
-running statistics (it is removed from the module tree, so ``train()``
-no longer reaches it), and the fused kernel path engages only under
-``no_grad`` eval execution — a fused layer that is run with autograd
-enabled falls back to composing the same epilogue with Tensor ops.
+Fused models are **inference-only**: the absorbed BN is removed from the
+module tree, so ``train()``, ``state_dict()`` and ``load_state_dict()`` no
+longer reach it and its affine is frozen at fuse time.  The fused kernel
+path engages only under ``no_grad`` eval execution — a fused layer that is
+run with autograd enabled falls back to composing the same epilogue with
+Tensor ops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,36 +46,56 @@ __all__ = ["FusedEpilogue", "fuse_inference", "count_fused"]
 class FusedEpilogue:
     """The absorbed post-conv stages of one fused layer.
 
-    Holds live references (the conv's bias Parameter, the absorbed
-    BatchNorm2d module), so weight updates through ``load_state_dict``
-    flow into the fused execution without re-fusing.
+    The kernel operands (:meth:`kernel_args`) are bound once and reused by
+    every call.  Of the stages, only the conv's bias stays in the module
+    tree, so it is the one operand ``load_state_dict`` can reach: loading
+    replaces the bias Parameter's ``.data``, and the next call rebinds the
+    operands to the new array (in-place writes to it need no rebinding, the
+    operand is a view).  The absorbed BN is out of the module tree, so a
+    fused model's ``state_dict`` has no BN keys, and its affine is frozen at
+    fuse time; to change it, re-fuse an unfused model.
     """
 
     bias: object | None = None       # the conv's bias Parameter (or None)
     bn: BatchNorm2d | None = None    # absorbed BN, pinned to eval mode
     activation: str | None = None    # None | "relu" | "relu6"
+    _args: EpilogueArgs | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _bias_data: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
-    def kernel_args(self) -> EpilogueArgs:
-        """Fresh per-call kernel operands, broadcast-shaped ``(1, C, 1, 1)``.
+    def __post_init__(self) -> None:
+        """Bind the operands, broadcast-shaped ``(1, C, 1, 1)``.
 
         The BN affine is derived exactly as the eval-mode module computes
         it — ``scale = gamma / sqrt(running_var + eps)`` applied in the
         ``(x - mean) * scale + beta`` order — so the fused result stays
         bitwise-equal to the composed stack.
         """
-        bias = mean = scale = beta = None
-        if self.bias is not None:
-            bias = self.bias.data.reshape(1, -1, 1, 1)
+        mean = scale = beta = None
         if self.bn is not None:
             bn = self.bn
             mean = bn._buffers["running_mean"].reshape(1, -1, 1, 1)
             var = bn._buffers["running_var"].reshape(1, -1, 1, 1)
             scale = bn.weight.data.reshape(1, -1, 1, 1) / np.sqrt(var + bn.eps)
             beta = bn.bias.data.reshape(1, -1, 1, 1)
-        return EpilogueArgs(
-            bias=bias, mean=mean, scale=scale, beta=beta,
-            activation=self.activation,
+        self._args = EpilogueArgs(
+            mean=mean, scale=scale, beta=beta, activation=self.activation,
         )
+        self.kernel_args()
+
+    def kernel_args(self) -> EpilogueArgs:
+        """The bound kernel operands: the same object on every call until
+        the bias Parameter's ``.data`` is replaced."""
+        data = None if self.bias is None else self.bias.data
+        if data is not self._bias_data:
+            self._args = replace(
+                self._args, bias=None if data is None else data.reshape(1, -1, 1, 1)
+            )
+            self._bias_data = data
+        return self._args
 
     def apply_composed(self, out: Tensor) -> Tensor:
         """Composed fallback: the same stages as graph-level Tensor ops
