@@ -15,9 +15,9 @@ analog of topi's per-workload schedule tables compiled ahead of a run:
   fill in place.
 
 After construction, every step or request at the plan's shapes runs 100%
-on plan-cache hits; :class:`repro.serve.Server` keeps one ``ModelPlan`` per
-shape bucket and :class:`repro.train.Trainer` accepts one to make the warm
-path explicit.
+on plan-cache hits; :class:`repro.serve.ModelExecutor` (the batch engine
+behind every serving transport) keeps one ``ModelPlan`` per (shape, bucket)
+and :class:`repro.train.Trainer` accepts one to make the warm path explicit.
 """
 from __future__ import annotations
 

@@ -7,8 +7,8 @@ plan-cache hit rate becomes a first-class serving metric next to p50/p95
 latency and throughput.  The tier is three layers:
 
 - **scheduling core** (:mod:`repro.serve.sched`) — pure, clock-injected
-  admission, bucketing, shedding and DRR fairness policies composed by
-  :class:`SchedCore`;
+  bucketing, shedding and DRR fairness policies composed, with the
+  admission bound, by :class:`SchedCore`;
 - **transport** — one transport (``SyncTransport``, in
   :mod:`repro.serve.server`) over a single :class:`SchedCore`, fronted by
   :class:`Server` (one model), :class:`Router` (many models, DRR order
@@ -18,14 +18,17 @@ latency and throughput.  The tier is three layers:
   through the one :class:`ModelExecutor` batch engine
   (:mod:`repro.serve.engine`) — which is what makes every front's outputs
   bitwise-identical at a fixed bucket size — and completions fold into the
-  same per-model ``ModelRuntime`` record;
+  same per-model ``ModelRuntime`` record.  Models are added with one
+  ``register``, and each request settles to one outcome (result, failure
+  or shed) kept in one bounded table;
 - **observability** — :class:`ServingMetrics` / :class:`RouterMetrics`
   with the queue-wait vs exec-time latency split, deadline-miss rate,
   shed-by-deadline counts and the live adaptive bucket target;
   ``status`` answers a request's lifecycle
   (``PENDING | DONE | FAILED | SHED | EVICTED``).
 
-Every transport takes one :class:`ServingPolicy`.
+Every transport takes one :class:`ServingPolicy`; ``None`` means
+``ServingPolicy()`` on each.
 
 Failure paths are never silent (see the README's "Failure semantics"):
 :class:`QueueFull` (admission), :class:`RequestShed` (shutdown without
@@ -33,14 +36,15 @@ drain), :class:`DeadlineExceeded` (latency budget blown while queued),
 :class:`RequestFailed` (execution failed after bisect isolation and the
 :class:`RetryPolicy` backoff budget), :class:`ModelUnavailable` (the
 per-model :class:`CircuitBreaker` is open), :class:`ResultTimeout` (a
-``wait_result`` that gave up, carrying the request's status).
+``wait_result`` that gave up, carrying the request's status).  A blocked
+``wait_result`` always gets its request's outcome: retention never evicts
+an outcome someone waits on.
 """
 from repro.serve.engine import BatchTiming, ExecStats, ModelExecutor, RequestFailed
 from repro.serve.gateway import AsyncGateway
 from repro.serve.policy import ServingPolicy
 from repro.serve.router import Router, RouterHandle, RouterMetrics
 from repro.serve.sched import (
-    AdmissionPolicy,
     Batch,
     BucketPolicy,
     CircuitBreaker,
@@ -63,7 +67,6 @@ from repro.serve.server import (
 )
 
 __all__ = [
-    "AdmissionPolicy",
     "AsyncGateway",
     "Batch",
     "BatchTiming",

@@ -22,18 +22,10 @@ fixed bucket bit-identical to ``Server``'s and to per-request inference.
 from __future__ import annotations
 
 import asyncio
-import time
-from typing import Callable
 
 import numpy as np
 
-from repro.serve.policy import ServingPolicy
-from repro.serve.server import (
-    RequestResult,
-    ServingMetrics,
-    SyncTransport,
-    resolve_model,
-)
+from repro.serve.server import RequestResult, ServingMetrics, SyncTransport
 
 __all__ = ["AsyncGateway"]
 
@@ -43,7 +35,8 @@ class AsyncGateway(SyncTransport):
 
     Usage::
 
-        async with AsyncGateway(ServingPolicy(max_latency=0.005)) as gw:
+        async with AsyncGateway(ServingPolicy(max_latency=0.005,
+                                              shed_policy="deadline")) as gw:
             gw.register("small", "mobilenet", input_shapes=[(3, 16, 16)],
                         width_mult=0.25)
             result = await gw.submit("small", image, budget=0.05)
@@ -54,38 +47,11 @@ class AsyncGateway(SyncTransport):
     the request itself is shed with its budget blown.  Every await-er of a
     shed request gets the exception — nothing is silently dropped.
 
-    ``config=None`` keeps the gateway's historical defaults (adaptive
-    buckets, deadline shedding); a :class:`ServingPolicy` means what it
-    says.  The worker thread starts with the first ``submit`` (or ``async
-    with``).  Must be driven inside a running event loop.
+    Constructed and registered like every transport
+    (:class:`~repro.serve.server.SyncTransport`).  The worker thread starts
+    with the first ``submit`` (or ``async with``).  Must be driven inside a
+    running event loop.
     """
-
-    def __init__(
-        self,
-        config: ServingPolicy | None = None,
-        clock: Callable[[], float] = time.perf_counter,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if config is None:
-            config = ServingPolicy(adaptive_buckets=True, shed_policy="deadline")
-        super().__init__(config, clock, sleep)
-
-    def register(
-        self,
-        name: str,
-        model,
-        input_shapes: tuple | list = ((3, 32, 32),),
-        request_cost: float = 1.0,
-        **build_kwargs,
-    ) -> None:
-        """Add a model under ``name`` (module or registry name, like
-        :meth:`repro.serve.router.Router.register`).  ``request_cost`` is
-        the model's deficit-round-robin price per request
-        (:meth:`~repro.serve.sched.SchedCore.add_model`)."""
-        if name in self._models:
-            raise ValueError(f"model {name!r} already registered")
-        self._add(name, resolve_model(name, model, build_kwargs), input_shapes,
-                  request_cost)
 
     async def submit(
         self, model: str, image: np.ndarray, budget: float | None = None
@@ -132,5 +98,4 @@ class AsyncGateway(SyncTransport):
         """Per-model :class:`ServingMetrics` over the gateway's lifetime
         (the same record and metrics code as the sync transports)."""
         with self._lock:
-            return {name: runtime.metrics(self.core.bucket_target(name))
-                    for name, runtime in self._models.items()}
+            return self._metrics_locked()

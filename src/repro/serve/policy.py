@@ -27,11 +27,9 @@ __all__ = ["ServingPolicy"]
 class ServingPolicy:
     """Transport-agnostic serving knobs (admission, bucketing, fault plane).
 
-    Every transport takes one (see the module docstring).  The defaults
-    are fixed max-size buckets and no shedding; a policy means what it says
-    on every transport.  Only ``AsyncGateway(None)`` differs: it builds a
-    policy with its historical ``adaptive_buckets=True,
-    shed_policy="deadline"``.
+    Every transport takes one (see the module docstring), and
+    ``config=None`` means ``ServingPolicy()`` on each.  The defaults are
+    fixed max-size buckets and tail-drop admission only.
     """
 
     bucket_sizes: tuple[int, ...] = (1, 2, 4, 8)
@@ -44,8 +42,8 @@ class ServingPolicy:
     # always waiting for the max bucket.
     adaptive_buckets: bool = False
     # Load shedding: "deadline" drops queued requests whose deadline already
-    # passed; "newest" / None keeps the at-the-door-only admission shed.
-    shed_policy: str | None = None
+    # passed; "newest" keeps the at-the-door-only admission shed (tail-drop).
+    shed_policy: str = "newest"
     # Fault tolerance.  retry: backoff policy for transient batch faults
     # (None = fail on first error).  isolate_failures: bisect a raising
     # batch so only the poisoned request(s) fail.  breaker_window enables a
@@ -69,9 +67,9 @@ class ServingPolicy:
             raise ValueError(f"max_latency must be positive, got {self.max_latency}")
         if self.max_pending is not None and self.max_pending < 1:
             raise ValueError(f"max_pending must be >= 1 or None, got {self.max_pending}")
-        if self.shed_policy not in (None, *ShedPolicy.POLICIES):
+        if self.shed_policy not in ShedPolicy.POLICIES:
             raise ValueError(
-                f"shed_policy must be one of {(None, *ShedPolicy.POLICIES)}, "
+                f"shed_policy must be one of {ShedPolicy.POLICIES}, "
                 f"got {self.shed_policy!r}"
             )
         if self.breaker_window is not None and self.breaker_window < 1:
@@ -90,7 +88,7 @@ class ServingPolicy:
         return SchedCore(
             bucket_sizes=self.bucket_sizes, max_latency=self.max_latency,
             max_pending=self.max_pending, adaptive_buckets=self.adaptive_buckets,
-            shed_policy=self.shed_policy or "newest",
+            shed_policy=self.shed_policy,
         )
 
     def make_breaker(self) -> CircuitBreaker | None:

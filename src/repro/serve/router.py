@@ -25,9 +25,7 @@ import numpy as np
 
 from repro.backend import plan_cache_stats
 from repro.serve.policy import ServingPolicy
-from repro.serve.server import (
-    _CACHE_KEYS, ServingMetrics, SyncTransport, cache_delta, resolve_model,
-)
+from repro.serve.server import _CACHE_KEYS, ServingMetrics, SyncTransport, cache_delta
 
 
 class RouterHandle(NamedTuple):
@@ -87,9 +85,10 @@ class Router(SyncTransport):
     clock, sleep:
         time source and backoff sleep (injectable for tests).
 
-    Request keys are :class:`RouterHandle` s; ``result``/``status``/
-    ``wait_result``/``was_shed``/``failure``/``poll``/``flush``/``start``/
-    ``stop`` behave as documented on :class:`~repro.serve.server.SyncTransport`.
+    Request keys are :class:`RouterHandle` s; ``register``/``result``/
+    ``status``/``wait_result``/``was_shed``/``failure``/``poll``/``flush``/
+    ``start``/``stop`` behave as documented on
+    :class:`~repro.serve.server.SyncTransport`.
     """
 
     def __init__(
@@ -100,27 +99,6 @@ class Router(SyncTransport):
     ) -> None:
         super().__init__(server_config, clock, sleep)
         self.reset_metrics()
-
-    def register(
-        self,
-        name: str,
-        model,
-        input_shapes: tuple | list = ((3, 32, 32),),
-        **build_kwargs,
-    ) -> None:
-        """Add a model under ``name``.
-
-        ``model`` is either a built ``repro.nn`` module or a registry model
-        name (``"mobilenet"``, ``"resnet18"``, ...) resolved through
-        :func:`repro.models.build_serving_model` with ``build_kwargs``.
-        Plan pre-building for the configured buckets runs here, attributed
-        to ``name`` in the shared cache.
-        """
-        if name in self._models:
-            raise ValueError(f"model {name!r} already registered")
-        # The model's cache window opens *after* its registration pre-builds,
-        # so a model registered mid-window reports only served traffic.
-        self._add(name, resolve_model(name, model, build_kwargs), input_shapes)
 
     def submit(
         self, model: str, image: np.ndarray, deadline: float | None = None
@@ -153,9 +131,7 @@ class Router(SyncTransport):
         with self._lock:
             per_model_cache = {name: runtime.cache_window()
                                for name, runtime in self._models.items()}
-            per_model = {name: runtime.metrics(self.core.bucket_target(name),
-                                               per_model_cache[name])
-                         for name, runtime in self._models.items()}
+            per_model = self._metrics_locked(per_model_cache)
             begun = [rt.started for rt in self._models.values() if rt.started is not None]
             done = [rt.finished for rt in self._models.values() if rt.finished is not None]
         cache = plan_cache_stats()

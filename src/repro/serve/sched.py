@@ -10,8 +10,6 @@ machine.  The transport behind :class:`repro.serve.server.Server`,
 :class:`repro.serve.gateway.AsyncGateway` drives one :class:`SchedCore`,
 owns only its lock, and consults the core for every decision:
 
-- :class:`AdmissionPolicy` — bounded pending queue: reject at the door
-  instead of letting an overloaded queue grow without bound;
 - :class:`BucketPolicy` — batch-size selection; in ``adaptive`` mode the
   target bucket follows an EWMA of the arrival rate: small buckets under
   light load for latency, large under heavy load for throughput;
@@ -26,7 +24,9 @@ owns only its lock, and consults the core for every decision:
 - :class:`CircuitBreaker` — per-model fail-fast on a windowed error rate,
   with a half-open probe after the cooldown;
 - :class:`SchedCore` — the composite the transports drive: per-model
-  shape-keyed queues, admission with deadline-aware displacement,
+  shape-keyed queues, bounded admission (``max_pending`` per model: reject
+  at the door instead of letting an overloaded queue grow without bound)
+  with deadline-aware displacement,
   fairness-ordered batch formation, and the next event a loop sleeps to.
 """
 from __future__ import annotations
@@ -37,7 +37,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 __all__ = [
-    "AdmissionPolicy",
     "Batch",
     "BucketPolicy",
     "CircuitBreaker",
@@ -86,24 +85,6 @@ class SubmitOutcome:
     accepted: bool
     request: SchedRequest | None
     displaced: list[SchedRequest] = field(default_factory=list)
-
-
-class AdmissionPolicy:
-    """Bounded-queue backpressure: at most ``max_pending`` queued requests.
-
-    The policy itself is just the bound; *what* to do at capacity (reject
-    the newcomer, or displace a blown-budget victim first) is composed in
-    :meth:`SchedCore.submit` from the :class:`ShedPolicy`.  The transport
-    counts rejections and sheds in its per-model metrics window.
-    """
-
-    def __init__(self, max_pending: int | None = None) -> None:
-        if max_pending is not None and max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1 or None, got {max_pending}")
-        self.max_pending = max_pending
-
-    def at_capacity(self, pending: int) -> bool:
-        return self.max_pending is not None and pending >= self.max_pending
 
 
 class BucketPolicy:
@@ -463,7 +444,6 @@ class _ModelState:
     """Per-model queues and policies."""
 
     name: str
-    admission: AdmissionPolicy
     buckets: BucketPolicy
     request_cost: float
     exec_estimate: float
@@ -478,10 +458,11 @@ class _ModelState:
 class SchedCore:
     """The composite scheduling brain the transports drive.
 
-    Holds per-model shape-keyed queues and the four policies; every method
-    is synchronous, lock-free and takes ``now`` — the serving transport
-    calls it under its lock, the deterministic benchmarks from a
-    virtual-clock simulation, and both observe the identical schedule.
+    Holds per-model shape-keyed queues, the admission bound and the bucket,
+    shed and fairness policies; every method is synchronous, lock-free and
+    takes ``now`` — the serving transport calls it under its lock, the
+    deterministic benchmarks from a virtual-clock simulation, and both
+    observe the identical schedule.
     """
 
     def __init__(
@@ -495,10 +476,13 @@ class SchedCore:
         quantum: float | None = None,
         alpha: float = 0.25,
     ) -> None:
+        if max_pending is not None and max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1 or None, got {max_pending}")
+        # Each model's bound on queued requests (None = unbounded).
+        self.max_pending = max_pending
         self._defaults = dict(
             bucket_sizes=tuple(bucket_sizes),
             max_latency=max_latency,
-            max_pending=max_pending,
             adaptive=adaptive_buckets,
             alpha=alpha,
         )
@@ -540,7 +524,6 @@ class SchedCore:
         defaults = self._defaults
         self._models[name] = _ModelState(
             name=name,
-            admission=AdmissionPolicy(defaults["max_pending"]),
             buckets=BucketPolicy(
                 defaults["bucket_sizes"],
                 max_latency if max_latency is not None else defaults["max_latency"],
@@ -607,10 +590,11 @@ class SchedCore:
         state = self._require(model)
         state.buckets.observe_arrival(now)
         displaced: list[SchedRequest] = []
-        if state.admission.at_capacity(state.pending):
+        bound = self.max_pending
+        if bound is not None and state.pending >= bound:
             if self.shed.policy == "deadline":
                 displaced = self._shed_blown(state, now)
-            if state.admission.at_capacity(state.pending):
+            if state.pending >= bound:
                 return SubmitOutcome(False, None, displaced)
         request = SchedRequest(
             id=next(self._ids), model=model, shape=tuple(shape),

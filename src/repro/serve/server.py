@@ -4,9 +4,10 @@
 :class:`~repro.serve.sched.SchedCore`, which queues it by ``(model, (C, H,
 W))`` and decides admission, bucket size, deadline shedding and the
 deficit-round-robin order between models.  The transport keeps only what a
-transport must own: the lock, the result/failure/shed tables with their
-retention bound, the blocking ``wait_result``, one worker thread that
-sleeps until the core's next event, and shutdown.  Batches pad to the
+transport must own: the lock, one table of settled outcomes (a result, a
+:class:`~repro.serve.engine.RequestFailed` or a shed error per request)
+with its retention bound, the blocking ``wait_result``, one worker thread
+that sleeps until the core's next event, and shutdown.  Batches pad to the
 smallest configured bucket that fits and run on the model's
 :class:`~repro.serve.engine.ModelExecutor`, whose pre-built plans keep
 steady-state serving on plan-cache hits.  Due batches run serially, one
@@ -30,7 +31,7 @@ import asyncio
 import itertools
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -42,10 +43,11 @@ from repro.serve.engine import ModelExecutor, RequestFailed
 from repro.serve.policy import ServingPolicy
 from repro.serve.sched import Batch, CircuitBreaker, SchedRequest
 
-# Retention bounds that keep a long-running transport's memory flat: unread
-# results, failures and shed records past RESULT_CAPACITY are dropped
-# oldest-first; latency percentiles cover the last METRICS_WINDOW batches'
-# completions.  Read at use time, so tests may monkeypatch smaller values.
+# Retention bounds that keep a long-running transport's memory flat: settled
+# outcomes (results, failures and sheds alike) past RESULT_CAPACITY are
+# dropped oldest-first, except those a wait_result is blocked on; latency
+# percentiles cover the last METRICS_WINDOW batches' completions.  Read at
+# use time, so tests may monkeypatch smaller values.
 RESULT_CAPACITY = 65536
 METRICS_WINDOW = 65536
 
@@ -355,15 +357,17 @@ class SyncTransport:
     """The synchronous transport over one :class:`SchedCore`.
 
     ``config`` is a :class:`~repro.serve.policy.ServingPolicy` (``None`` =
-    defaults); ``clock``/``sleep`` are injectable for deterministic tests.
-    Request ids come from the core and are unique across the transport's
-    models.  Subclasses add models with :meth:`_add` and map their request
-    keys to ids with :meth:`_rid`.  A request submitted with an asyncio
-    future also settles into that future (:meth:`_settle_locked`).
+    ``ServingPolicy()``); ``clock``/``sleep`` are injectable for
+    deterministic tests.  Request ids come from the core and are unique
+    across the transport's models.  Models are added with :meth:`register`;
+    subclasses map their request keys to ids with :meth:`_rid`.  Every
+    request settles exactly once, in :meth:`_settle_locked`, which files its
+    outcome and resolves the asyncio future it was submitted with, if any.
     """
 
-    def __init__(self, config: ServingPolicy | None,
-                 clock: Callable[[], float], sleep: Callable[[float], None]) -> None:
+    def __init__(self, config: ServingPolicy | None = None,
+                 clock: Callable[[], float] = time.perf_counter,
+                 sleep: Callable[[float], None] = time.sleep) -> None:
         self.config = ServingPolicy() if config is None else config
         if not isinstance(self.config, ServingPolicy):
             raise TypeError(
@@ -377,10 +381,11 @@ class SyncTransport:
         self._cond = threading.Condition(self._lock)   # wait_result waiters
         self._wake = threading.Condition(self._lock)   # the worker thread
         self._pending: set[int] = set()                # queued or executing
-        self._results: OrderedDict[int, RequestResult] = OrderedDict()
-        self._failed: OrderedDict[int, RequestFailed] = OrderedDict()
-        self._shed_ids: OrderedDict[int, bool] = OrderedDict()  # id -> deadline?
-        self._waiting: set[int] = set()                # ids with a blocked waiter
+        # Settled outcomes, oldest first: each request's RequestResult, its
+        # RequestFailed, or its shed error (RequestShed / DeadlineExceeded).
+        self._settled: OrderedDict[
+            int, RequestResult | RequestFailed | RequestShed] = OrderedDict()
+        self._waiting: Counter[int] = Counter()        # blocked waiters per id
         self._futures: dict[int, asyncio.Future] = {}  # ids an await-er waits on
         self._last_id = -1
         self._worker: threading.Thread | None = None
@@ -388,19 +393,36 @@ class SyncTransport:
 
     # -- models ---------------------------------------------------------------
 
-    def _add(self, name: str, model, input_shapes,
-             request_cost: float = 1.0) -> None:
+    def register(
+        self,
+        name: str,
+        model,
+        input_shapes: tuple | list = ((3, 32, 32),),
+        request_cost: float = 1.0,
+        **build_kwargs,
+    ) -> None:
+        """Add a model under ``name``.
+
+        ``model`` is either a built ``repro.nn`` module or a registry model
+        name (``"mobilenet"``, ``"resnet18"``, ...) resolved through
+        :func:`repro.models.build_serving_model` with ``build_kwargs``.
+        Plan pre-building for the configured buckets runs here, attributed
+        to ``name`` in the shared cache; the model's metrics window opens
+        after it, so a model registered mid-window reports only served
+        traffic.  ``request_cost`` is the model's deficit-round-robin price
+        per request (:meth:`~repro.serve.sched.SchedCore.add_model`).
+        """
         if name in self._models:
             raise ValueError(f"model {name!r} already registered")
         executor = ModelExecutor(
-            model, input_shapes=input_shapes,
+            resolve_model(name, model, build_kwargs), input_shapes=input_shapes,
             bucket_sizes=self.config.bucket_sizes, name=name,
             degrade_after=self.config.degrade_after,
         )
         with self._lock:
-            self._models[name] = ModelRuntime(executor, self.config.make_breaker())
             self.core.add_model(name, request_cost=request_cost,
                                 exec_estimate=None)
+            self._models[name] = ModelRuntime(executor, self.config.make_breaker())
 
     def _require(self, name: str) -> ModelRuntime:
         try:
@@ -474,24 +496,25 @@ class SyncTransport:
         """Run every queued request regardless of deadlines."""
         return self._pump(self.clock(), force=True)
 
+    def _outcome(self, key, kind: type):
+        """The request's settled outcome if it is a ``kind``, else ``None``."""
+        rid = self._rid(key)
+        with self._lock:
+            outcome = self._settled.get(rid)
+        return outcome if isinstance(outcome, kind) else None
+
     def result(self, key) -> RequestResult | None:
         """The completed result, or ``None`` if the request is pending or
         its result was evicted unread — :meth:`status` tells them apart."""
-        rid = self._rid(key)
-        with self._lock:
-            return self._results.get(rid)
+        return self._outcome(key, RequestResult)
 
     def failure(self, key) -> RequestFailed | None:
         """The request's :class:`RequestFailed`, or ``None`` if it did not fail."""
-        rid = self._rid(key)
-        with self._lock:
-            return self._failed.get(rid)
+        return self._outcome(key, RequestFailed)
 
     def was_shed(self, key) -> bool:
         """Whether a request was dropped unexecuted (shutdown or deadline shed)."""
-        rid = self._rid(key)
-        with self._lock:
-            return rid in self._shed_ids
+        return self._outcome(key, RequestShed) is not None
 
     def status(self, key) -> RequestStatus:
         """Lifecycle state of an issued request (see :class:`RequestStatus`).
@@ -505,11 +528,12 @@ class SyncTransport:
             return self._status_locked(rid)
 
     def _status_locked(self, rid: int) -> RequestStatus:
-        if rid in self._results:
+        outcome = self._settled.get(rid)
+        if isinstance(outcome, RequestResult):
             return RequestStatus.DONE
-        if rid in self._failed:
+        if isinstance(outcome, RequestFailed):
             return RequestStatus.FAILED
-        if rid in self._shed_ids:
+        if outcome is not None:
             return RequestStatus.SHED
         if rid in self._pending:
             return RequestStatus.PENDING
@@ -520,31 +544,32 @@ class SyncTransport:
         raise KeyError(f"request id {rid} was never issued")
 
     def wait_result(self, key, timeout: float = 10.0) -> RequestResult:
-        """Block until a request completes.
+        """Block until a request settles; return its result.
 
-        A result with an active waiter is exempt from retention eviction.
-        Raises :class:`DeadlineExceeded` / :class:`RequestShed` for shed
-        requests, :class:`~repro.serve.engine.RequestFailed` for failed
-        ones, and :class:`ResultTimeout` (carrying the :meth:`status`)
-        when the wait gives up.
+        An outcome with a blocked waiter is exempt from retention eviction,
+        so the waiter always gets it.  Raises :class:`DeadlineExceeded` /
+        :class:`RequestShed` for shed requests,
+        :class:`~repro.serve.engine.RequestFailed` for failed ones, and
+        :class:`ResultTimeout` (carrying the :meth:`status`) when the wait
+        gives up.
         """
         rid = self._rid(key)
         end = time.monotonic() + timeout
         with self._cond:
-            self._waiting.add(rid)
+            self._waiting[rid] += 1
             try:
-                while rid not in self._results:
-                    if rid in self._failed:
-                        raise self._failed[rid]
-                    if rid in self._shed_ids:
-                        raise _shed_error(rid, self._shed_ids[rid])
+                while (outcome := self._settled.get(rid)) is None:
                     remaining = end - time.monotonic()
                     if remaining <= 0:
                         raise ResultTimeout(rid, timeout, self._status_locked(rid))
                     self._cond.wait(remaining)
-                return self._results[rid]
             finally:
-                self._waiting.discard(rid)
+                self._waiting[rid] -= 1
+                if not self._waiting[rid]:
+                    del self._waiting[rid]
+        if isinstance(outcome, RequestResult):
+            return outcome
+        raise outcome
 
     # -- batch execution ------------------------------------------------------
 
@@ -581,20 +606,13 @@ class SyncTransport:
                 )
                 outcomes = runtime.fold(batch, rows, errors, stats, timing)
                 for request, outcome in zip(batch.requests, outcomes):
-                    self._pending.discard(request.id)
                     self._settle_locked(request.id, outcome)
-                    if isinstance(outcome, RequestFailed):
-                        self._failed[request.id] = outcome
-                    else:
-                        self._results[request.id] = outcome
                 self._trim_locked()
                 self._cond.notify_all()
 
     def _shed_locked(self, victims: list[SchedRequest], deadline: bool) -> None:
         """Report shed requests: never silent, waiters woken."""
         for victim in victims:
-            self._pending.discard(victim.id)
-            self._shed_ids[victim.id] = deadline
             runtime = self._models[victim.model]
             if deadline:
                 runtime.shed_deadline += 1
@@ -606,9 +624,12 @@ class SyncTransport:
             self._cond.notify_all()
 
     def _settle_locked(self, rid: int, outcome) -> None:
-        """Hand a settled request's outcome (its result, its
-        :class:`RequestFailed` or its shed error) to the future awaiting
-        it, if any, resolved on that future's loop."""
+        """File a request's one outcome (its result, its
+        :class:`RequestFailed` or its shed error) and hand it to the future
+        awaiting it, if any, resolved on that future's loop.  Callers trim
+        retention and wake waiters once per settled set."""
+        self._pending.discard(rid)
+        self._settled[rid] = outcome
         future = self._futures.pop(rid, None)
         if future is None:
             return
@@ -618,16 +639,13 @@ class SyncTransport:
             pass
 
     def _trim_locked(self) -> None:
-        """Bound retention: oldest records go first; a result someone is
-        blocked in :meth:`wait_result` on is kept."""
-        for table in (self._failed, self._shed_ids):
-            while len(table) > RESULT_CAPACITY:
-                table.popitem(last=False)
-        excess = len(self._results) - RESULT_CAPACITY
+        """Bound retention: oldest outcomes go first; one someone is blocked
+        in :meth:`wait_result` on is kept."""
+        excess = len(self._settled) - RESULT_CAPACITY
         if excess > 0:
-            unwaited = (rid for rid in self._results if rid not in self._waiting)
+            unwaited = (rid for rid in self._settled if rid not in self._waiting)
             for rid in list(itertools.islice(unwaited, excess)):
-                del self._results[rid]
+                del self._settled[rid]
 
     # -- threaded mode --------------------------------------------------------
 
@@ -692,6 +710,13 @@ class SyncTransport:
             for runtime in self._models.values():
                 runtime.reset()
 
+    def _metrics_locked(self, caches: dict | None = None) -> dict[str, ServingMetrics]:
+        """Each model's :class:`ServingMetrics` since :meth:`reset_metrics`;
+        ``caches`` holds plan-cache windows already read, by model name."""
+        return {name: runtime.metrics(self.core.bucket_target(name),
+                                      caches[name] if caches else None)
+                for name, runtime in self._models.items()}
+
     def breaker_snapshots(self) -> dict[str, dict]:
         """Per-model circuit-breaker snapshots (breaker-enabled models only)."""
         with self._lock:
@@ -723,7 +748,7 @@ class Server(SyncTransport):
     ) -> None:
         super().__init__(config, clock, sleep)
         self.name = f"server-{next(_UNNAMED)}" if name is None else name
-        self._add(self.name, model, input_shapes)
+        self.register(self.name, model, input_shapes)
         executor = self._models[self.name].executor
         self.model, self.fused_layers = executor.model, executor.fused_layers
 
@@ -734,7 +759,7 @@ class Server(SyncTransport):
     def metrics(self) -> ServingMetrics:
         """Statistics since the last :meth:`reset_metrics`."""
         with self._lock:
-            return self._models[self.name].metrics(self.core.bucket_target(self.name))
+            return self._metrics_locked()[self.name]
 
     def breaker_snapshot(self) -> dict | None:
         """The circuit breaker's snapshot (``None`` = disabled)."""

@@ -48,9 +48,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
-        if arr.dtype != DEFAULT_DTYPE and np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(DEFAULT_DTYPE)
-        elif not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype != DEFAULT_DTYPE:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None

@@ -1,9 +1,8 @@
 """ServingPolicy: the one config dataclass every serving transport takes.
 
 The contract: defaults keep the sync transports' historical behaviour,
-validation happens once here, a policy pickles, and
-``AsyncGateway(None)`` keeps the gateway's historical adaptive /
-deadline defaults while a bare policy means what it says.
+validation happens once here, a policy pickles, and ``config=None``
+means ``ServingPolicy()`` on every transport.
 """
 import pickle
 
@@ -24,7 +23,7 @@ def test_policy_defaults_match_legacy_server_defaults():
     assert policy.max_latency == 0.01
     assert policy.max_pending is None
     assert policy.adaptive_buckets is False
-    assert policy.shed_policy is None
+    assert policy.shed_policy == "newest"
     assert policy.retry is None
     assert policy.isolate_failures is True
     assert policy.breaker_window is None
@@ -42,6 +41,8 @@ def test_policy_validation():
         ServingPolicy(max_pending=0)
     with pytest.raises(ValueError, match="shed_policy"):
         ServingPolicy(shed_policy="oldest")
+    with pytest.raises(ValueError, match="shed_policy"):
+        ServingPolicy(shed_policy=None)
     with pytest.raises(ValueError, match="breaker_window"):
         ServingPolicy(breaker_window=0)
     with pytest.raises(ValueError, match="degrade_after"):
@@ -101,21 +102,18 @@ def test_server_default_config_equals_bare_policy():
         Server(model, input_shapes=[(3, 16, 16)], config={"max_latency": 0.02})
 
 
-def test_gateway_shim_keeps_historical_defaults():
-    config = AsyncGateway(None).config
-    assert config.adaptive_buckets is True
-    assert config.shed_policy == "deadline"
-    # A bare policy means what it says: gateway defaults do NOT leak in.
+def test_gateway_default_config_equals_bare_policy():
+    assert AsyncGateway(None).config == ServingPolicy()
     lifted = AsyncGateway(ServingPolicy()).config
     assert lifted.adaptive_buckets is False
-    assert lifted.shed_policy is None
+    assert lifted.shed_policy == "newest"
 
 
 def test_gateway_accepts_policy():
     gateway = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2)))
     assert isinstance(gateway.config, ServingPolicy)
     # Policy semantics preserved: no deadline shedding unless asked for.
-    assert gateway.config.shed_policy is None
+    assert gateway.config.shed_policy == "newest"
 
 
 # ---------------------------------------------------------------------------

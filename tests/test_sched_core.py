@@ -9,7 +9,6 @@ thread/lock plumbing in the first place.
 import pytest
 
 from repro.serve.sched import (
-    AdmissionPolicy,
     BucketPolicy,
     FairnessPolicy,
     SchedCore,
@@ -21,18 +20,21 @@ SHAPE = (3, 16, 16)
 
 
 # ---------------------------------------------------------------------------
-# AdmissionPolicy
+# Admission: SchedCore's max_pending bound
 # ---------------------------------------------------------------------------
 
 def test_admission_bounds_and_counts():
-    policy = AdmissionPolicy(max_pending=2)
-    assert not policy.at_capacity(0) and not policy.at_capacity(1)
-    assert policy.at_capacity(2) and policy.at_capacity(3)
+    core = SchedCore(bucket_sizes=(8,), max_pending=2, shed_policy="newest")
+    core.add_model("m")
+    assert [core.submit("m", SHAPE, 0.0).accepted for _ in range(3)] == [
+        True, True, False]
+    assert core.pending_count("m") == 2
 
-    unbounded = AdmissionPolicy(None)
-    assert not any(unbounded.at_capacity(n) for n in (0, 10**6))
+    unbounded = SchedCore(bucket_sizes=(8,), max_pending=None)
+    unbounded.add_model("m")
+    assert all(unbounded.submit("m", SHAPE, 0.0).accepted for _ in range(100))
     with pytest.raises(ValueError, match="max_pending"):
-        AdmissionPolicy(0)
+        SchedCore(max_pending=0)
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,89 @@ def test_waited_results_survive_capacity_eviction(monkeypatch):
     assert server.result(ids[-1]) is not None
 
 
+def _wait_in_thread(server, rid):
+    """Block a thread in ``wait_result(rid)`` and return, once the waiter
+    is registered, a function that joins it and returns what the wait
+    returned or raised."""
+    from tests.helpers import wait_for
+
+    caught = []
+
+    def wait():
+        try:
+            caught.append(server.wait_result(rid, timeout=10.0))
+        except Exception as exc:  # the outcome under test
+            caught.append(exc)
+
+    waiter = threading.Thread(target=wait)
+    waiter.start()
+
+    def _waiter_registered():
+        with server._lock:
+            return rid in server._waiting
+
+    wait_for(_waiter_registered)
+
+    def outcome():
+        waiter.join(timeout=15.0)
+        assert not waiter.is_alive()
+        return caught[0]
+
+    return outcome
+
+
+def test_waited_failure_survives_capacity_eviction(monkeypatch):
+    # The eviction exemption covers every outcome: a waiter blocked on a
+    # request whose batch then fails gets its RequestFailed, not a
+    # ResultTimeout on an evicted record.
+    from repro.faults import FaultInjector, FaultSpec, use_faults
+    from repro.serve import RequestFailed, RequestStatus
+
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 2)
+    server = Server(_model(), input_shapes=[INPUT],
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0,
+                                         isolate_failures=False))
+    ids = [server.submit(im) for im in _images(5, seed=21)]  # queued, < bucket
+    outcome = _wait_in_thread(server, ids[0])
+    with use_faults(FaultInjector([FaultSpec(site="kernel", rate=1.0)])):
+        server.flush()                     # 5 failures, capacity 2
+    failed = outcome()
+    assert isinstance(failed, RequestFailed)
+    assert failed.request_id == ids[0]
+    assert server.status(ids[0]) == RequestStatus.FAILED
+    assert server.status(ids[1]) == RequestStatus.EVICTED
+
+
+def test_waited_shed_survives_capacity_eviction(monkeypatch):
+    from repro.serve import RequestShed, RequestStatus
+
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 2)
+    server = Server(_model(), input_shapes=[INPUT],
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0))
+    ids = [server.submit(im) for im in _images(5, seed=22)]  # queued, < bucket
+    outcome = _wait_in_thread(server, ids[0])
+    server.stop(drain=False)               # 5 sheds, capacity 2
+    assert type(outcome()) is RequestShed
+    assert server.status(ids[0]) == RequestStatus.SHED
+    assert server.status(ids[1]) == RequestStatus.EVICTED
+
+
+def test_waiter_keeps_exemption_when_another_waiter_gives_up(monkeypatch):
+    # Two waiters on one id: the one that times out must not take the
+    # other's eviction exemption with it.
+    from repro.serve import ResultTimeout
+
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 2)
+    server = Server(_model(), input_shapes=[INPUT],
+                    config=ServingPolicy(bucket_sizes=(8,), max_latency=5.0))
+    ids = [server.submit(im) for im in _images(5, seed=23)]  # queued, < bucket
+    outcome = _wait_in_thread(server, ids[0])
+    with pytest.raises(ResultTimeout):
+        server.wait_result(ids[0], timeout=0.05)
+    server.flush()                         # 5 results, capacity 2
+    assert outcome().id == ids[0]
+
+
 def test_requests_of_unseen_shape_build_cold_plans_but_complete():
     model = _model()
     server = Server(model, input_shapes=[INPUT],
@@ -315,7 +398,7 @@ def test_shed_id_retention_is_bounded(monkeypatch):
     server.stop(drain=False)
     second_batch = [server.submit(im) for im in _images(4, seed=35)]
     server.stop(drain=False)
-    assert len(server._shed_ids) <= 4
+    assert len(server._settled) <= 4
     assert all(server.was_shed(rid) for rid in second_batch)  # newest kept
     assert not server.was_shed(first_batch[0])                # oldest trimmed
     assert server.metrics().shed == 7                         # counter exact
