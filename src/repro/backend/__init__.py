@@ -19,11 +19,14 @@ Kernel registry (``repro.backend.registry``)
                   or ``REPRO_BACKEND`` when set — with per-op fallback)
     ============  =======================================================
 
-    Layers thread a ``backend=`` argument down to the dispatch
-    (``nn.Conv2d(..., backend="reference")``,
-    ``SlidingChannelConv2d(..., backend=...)``,
-    ``build_model(..., backend=...)``), so any subtree of a model can be
-    pinned to a specific implementation.  Adding a backend is one module of
+    Model code never names a backend: every layer and graph node
+    dispatches ``"default"``.  Two mechanisms redirect it —
+    ``REPRO_BACKEND`` for the whole process and
+    :func:`~repro.backend.registry.backend_override` for one thread (the
+    serving engine's degradation ladder) — and a graph node's backward
+    resolves under the override its forward saw.  Kernel-level callers
+    (cross-checks, benchmarks) name a backend directly:
+    ``get_kernel(op, "reference")``.  Adding a backend is one module of
     :func:`~repro.backend.registry.register_kernel` decorators — call sites
     never change.
 

@@ -569,81 +569,22 @@ def pull_gemm(grad_out: np.ndarray, w_full: np.ndarray) -> np.ndarray:
     return np.matmul(w_full.T, grad_out.reshape(n, o, h * w)).reshape(n, -1, h, w)
 
 
-# Per-cycle-position blocks.  Cycle position ``p`` owns the output
-# interleave ``out[:, p::cd]`` (and the weight rows ``w[p::cd]``), so the
-# blocks of different ``p`` write disjoint memory; the strategies run them
-# over every ``p`` in order, then run any inference epilogue once over the
-# finished output.
-
-def conv_stack_fwd_block(plan, x, w, out, gathered, p, stats) -> None:
-    """Gather cycle position ``p``'s window and run its grouped GEMM."""
-    cd = plan.cyclic_dist
-    win = x[:, plan.cycle_index[p]]                   # (N, gw, H, W) copy
-    stats.bytes_materialized += win.nbytes
-    gathered[p] = win
-    out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
-    stats.gemm_calls += 1
-
-
-def conv_stack_bwd_block(plan, w, gathered, grad_out, grad_w, contribs, p, stats) -> None:
-    """Cycle position ``p``'s weight gradient (into ``grad_w``) and window
-    data-grad contribution (into ``contribs[p]``); either may be ``None``."""
-    cd = plan.cyclic_dist
-    g = grad_out[:, p::cd]
-    if grad_w is not None:
-        grad_w[p::cd] = planned_einsum("nohw,nghw->og", g, gathered[p])
-        stats.gemm_calls += 1
-    if contribs is not None:
-        contrib = planned_einsum("nohw,og->nghw", g, w[p::cd])
-        stats.bytes_materialized += contrib.nbytes
-        stats.gemm_calls += 1
-        contribs[p] = contrib
-
-
-def apply_conv_stack_contribs(plan, grad_x, contribs, stats) -> None:
-    """Scatter the window contributions into ``grad_x`` in cycle order.
-
-    Within one cycle position the window channels are distinct, so a
-    fancy-index ``+=`` is conflict-free; conflicts across cycle positions
-    are resolved by this serial loop (framework-level serialisation, the
-    paper's point about composed-operator implementations).
-    """
-    for p, contrib in enumerate(contribs):
-        grad_x[:, plan.cycle_index[p]] += contrib
-        stats.scatter_adds += contrib.size
-
-
-def dsxplore_fwd_block(plan, x, w, out, p, stats) -> None:
-    """Cycle position ``p``'s segment GEMMs, summed into ``out[:, p::cd]``
-    in segment order.  ``x[:, chan_slice]`` is a view: zero bytes copied."""
-    cd = plan.cyclic_dist
-    out_p = out[:, p::cd]
-    wp = w[p::cd]
-    for k, (chan_slice, col_slice) in enumerate(plan.segments[p]):
-        prod = segment_fwd_gemm(x[:, chan_slice], wp[:, col_slice])
-        if k:
-            out_p += prod
-        else:
-            out_p[...] = prod
-        stats.gemm_calls += 1
-
-
-def dsxplore_gradw_block(plan, x, grad_out, grad_w, p, stats) -> None:
-    """Cycle position ``p``'s segment weight gradients into ``grad_w``."""
-    cd = plan.cyclic_dist
-    g = grad_out[:, p::cd]
-    for chan_slice, col_slice in plan.segments[p]:
-        grad_w[p::cd, col_slice] = segment_gradw_gemm(g, x[:, chan_slice])
-        stats.gemm_calls += 1
-
+# Cycle position ``p`` owns the output interleave ``out[:, p::cd]`` (and
+# the weight rows ``w[p::cd]``), so the strategies below walk the positions
+# in order, each writing disjoint memory, then run any inference epilogue
+# once over the finished output.
 
 def _conv_stack_forward(plan, x, w, stats, epilogue=None):
-    cfg = plan.config
+    cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
-    out = np.empty((n, cfg.out_channels, h, wdt), dtype=x.dtype)
-    gathered = [None] * plan.cyclic_dist
-    for p in range(plan.cyclic_dist):
-        conv_stack_fwd_block(plan, x, w, out, gathered, p, stats)
+    out = np.empty((n, plan.config.out_channels, h, wdt), dtype=x.dtype)
+    gathered = []
+    for p in range(cd):
+        win = x[:, plan.cycle_index[p]]                   # (N, gw, H, W) copy
+        stats.bytes_materialized += win.nbytes
+        gathered.append(win)
+        out[:, p::cd] = planned_einsum("nghw,og->nohw", win, w[p::cd])
+        stats.gemm_calls += 1
     if epilogue is not None:
         epilogue.apply(out)
     return out, {"x": x, "w": w, "gathered": gathered}
@@ -651,24 +592,44 @@ def _conv_stack_forward(plan, x, w, stats, epilogue=None):
 
 def _conv_stack_backward(plan, saved, grad_out, need_x, need_w, stats):
     cd = plan.cyclic_dist
-    grad_w = np.empty_like(saved["w"]) if need_w else None
-    contribs = [None] * cd if need_x else None
-    for p in range(cd):
-        conv_stack_bwd_block(
-            plan, saved["w"], saved["gathered"], grad_out, grad_w, contribs, p, stats
-        )
-    grad_x = None
-    if need_x:
-        grad_x = np.zeros_like(saved["x"])
-        apply_conv_stack_contribs(plan, grad_x, contribs, stats)
+    w = saved["w"]
+    grad_w = np.empty_like(w) if need_w else None
+    grad_x = np.zeros_like(saved["x"]) if need_x else None
+    for p, win in enumerate(saved["gathered"]):
+        g = grad_out[:, p::cd]
+        if need_w:
+            grad_w[p::cd] = planned_einsum("nohw,nghw->og", g, win)
+            stats.gemm_calls += 1
+        if need_x:
+            # Within one cycle position the window channels are distinct,
+            # so the fancy-index ``+=`` is conflict-free; conflicts across
+            # positions are resolved by this serial loop (framework-level
+            # serialisation, the paper's point about composed-operator
+            # implementations).
+            contrib = planned_einsum("nohw,og->nghw", g, w[p::cd])
+            stats.bytes_materialized += contrib.nbytes
+            stats.gemm_calls += 1
+            grad_x[:, plan.cycle_index[p]] += contrib
+            stats.scatter_adds += contrib.size
     return grad_x, grad_w
 
 
 def _dsxplore_forward(plan, x, w, stats, epilogue=None):
+    cd = plan.cyclic_dist
     n, _, h, wdt = x.shape
     out = np.empty((n, plan.config.out_channels, h, wdt), dtype=x.dtype)
-    for p in range(plan.cyclic_dist):
-        dsxplore_fwd_block(plan, x, w, out, p, stats)
+    for p in range(cd):
+        # The position's segment GEMMs, summed into ``out[:, p::cd]`` in
+        # segment order; ``x[:, chan_slice]`` is a view: zero bytes copied.
+        out_p = out[:, p::cd]
+        wp = w[p::cd]
+        for k, (chan_slice, col_slice) in enumerate(plan.segments[p]):
+            prod = segment_fwd_gemm(x[:, chan_slice], wp[:, col_slice])
+            if k:
+                out_p += prod
+            else:
+                out_p[...] = prod
+            stats.gemm_calls += 1
     if epilogue is not None:
         epilogue.apply(out)
     return out, {"x": x, "w": w}
@@ -676,11 +637,15 @@ def _dsxplore_forward(plan, x, w, stats, epilogue=None):
 
 def _dsxplore_backward(plan, saved, grad_out, need_x, need_w, stats, backward_design):
     x, w = saved["x"], saved["w"]
+    cd = plan.cyclic_dist
     grad_w = None
     if need_w:
         grad_w = np.empty_like(w)
-        for p in range(plan.cyclic_dist):
-            dsxplore_gradw_block(plan, x, grad_out, grad_w, p, stats)
+        for p in range(cd):
+            g = grad_out[:, p::cd]
+            for chan_slice, col_slice in plan.segments[p]:
+                grad_w[p::cd, col_slice] = segment_gradw_gemm(g, x[:, chan_slice])
+                stats.gemm_calls += 1
     grad_x = None
     if need_x:
         if backward_design == "input_centric":

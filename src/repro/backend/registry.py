@@ -39,16 +39,22 @@ _OVERRIDE = threading.local()
 def backend_override(backend: str | None) -> Iterator[None]:
     """Prefer ``backend`` for default-dispatched ops on this thread.
 
-    Explicit ``backend=`` arguments at call sites still win — the override
-    only redirects ``"default"`` resolution, and only for ops where the
-    named backend is registered (others fall through to the normal order,
-    so overriding to an absent accelerator can never break dispatch).
-    ``None`` is a no-op, letting callers write one ``with`` regardless of
-    whether a demotion is active.
+    This, and ``REPRO_BACKEND`` for the whole process, are the two ways to
+    redirect model code: layers and graph nodes always dispatch
+    ``"default"``.  An explicit backend passed to :func:`get_kernel` still
+    wins — the override only redirects ``"default"`` resolution, and only
+    for ops where the named backend is registered (others fall through to
+    the normal order, so overriding to an absent accelerator can never
+    break dispatch).  A name no op registers raises ``ValueError``, as
+    ``REPRO_BACKEND`` does: a typo must not silently run the default
+    backend.  ``"default"`` selects the normal order, clearing an
+    enclosing override.  ``None`` is a no-op, letting callers write one
+    ``with`` regardless of whether a demotion is active.
     """
     if backend is None:
         yield
         return
+    _check_registered(backend, "backend_override")
     previous = getattr(_OVERRIDE, "name", None)
     _OVERRIDE.name = backend
     try:
@@ -60,6 +66,16 @@ def backend_override(backend: str | None) -> Iterator[None]:
 def current_backend_override() -> str | None:
     """The thread's active default-dispatch override, if any."""
     return getattr(_OVERRIDE, "name", None)
+
+
+def _check_registered(name: str, what: str) -> None:
+    """Raise ``ValueError`` unless some op registers backend ``name``."""
+    registered = sorted({b for op in REGISTRY.ops() for b in REGISTRY.backends(op)})
+    if name != "default" and name not in registered:
+        raise ValueError(
+            f"{what}={name!r} is not a registered backend; "
+            f"registered: {registered}"
+        )
 
 
 def env_backend_order(
@@ -78,12 +94,7 @@ def env_backend_order(
     name = (os.environ.get("REPRO_BACKEND", "") if env is None else env).strip()
     if not name or name == "default":
         return default_order
-    registered = sorted({b for op in REGISTRY.ops() for b in REGISTRY.backends(op)})
-    if name not in registered:
-        raise ValueError(
-            f"REPRO_BACKEND={name!r} is not a registered backend; "
-            f"registered: {registered}"
-        )
+    _check_registered(name, "REPRO_BACKEND")
     return (name,) + tuple(b for b in default_order if b != name)
 
 
@@ -105,26 +116,38 @@ class KernelRegistry:
 
     def get(self, op: str, backend: str = "default") -> Callable:
         """Resolve one kernel; raises ``ValueError`` naming the alternatives."""
-        try:
-            impls = self._kernels[op]
-        except KeyError:
-            raise ValueError(
-                f"unknown kernel op {op!r}; registered ops: {self.ops()}"
-            ) from None
         if backend in (None, "default"):
-            override = current_backend_override()
-            if override is not None and override in impls:
-                return impls[override]
-            for name in self.default_order:
-                if name in impls:
-                    return impls[name]
-            return next(iter(impls.values()))
+            return self.get_default(op, current_backend_override())
         try:
-            return impls[backend]
+            return self._impls(op)[backend]
         except KeyError:
             raise ValueError(
                 f"op {op!r} has no backend {backend!r}; "
                 f"available: {self.backends(op)} (or 'default')"
+            ) from None
+
+    def get_default(self, op: str, override: str | None) -> Callable:
+        """``op``'s ``"default"`` kernel as resolved under ``override``.
+
+        ``None`` means no override, whatever this thread's current one is.
+        A graph node records :func:`current_backend_override` at forward
+        and resolves both its kernels with it, so one node's forward and
+        backward always run on one backend.
+        """
+        impls = self._impls(op)
+        if override in impls:
+            return impls[override]
+        for name in self.default_order:
+            if name in impls:
+                return impls[name]
+        return next(iter(impls.values()))
+
+    def _impls(self, op: str) -> dict[str, Callable]:
+        try:
+            return self._kernels[op]
+        except KeyError:
+            raise ValueError(
+                f"unknown kernel op {op!r}; registered ops: {self.ops()}"
             ) from None
 
     def resolve_name(self, op: str, backend: str = "default") -> str:

@@ -33,19 +33,16 @@ def _pointwise_stage(
     co: float,
     bias: bool,
     impl: str,
-    backend: str,
     rng: np.random.Generator | None,
 ) -> nn.Module:
     if scheme == "pw":
-        return nn.PointwiseConv2d(in_channels, out_channels, bias=bias,
-                                  backend=backend, rng=rng)
+        return nn.PointwiseConv2d(in_channels, out_channels, bias=bias, rng=rng)
     if scheme == "gpw":
-        return nn.GroupPointwiseConv2d(in_channels, out_channels, groups=cg, bias=bias,
-                                       backend=backend, rng=rng)
+        return nn.GroupPointwiseConv2d(in_channels, out_channels, groups=cg,
+                                       bias=bias, rng=rng)
     if scheme == "scc":
         return SlidingChannelConv2d(
-            in_channels, out_channels, cg=cg, co=co, bias=bias, impl=impl,
-            backend=backend, rng=rng
+            in_channels, out_channels, cg=cg, co=co, bias=bias, impl=impl, rng=rng
         )
     raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
 
@@ -65,7 +62,6 @@ class DepthwiseSeparableBlock(nn.Module):
         with_bn: bool = True,
         impl: str = "dsxplore",
         final_act: bool = True,
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -73,13 +69,13 @@ class DepthwiseSeparableBlock(nn.Module):
         padding = kernel_size // 2
         self.depthwise = nn.DepthwiseConv2d(
             in_channels, kernel_size=kernel_size, stride=stride, padding=padding,
-            backend=backend, rng=rng
+            rng=rng,
         )
         self.bn1 = nn.BatchNorm2d(in_channels) if with_bn else nn.Identity()
         self.act1 = nn.ReLU()
         self.pointwise = _pointwise_stage(
             scheme, in_channels, out_channels, cg, co, bias=not with_bn, impl=impl,
-            backend=backend, rng=rng
+            rng=rng,
         )
         self.bn2 = nn.BatchNorm2d(out_channels) if with_bn else nn.Identity()
         # final_act=False keeps the block linear at its output, for use as a
@@ -104,7 +100,6 @@ def make_separable_block(
     kernel_size: int = 3,
     impl: str = "dsxplore",
     final_act: bool = True,
-    backend: str = "default",
     rng: np.random.Generator | None = None,
 ) -> DepthwiseSeparableBlock:
     """Factory used by the model zoo and by :func:`convert_model`."""
@@ -118,7 +113,6 @@ def make_separable_block(
         co=co,
         impl=impl,
         final_act=final_act,
-        backend=backend,
         rng=rng,
     )
 
@@ -140,7 +134,6 @@ def convert_model(
     co: float = 0.5,
     min_channels: int = 8,
     impl: str = "dsxplore",
-    backend: str = "default",
     rng: np.random.Generator | None = None,
 ) -> tuple[nn.Module, int]:
     """Replace standard convolutions with DW+{PW,GPW,SCC} blocks, in place.
@@ -171,7 +164,6 @@ def convert_model(
                         co=co,
                         kernel_size=child.kernel_size,
                         impl=impl,
-                        backend=backend,
                         rng=rng,
                     )
                     setattr(parent, child_name, block)

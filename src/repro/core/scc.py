@@ -14,7 +14,14 @@ import math
 
 import numpy as np
 
-from repro.backend import KernelStats, SCCPlan, get_kernel, scc_plan
+from repro.backend import (
+    REGISTRY,
+    KernelStats,
+    SCCPlan,
+    current_backend_override,
+    get_kernel,
+    scc_plan,
+)
 from repro.core.channel_map import SCCConfig
 from repro.nn.module import Module, Parameter
 from repro.tensor import Tensor
@@ -29,7 +36,9 @@ class SCCFunction(Function):
     calls the ``scc_forward`` kernel on the shared plan and keeps the
     returned context on this graph node, which ``backward`` hands to
     ``scc_backward``.  Each call owns its context, so one layer can run
-    many forwards before any backward.
+    many forwards before any backward.  The node records the thread's
+    :func:`~repro.backend.backend_override` at forward, and ``backward``
+    resolves under that same override.
     """
 
     def forward(
@@ -39,23 +48,22 @@ class SCCFunction(Function):
         plan: SCCPlan,
         impl: str,
         backward_design: str,
-        backend: str,
         stats: KernelStats,
     ) -> np.ndarray:
-        out, ctx = get_kernel("scc_forward", backend)(
+        self.override = current_backend_override()
+        out, ctx = REGISTRY.get_default("scc_forward", self.override)(
             plan, x, w, strategy=impl, stats=stats
         )
         self.plan = plan
         self.ctx = ctx
         self.impl = impl
         self.backward_design = backward_design
-        self.backend = backend
         self.stats = stats
         return out
 
     def backward(self, grad_output: np.ndarray):
         need_x, need_w = self.needs_input_grad
-        return get_kernel("scc_backward", self.backend)(
+        return REGISTRY.get_default("scc_backward", self.override)(
             self.plan, self.ctx, grad_output,
             strategy=self.impl, backward_design=self.backward_design,
             need_input_grad=need_x, need_weight_grad=need_w, stats=self.stats,
@@ -84,10 +92,10 @@ class SlidingChannelConv2d(Module):
     backward_design:
         for ``impl="dsxplore"`` only: ``"input_centric"`` (default) or
         ``"output_centric"`` (the DSXplore-Var ablation).
-    backend:
-        kernel backend the layer dispatches through
-        (:mod:`repro.backend`): ``"default"``, ``"numpy"`` or
-        ``"reference"``.
+
+    The layer never names its kernel backend: it dispatches ``"default"``,
+    which ``REPRO_BACKEND`` (whole process) or
+    :func:`~repro.backend.backend_override` (one thread) redirect.
 
     ``plan`` is the shared :class:`~repro.backend.plan.SCCPlan` of the
     layer's configuration, and ``stats`` accumulates the
@@ -104,23 +112,18 @@ class SlidingChannelConv2d(Module):
         bias: bool = True,
         impl: str = "dsxplore",
         backward_design: str = "input_centric",
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         self.config = SCCConfig(in_channels, out_channels, cg, co)
         self.plan = scc_plan(self.config)
         self.plan.check(impl, backward_design)
-        # Kernels are looked up per call (so backend_override() reaches
-        # them); this lookup only rejects an unknown backend at construction.
-        get_kernel("scc_forward", backend)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.cg = cg
         self.co = co
         self.impl = impl
         self.backward_design = backward_design
-        self.backend = backend
         self.stats = KernelStats()
 
         gen = rng if rng is not None else get_rng()
@@ -139,7 +142,7 @@ class SlidingChannelConv2d(Module):
     def _scc(self, x: Tensor) -> Tensor:
         return SCCFunction.apply(
             x, self.weight, self.plan, self.impl, self.backward_design,
-            self.backend, self.stats,
+            self.stats,
         )
 
     def forward(self, x: Tensor) -> Tensor:
@@ -155,7 +158,7 @@ class SlidingChannelConv2d(Module):
         from repro.tensor.tensor import is_grad_enabled
 
         if not self.training and not is_grad_enabled():
-            out, _ = get_kernel("scc_forward", self.backend)(
+            out, _ = get_kernel("scc_forward")(
                 self.plan, x.data, self.weight.data, strategy=self.impl,
                 stats=self.stats, epilogue=ep.kernel_args(),
             )

@@ -35,7 +35,6 @@ class MobileNet(nn.Module):
         imagenet_stem: bool = False,
         impl: str = "dsxplore",
         num_blocks: int | None = None,
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -43,8 +42,7 @@ class MobileNet(nn.Module):
         self.stem = nn.Sequential(
             nn.Conv2d(
                 in_channels, stem_width, 3,
-                stride=2 if imagenet_stem else 1, padding=1, bias=False,
-                backend=backend, rng=rng,
+                stride=2 if imagenet_stem else 1, padding=1, bias=False, rng=rng,
             ),
             nn.BatchNorm2d(stem_width),
             nn.ReLU(),
@@ -59,7 +57,7 @@ class MobileNet(nn.Module):
             blocks.append(
                 DepthwiseSeparableBlock(
                     c_in, c_out, stride=stride, scheme=scheme, cg=cg, co=co,
-                    impl=impl, backend=backend, rng=rng,
+                    impl=impl, rng=rng,
                 )
             )
             c_in = c_out
@@ -83,7 +81,6 @@ def build_mobilenet(
     imagenet_stem: bool = False,
     impl: str = "dsxplore",
     num_blocks: int | None = None,
-    backend: str = "default",
     rng: np.random.Generator | None = None,
 ) -> MobileNet:
     # "origin" MobileNet *is* DW+PW, so scheme=None maps to "pw".
@@ -97,6 +94,5 @@ def build_mobilenet(
         imagenet_stem=imagenet_stem,
         impl=impl,
         num_blocks=num_blocks,
-        backend=backend,
         rng=rng,
     )

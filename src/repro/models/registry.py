@@ -41,7 +41,6 @@ def build_model(
     width_mult: float = 1.0,
     imagenet_stem: bool = False,
     impl: str = "dsxplore",
-    backend: str = "default",
     rng: np.random.Generator | None = None,
     plan_input_shape: tuple[int, int, int] | None = None,
     plan_batch_size: int = 1,
@@ -75,7 +74,6 @@ def build_model(
         co=co,
         width_mult=width_mult,
         impl=impl,
-        backend=backend,
         rng=rng,
     )
     if name.startswith(("resnet", "mobilenet")):

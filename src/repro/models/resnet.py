@@ -25,14 +25,12 @@ def _conv3x3(
     co: float,
     impl: str,
     final_act: bool,
-    backend: str,
     rng: np.random.Generator | None,
 ) -> nn.Module:
     """Standard conv3x3+BN (+ReLU) or its DW+X factorized replacement."""
     if scheme is None:
         mods: list[nn.Module] = [
-            nn.Conv2d(c_in, c_out, 3, stride=stride, padding=1, bias=False,
-                      backend=backend, rng=rng),
+            nn.Conv2d(c_in, c_out, 3, stride=stride, padding=1, bias=False, rng=rng),
             nn.BatchNorm2d(c_out),
         ]
         if final_act:
@@ -40,7 +38,7 @@ def _conv3x3(
         return nn.Sequential(*mods)
     return make_separable_block(
         c_in, c_out, stride=stride, scheme=scheme, cg=cg, co=co,
-        impl=impl, final_act=final_act, backend=backend, rng=rng,
+        impl=impl, final_act=final_act, rng=rng,
     )
 
 
@@ -58,16 +56,14 @@ class BasicBlock(nn.Module):
         cg: int = 2,
         co: float = 0.5,
         impl: str = "dsxplore",
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
-        self.conv1 = _conv3x3(c_in, c_out, stride, scheme, cg, co, impl, True, backend, rng)
-        self.conv2 = _conv3x3(c_out, c_out, 1, scheme, cg, co, impl, False, backend, rng)
+        self.conv1 = _conv3x3(c_in, c_out, stride, scheme, cg, co, impl, True, rng)
+        self.conv2 = _conv3x3(c_out, c_out, 1, scheme, cg, co, impl, False, rng)
         if stride != 1 or c_in != c_out:
             self.shortcut = nn.Sequential(
-                nn.Conv2d(c_in, c_out, 1, stride=stride, bias=False,
-                          backend=backend, rng=rng),
+                nn.Conv2d(c_in, c_out, 1, stride=stride, bias=False, rng=rng),
                 nn.BatchNorm2d(c_out),
             )
         else:
@@ -93,25 +89,23 @@ class Bottleneck(nn.Module):
         cg: int = 2,
         co: float = 0.5,
         impl: str = "dsxplore",
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
         c_out = width * self.expansion
         self.reduce = nn.Sequential(
-            nn.Conv2d(c_in, width, 1, bias=False, backend=backend, rng=rng),
+            nn.Conv2d(c_in, width, 1, bias=False, rng=rng),
             nn.BatchNorm2d(width),
             nn.ReLU(),
         )
-        self.conv3x3 = _conv3x3(width, width, stride, scheme, cg, co, impl, True, backend, rng)
+        self.conv3x3 = _conv3x3(width, width, stride, scheme, cg, co, impl, True, rng)
         self.expand = nn.Sequential(
-            nn.Conv2d(width, c_out, 1, bias=False, backend=backend, rng=rng),
+            nn.Conv2d(width, c_out, 1, bias=False, rng=rng),
             nn.BatchNorm2d(c_out),
         )
         if stride != 1 or c_in != c_out:
             self.shortcut = nn.Sequential(
-                nn.Conv2d(c_in, c_out, 1, stride=stride, bias=False,
-                          backend=backend, rng=rng),
+                nn.Conv2d(c_in, c_out, 1, stride=stride, bias=False, rng=rng),
                 nn.BatchNorm2d(c_out),
             )
         else:
@@ -143,7 +137,6 @@ class ResNet(nn.Module):
         imagenet_stem: bool = False,
         impl: str = "dsxplore",
         stage_blocks: list[int] | None = None,
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -159,19 +152,18 @@ class ResNet(nn.Module):
         if imagenet_stem:
             self.stem = nn.Sequential(
                 nn.Conv2d(in_channels, base, 7, stride=2, padding=3, bias=False,
-                          backend=backend, rng=rng),
+                          rng=rng),
                 nn.BatchNorm2d(base),
                 nn.ReLU(),
-                nn.MaxPool2d(3, stride=2, padding=1, backend=backend),
+                nn.MaxPool2d(3, stride=2, padding=1),
             )
         else:
             self.stem = nn.Sequential(
-                nn.Conv2d(in_channels, base, 3, padding=1, bias=False,
-                          backend=backend, rng=rng),
+                nn.Conv2d(in_channels, base, 3, padding=1, bias=False, rng=rng),
                 nn.BatchNorm2d(base),
                 nn.ReLU(),
             )
-        kwargs = dict(scheme=scheme, cg=cg, co=co, impl=impl, backend=backend, rng=rng)
+        kwargs = dict(scheme=scheme, cg=cg, co=co, impl=impl, rng=rng)
         stages = []
         c_in = base
         for i, n_blocks in enumerate(layers):
@@ -201,7 +193,6 @@ def build_resnet(
     imagenet_stem: bool = False,
     impl: str = "dsxplore",
     stage_blocks: list[int] | None = None,
-    backend: str = "default",
     rng: np.random.Generator | None = None,
 ) -> ResNet:
     if depth not in RESNET_PLANS:
@@ -219,6 +210,5 @@ def build_resnet(
         imagenet_stem=imagenet_stem,
         impl=impl,
         stage_blocks=stage_blocks,
-        backend=backend,
         rng=rng,
     )

@@ -42,7 +42,6 @@ class VGG(nn.Module):
         co: float = 0.5,
         width_mult: float = 1.0,
         impl: str = "dsxplore",
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -51,19 +50,17 @@ class VGG(nn.Module):
         first_conv = True
         for item in plan:
             if item == "M":
-                layers.append(nn.MaxPool2d(2, backend=backend))
+                layers.append(nn.MaxPool2d(2))
                 continue
             c_out = scale_width(int(item), width_mult)
             if scheme is None or first_conv:
-                layers.append(nn.Conv2d(c_in, c_out, 3, padding=1, bias=False,
-                                        backend=backend, rng=rng))
+                layers.append(nn.Conv2d(c_in, c_out, 3, padding=1, bias=False, rng=rng))
                 layers.append(nn.BatchNorm2d(c_out))
                 layers.append(nn.ReLU())
             else:
                 layers.append(
                     make_separable_block(
-                        c_in, c_out, scheme=scheme, cg=cg, co=co, impl=impl,
-                        backend=backend, rng=rng
+                        c_in, c_out, scheme=scheme, cg=cg, co=co, impl=impl, rng=rng
                     )
                 )
             first_conv = False
@@ -85,7 +82,6 @@ def build_vgg(
     co: float = 0.5,
     width_mult: float = 1.0,
     impl: str = "dsxplore",
-    backend: str = "default",
     rng: np.random.Generator | None = None,
 ) -> VGG:
     if depth not in VGG_PLANS:
@@ -99,6 +95,5 @@ def build_vgg(
         co=co,
         width_mult=width_mult,
         impl=impl,
-        backend=backend,
         rng=rng,
     )

@@ -6,8 +6,10 @@
 - :class:`GroupPointwiseConv2d` — GPW, grouped 1x1 (Fig. 1e).
 
 The paper's new kernel, SCC, lives in :mod:`repro.core.scc` and is a drop-in
-peer of these modules.  Every module takes a ``backend=`` argument selecting
-the :mod:`repro.backend` kernel implementation it dispatches through.
+peer of these modules.  No module names its kernel backend: each dispatches
+the :mod:`repro.backend` registry's ``"default"``, which ``REPRO_BACKEND``
+(whole process) or :func:`~repro.backend.backend_override` (one thread)
+redirect.
 """
 from __future__ import annotations
 
@@ -33,7 +35,6 @@ class Conv2d(Module):
         padding: int = 0,
         groups: int = 1,
         bias: bool = True,
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -48,7 +49,6 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
         self.groups = groups
-        self.backend = backend
         wshape = (out_channels, in_channels // groups, kernel_size, kernel_size)
         self.weight = Parameter(init.kaiming_normal(wshape, rng=rng))
         if bias:
@@ -60,14 +60,17 @@ class Conv2d(Module):
         # stages applied as a staged kernel epilogue on the inference path.
         self._fused_epilogue = None
 
+    def _conv(self, x: Tensor) -> Tensor:
+        return conv_ops.Conv2d.apply(
+            x, self.weight, stride=self.stride, padding=self.padding,
+            groups=self.groups,
+        )
+
     def forward(self, x: Tensor) -> Tensor:
         ep = self._fused_epilogue
         if ep is not None:
             return self._forward_fused(x, ep)
-        out = conv_ops.Conv2d.apply(
-            x, self.weight, stride=self.stride, padding=self.padding,
-            groups=self.groups, backend=self.backend,
-        )
+        out = self._conv(x)
         if self.bias is not None:
             out = out + self.bias.reshape(1, -1, 1, 1)
         return out
@@ -78,15 +81,11 @@ class Conv2d(Module):
                 x.shape, self.weight.shape, self.stride, self.padding,
                 self.groups, x.data.dtype,
             )
-            out, _ = get_kernel("conv2d", self.backend)(
+            out, _ = get_kernel("conv2d")(
                 plan, x.data, self.weight.data, epilogue=ep.kernel_args()
             )
             return Tensor(out)
-        out = conv_ops.Conv2d.apply(
-            x, self.weight, stride=self.stride, padding=self.padding,
-            groups=self.groups, backend=self.backend,
-        )
-        return ep.apply_composed(out)
+        return ep.apply_composed(self._conv(x))
 
     def __repr__(self) -> str:
         return (
@@ -100,10 +99,8 @@ class PointwiseConv2d(Conv2d):
     """PW convolution: 1x1 standard conv fusing all input channels."""
 
     def __init__(self, in_channels: int, out_channels: int, bias: bool = True,
-                 backend: str = "default",
                  rng: np.random.Generator | None = None) -> None:
-        super().__init__(in_channels, out_channels, kernel_size=1, bias=bias,
-                         backend=backend, rng=rng)
+        super().__init__(in_channels, out_channels, kernel_size=1, bias=bias, rng=rng)
 
 
 class DepthwiseConv2d(Conv2d):
@@ -116,7 +113,6 @@ class DepthwiseConv2d(Conv2d):
         stride: int = 1,
         padding: int = 1,
         bias: bool = False,
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(
@@ -127,7 +123,6 @@ class DepthwiseConv2d(Conv2d):
             padding=padding,
             groups=channels,
             bias=bias,
-            backend=backend,
             rng=rng,
         )
 
@@ -141,10 +136,9 @@ class GroupPointwiseConv2d(Conv2d):
         out_channels: int,
         groups: int,
         bias: bool = True,
-        backend: str = "default",
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(
             in_channels, out_channels, kernel_size=1, groups=groups, bias=bias,
-            backend=backend, rng=rng,
+            rng=rng,
         )

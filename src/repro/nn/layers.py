@@ -121,18 +121,16 @@ class ReLU6(Module):
 
 
 class MaxPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None, padding: int = 0,
-                 backend: str = "default") -> None:
+    def __init__(self, kernel_size: int, stride: int | None = None,
+                 padding: int = 0) -> None:
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = kernel_size if stride is None else stride
         self.padding = padding
-        self.backend = backend
 
     def forward(self, x: Tensor) -> Tensor:
         return conv_ops.MaxPool2d.apply(
             x, kernel=self.kernel_size, stride=self.stride, padding=self.padding,
-            backend=self.backend,
         )
 
     def __repr__(self) -> str:
@@ -140,13 +138,12 @@ class MaxPool2d(Module):
 
 
 class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, backend: str = "default") -> None:
+    def __init__(self, kernel_size: int) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self.backend = backend
 
     def forward(self, x: Tensor) -> Tensor:
-        return conv_ops.AvgPool2d.apply(x, kernel=self.kernel_size, backend=self.backend)
+        return conv_ops.AvgPool2d.apply(x, kernel=self.kernel_size)
 
     def __repr__(self) -> str:
         return f"AvgPool2d(k={self.kernel_size})"

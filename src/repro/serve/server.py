@@ -23,7 +23,7 @@ run batches on the caller — deterministic with an injected clock) or
 threaded (``start``, then ``wait_result`` from any number of client
 threads).  The gateway always runs the worker thread and awaits each
 request on an asyncio future, which the worker resolves on the future's
-own loop when the request settles.
+own loop when the request settles; an outcome a future takes is not filed.
 """
 from __future__ import annotations
 
@@ -86,8 +86,9 @@ class ModelUnavailable(RequestShed):
 
 class ResultTimeout(TimeoutError):
     """``wait_result`` gave up waiting.  Carries the ``request_id``, the
-    ``timeout`` and the request's :class:`RequestStatus` at that moment;
-    the request stays accounted and may still complete later."""
+    ``timeout`` and the request's :class:`RequestStatus` at that moment: a
+    ``PENDING`` request stays accounted and may still complete later, an
+    ``EVICTED`` one (raised at once, without waiting) never will."""
 
     def __init__(self, request_id: int, timeout: float,
                  status: "RequestStatus") -> None:
@@ -107,7 +108,7 @@ class RequestStatus(str, Enum):
     PENDING = "PENDING"    # queued or executing right now
     DONE = "DONE"          # completed, result retrievable
     SHED = "SHED"          # dropped unexecuted (shutdown or deadline shed)
-    EVICTED = "EVICTED"    # terminal, but its record aged out of retention
+    EVICTED = "EVICTED"    # terminal, but no record is kept (see status)
     FAILED = "FAILED"      # executed and failed (RequestFailed retrievable)
 
 
@@ -361,8 +362,9 @@ class SyncTransport:
     deterministic tests.  Request ids come from the core and are unique
     across the transport's models.  Models are added with :meth:`register`;
     subclasses map their request keys to ids with :meth:`_rid`.  Every
-    request settles exactly once, in :meth:`_settle_locked`, which files its
-    outcome and resolves the asyncio future it was submitted with, if any.
+    request settles exactly once, in :meth:`_settle_locked`, which resolves
+    the asyncio future it was submitted with, if any, or else files its
+    outcome.
     """
 
     def __init__(self, config: ServingPolicy | None = None,
@@ -381,8 +383,9 @@ class SyncTransport:
         self._cond = threading.Condition(self._lock)   # wait_result waiters
         self._wake = threading.Condition(self._lock)   # the worker thread
         self._pending: set[int] = set()                # queued or executing
-        # Settled outcomes, oldest first: each request's RequestResult, its
-        # RequestFailed, or its shed error (RequestShed / DeadlineExceeded).
+        # Settled outcomes no future took, oldest first: each request's
+        # RequestResult, its RequestFailed, or its shed error (RequestShed /
+        # DeadlineExceeded).
         self._settled: OrderedDict[
             int, RequestResult | RequestFailed | RequestShed] = OrderedDict()
         self._waiting: Counter[int] = Counter()        # blocked waiters per id
@@ -520,7 +523,9 @@ class SyncTransport:
         """Lifecycle state of an issued request (see :class:`RequestStatus`).
 
         ``EVICTED`` covers a terminal request whose record aged out past
-        ``RESULT_CAPACITY``.  Raises :class:`KeyError` for an id this
+        ``RESULT_CAPACITY``, and an :class:`~repro.serve.gateway.AsyncGateway`
+        request, whose outcome went to the future that awaited it and is
+        not filed.  Raises :class:`KeyError` for an id this
         transport never issued.
         """
         rid = self._rid(key)
@@ -539,7 +544,7 @@ class SyncTransport:
             return RequestStatus.PENDING
         if 0 <= rid <= self._last_id:
             # Ids are allocated only on acceptance, so an issued id that no
-            # table tracks can only have aged out of retention.
+            # table tracks is terminal: aged out, or taken by its future.
             return RequestStatus.EVICTED
         raise KeyError(f"request id {rid} was never issued")
 
@@ -551,7 +556,7 @@ class SyncTransport:
         :class:`RequestShed` for shed requests,
         :class:`~repro.serve.engine.RequestFailed` for failed ones, and
         :class:`ResultTimeout` (carrying the :meth:`status`) when the wait
-        gives up.
+        gives up, at once for an ``EVICTED`` request (eviction is terminal).
         """
         rid = self._rid(key)
         end = time.monotonic() + timeout
@@ -560,7 +565,7 @@ class SyncTransport:
             try:
                 while (outcome := self._settled.get(rid)) is None:
                     remaining = end - time.monotonic()
-                    if remaining <= 0:
+                    if remaining <= 0 or rid not in self._pending:
                         raise ResultTimeout(rid, timeout, self._status_locked(rid))
                     self._cond.wait(remaining)
             finally:
@@ -624,14 +629,16 @@ class SyncTransport:
             self._cond.notify_all()
 
     def _settle_locked(self, rid: int, outcome) -> None:
-        """File a request's one outcome (its result, its
-        :class:`RequestFailed` or its shed error) and hand it to the future
-        awaiting it, if any, resolved on that future's loop.  Callers trim
-        retention and wake waiters once per settled set."""
+        """Settle a request with its one outcome (its result, its
+        :class:`RequestFailed` or its shed error): hand it to the future
+        awaiting it, resolved on that future's loop, or else file it for
+        :meth:`result` / :meth:`wait_result`.  An awaited outcome is not
+        filed: its awaiter holds it and no front reads the record back.
+        Callers trim retention and wake waiters once per settled set."""
         self._pending.discard(rid)
-        self._settled[rid] = outcome
         future = self._futures.pop(rid, None)
         if future is None:
+            self._settled[rid] = outcome
             return
         try:
             future.get_loop().call_soon_threadsafe(_resolve, future, outcome)

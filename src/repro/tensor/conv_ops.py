@@ -9,13 +9,15 @@ DSXplore one included, live in :mod:`repro.backend` and run through
 Execution routes through the :mod:`repro.backend` registry: each Function
 resolves its workload to a cached execution plan (geometry, tile schedule
 and backward contraction paths, see :mod:`repro.backend.plan`) and
-dispatches to the selected backend — ``"numpy"`` (zero-copy ``as_strided``
-patch views; an im2col GEMM forward and planned-einsum backward, the
-default; depthwise convs stage their input once into a phase-split
-channels-last buffer that is also the backward context) or
-``"reference"`` (loop kernels).  Repeated-shape calls reuse the plan; only
-the first call of a shape-class pays the ``np.einsum_path`` search and
-geometry checks.
+dispatches ``"default"`` — ``"numpy"`` (zero-copy ``as_strided`` patch
+views; an im2col GEMM forward and planned-einsum backward; depthwise convs
+stage their input once into a phase-split channels-last buffer that is also
+the backward context) unless ``REPRO_BACKEND`` or a
+:func:`~repro.backend.backend_override` selects ``"reference"`` (loop
+kernels).  A node records the thread's override at forward and its backward
+resolves under that same override, so both halves run on one backend.
+Repeated-shape calls reuse the plan; only the first call of a shape-class
+pays the ``np.einsum_path`` search and geometry checks.
 
 Batch normalisation is not a registry kernel: :class:`BatchNorm2d` is one
 training-mode node that also applies the ReLU after it when asked (see
@@ -26,9 +28,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import (
+    REGISTRY,
     conv2d_plan,
     conv_out_size,
-    get_kernel,
+    current_backend_override,
     pool2d_plan,
 )
 from repro.tensor.function import Function
@@ -57,19 +60,18 @@ class Conv2d(Function):
         stride: int = 1,
         padding: int = 0,
         groups: int = 1,
-        backend: str = "default",
     ) -> np.ndarray:
         plan = conv2d_plan(x.shape, weight.shape, stride, padding, groups, x.dtype)
-        out, ctx = get_kernel("conv2d", backend)(plan, x, weight)
+        self.override = current_backend_override()
+        out, ctx = REGISTRY.get_default("conv2d", self.override)(plan, x, weight)
         self.plan = plan
         self.ctx = ctx
-        self.backend = backend
         return out
 
     def backward(self, grad: np.ndarray):
         need_x = self.needs_input_grad[0]
         need_w = len(self.needs_input_grad) > 1 and self.needs_input_grad[1]
-        grad_x, grad_w = get_kernel("conv2d_backward", self.backend)(
+        grad_x, grad_w = REGISTRY.get_default("conv2d_backward", self.override)(
             self.plan, self.ctx, grad,
             need_input_grad=need_x, need_weight_grad=need_w,
         )
@@ -88,17 +90,18 @@ class MaxPool2d(Function):
         kernel: int,
         stride: int,
         padding: int = 0,
-        backend: str = "default",
     ) -> np.ndarray:
         plan = pool2d_plan("max", x.shape, kernel, stride, padding, x.dtype)
-        out, ctx = get_kernel("maxpool2d", backend)(plan, x)
+        self.override = current_backend_override()
+        out, ctx = REGISTRY.get_default("maxpool2d", self.override)(plan, x)
         self.plan = plan
         self.ctx = ctx
-        self.backend = backend
         return out
 
     def backward(self, grad: np.ndarray):
-        gx = get_kernel("maxpool2d_backward", self.backend)(self.plan, self.ctx, grad)
+        gx = REGISTRY.get_default("maxpool2d_backward", self.override)(
+            self.plan, self.ctx, grad
+        )
         return (gx,)
 
 
@@ -110,18 +113,19 @@ class AvgPool2d(Function):
         x: np.ndarray,
         kernel: int,
         stride: int | None = None,
-        backend: str = "default",
     ) -> np.ndarray:
         stride = kernel if stride is None else stride
         plan = pool2d_plan("avg", x.shape, kernel, stride, 0, x.dtype)
-        out, ctx = get_kernel("avgpool2d", backend)(plan, x)
+        self.override = current_backend_override()
+        out, ctx = REGISTRY.get_default("avgpool2d", self.override)(plan, x)
         self.plan = plan
         self.ctx = ctx
-        self.backend = backend
         return out
 
     def backward(self, grad: np.ndarray):
-        gx = get_kernel("avgpool2d_backward", self.backend)(self.plan, self.ctx, grad)
+        gx = REGISTRY.get_default("avgpool2d_backward", self.override)(
+            self.plan, self.ctx, grad
+        )
         return (gx,)
 
 

@@ -70,8 +70,8 @@ def record_kernel_calls() -> Iterator[list[KernelCall]]:
     """Record every registry kernel call made while the block runs.
 
     Each registered kernel is re-registered behind a recording wrapper and
-    restored on exit.  Enter it before building the model under test, so a
-    layer that resolves its kernel at construction is recorded too.
+    restored on exit.  Layers and graph nodes look their kernels up per
+    call, so a model built before the block is recorded too.
     """
     calls: list[KernelCall] = []
     originals = [

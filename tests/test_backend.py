@@ -3,12 +3,15 @@ import numpy as np
 import pytest
 
 from repro.backend import (
+    REGISTRY,
     KernelRegistry,
     Workload,
     available_backends,
+    backend_override,
     clear_plan_cache,
     contraction_path,
     conv2d_plan,
+    current_backend_override,
     env_stamp,
     get_kernel,
     plan_cache_stats,
@@ -20,7 +23,7 @@ from repro.core.scc import SlidingChannelConv2d
 from repro.tensor import Tensor
 from repro.utils import seed_all
 
-from tests.helpers import run_scc
+from tests.helpers import record_kernel_calls, run_scc
 
 
 @pytest.fixture(autouse=True)
@@ -222,39 +225,124 @@ def test_scc_reference_backend_matches_numpy(strategy):
 
 
 # ---------------------------------------------------------------------------
-# Backend threading through modules
+# Backend selection for model code: backend_override() and graph nodes
 # ---------------------------------------------------------------------------
+
+def test_backend_override_rejects_unregistered_names():
+    # A typo must not silently resolve the default backend: that would make
+    # a reference comparison compare numpy with itself.
+    with pytest.raises(ValueError, match="'refrence' is not a registered") as exc:
+        with backend_override("refrence"):
+            pass
+    assert "registered: ['numpy', 'reference'" in str(exc.value)
+    assert current_backend_override() is None
+    with backend_override(None):
+        assert current_backend_override() is None
+    with backend_override("reference"):
+        assert get_kernel("conv2d") is get_kernel("conv2d", "reference")
+        with backend_override("default"):   # the normal order again
+            assert get_kernel("conv2d") is REGISTRY.get_default("conv2d", None)
+        assert current_backend_override() == "reference"
+    assert current_backend_override() is None
+
+
+def _kernel_backends(calls):
+    return {c.backend for c in calls}
+
 
 def test_nn_conv_backend_threading_end_to_end():
     from repro import nn
 
     seed_all(5)
-    fast = nn.Conv2d(4, 6, 3, padding=1, rng=np.random.default_rng(9))
-    slow = nn.Conv2d(4, 6, 3, padding=1, backend="reference",
-                     rng=np.random.default_rng(9))
-    x = Tensor(np.random.default_rng(10).standard_normal((2, 4, 5, 5)).astype(np.float32),
-               requires_grad=True)
-    out_fast = fast(x)
-    out_slow = slow(x)
-    np.testing.assert_allclose(out_fast.data, out_slow.data, atol=1e-5)
-    out_slow.sum().backward()
-    assert x.grad is not None
+    conv = nn.Conv2d(4, 6, 3, padding=1, rng=np.random.default_rng(9))
+    data = np.random.default_rng(10).standard_normal((2, 4, 5, 5)).astype(np.float32)
+    runs = {}
+    for backend in ("numpy", "reference"):
+        conv.zero_grad()
+        x = Tensor(data, requires_grad=True)
+        with record_kernel_calls() as calls, backend_override(backend):
+            out = conv(x)
+            out.sum().backward()
+        assert _kernel_backends(calls) == {backend}
+        assert [c.op for c in calls] == ["conv2d", "conv2d_backward"]
+        runs[backend] = (out.data, x.grad, conv.weight.grad.copy())
+    for fast, slow in zip(runs["numpy"], runs["reference"]):
+        np.testing.assert_allclose(fast, slow, rtol=1e-4, atol=1e-5)
 
 
 def test_scc_module_backend_threading():
-    layer = SlidingChannelConv2d(8, 16, cg=2, co=0.5, backend="reference",
-                                 rng=np.random.default_rng(11))
-    assert layer.backend == "reference"
-    layer.set_impl("conv_stack")
-    assert layer.backend == "reference"   # backend survives impl swap
+    layer = SlidingChannelConv2d(8, 16, cg=2, co=0.5, rng=np.random.default_rng(11))
     x = Tensor(np.random.default_rng(12).standard_normal((2, 8, 4, 4)).astype(np.float32))
-    assert layer(x).shape == (2, 16, 4, 4)
+    for impl in ("dsxplore", "conv_stack"):   # the override survives an impl swap
+        layer.set_impl(impl)
+        with record_kernel_calls() as calls, backend_override("reference"):
+            out = layer(x)
+        assert [(c.op, c.backend) for c in calls] == [("scc_forward", "reference")]
+        with backend_override("numpy"):
+            np.testing.assert_allclose(out.data, layer(x).data, atol=1e-5)
+    assert out.shape == (2, 16, 4, 4)
 
 
 def test_build_model_backend_threading():
     from repro.models import build_model
 
     model = build_model("mobilenet", scheme="scc", width_mult=0.25,
-                        backend="reference", rng=np.random.default_rng(13))
-    convs = [m for _, m in model.named_modules() if hasattr(m, "backend")]
-    assert convs and all(m.backend == "reference" for m in convs)
+                        rng=np.random.default_rng(13))
+    x = Tensor(np.random.default_rng(14).standard_normal((2, 3, 8, 8)).astype(np.float32))
+    with record_kernel_calls() as calls, backend_override("reference"):
+        out = model(x).data
+    assert {c.op for c in calls} == {"conv2d", "scc_forward"}
+    assert _kernel_backends(calls) == {"reference"}
+    with backend_override("numpy"):
+        np.testing.assert_allclose(out, model(x).data, rtol=1e-4, atol=1e-5)
+
+
+def _layer_case(kind):
+    from repro import nn
+
+    rng = np.random.default_rng(21)
+    if kind == "depthwise":
+        return nn.DepthwiseConv2d(6, rng=rng), (2, 6, 5, 5)
+    if kind == "dense":
+        return nn.Conv2d(6, 4, 3, padding=1, rng=rng), (2, 6, 5, 5)
+    if kind == "maxpool":
+        return nn.MaxPool2d(3, stride=2, padding=1), (2, 6, 5, 5)
+    if kind == "avgpool":
+        return nn.AvgPool2d(2), (2, 6, 4, 4)
+    return SlidingChannelConv2d(6, 9, cg=3, co=0.5, rng=rng), (2, 6, 4, 4)
+
+
+def _forward_backward(layer, data, forward_under, backward_under):
+    layer.zero_grad()
+    x = Tensor(data, requires_grad=True)
+    with record_kernel_calls() as calls:
+        with backend_override(forward_under):
+            out = layer(x)
+        grad = np.random.default_rng(23).standard_normal(out.shape).astype(np.float32)
+        with backend_override(backward_under):
+            out.backward(grad)
+    grads = [x.grad] + [p.grad.copy() for p in layer.parameters()]
+    return [out.data] + grads, calls
+
+
+@pytest.mark.parametrize("kind", ["depthwise", "dense", "maxpool", "avgpool", "scc"])
+@pytest.mark.parametrize("forward_under,backward_under", [
+    ("reference", None), (None, "reference"),
+])
+def test_node_backward_runs_on_its_forward_backend(kind, forward_under, backward_under):
+    # A graph node resolves its backward kernel under the override its
+    # forward saw, so both halves run on one backend whichever side of a
+    # backend_override() block the backward runs on.
+    layer, shape = _layer_case(kind)
+    data = np.random.default_rng(22).standard_normal(shape).astype(np.float32)
+    want, _ = _forward_backward(layer, data, "reference", "reference")
+    got, calls = _forward_backward(layer, data, forward_under, backward_under)
+
+    expect = forward_under or REGISTRY.resolve_name("conv2d", "default")
+    assert [c.backend for c in calls] == [expect, expect]
+    assert calls[1].op == calls[0].op.replace("_forward", "") + "_backward"
+    for g, w in zip(got, want):
+        if expect == "reference":
+            assert np.array_equal(g, w)
+        else:
+            np.testing.assert_allclose(g, w, rtol=1e-3, atol=1e-4)

@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.backend import backend_override
 from repro.tensor.conv_ops import Conv2d
 from repro.utils import seed_all
 
@@ -30,8 +31,9 @@ def _conv(seed, x_shape, w_shape, stride, padding, groups):
     w = rng.standard_normal(w_shape).astype(np.float32)
     fn = Conv2d()
     fn.needs_input_grad = (True, True)
-    out = fn.forward(x, w, stride, padding, groups, backend="numpy")
-    gx, gw = fn.backward(np.ones_like(out))
+    with backend_override("numpy"):
+        out = fn.forward(x, w, stride, padding, groups)
+        gx, gw = fn.backward(np.ones_like(out))
     return out, gx, gw
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.backend import EpilogueArgs
+from repro.backend import EpilogueArgs, backend_override
 from repro.core.blocks import DepthwiseSeparableBlock
 from repro.core.scc import SlidingChannelConv2d
 from repro.tensor import Tensor, no_grad
@@ -58,14 +58,15 @@ def _assert_fuse_bitwise(model: nn.Module, x: np.ndarray, expect_fused: int):
 def test_conv_bn_relu_fuses_bitwise(backend):
     rng = np.random.default_rng(0)
     model = nn.Sequential(
-        nn.Conv2d(8, 16, 3, padding=1, bias=True, backend=backend,
-                  rng=np.random.default_rng(1)),
+        nn.Conv2d(8, 16, 3, padding=1, bias=True, rng=np.random.default_rng(1)),
         nn.BatchNorm2d(16),
         nn.ReLU(),
     )
     _randomize_bn(model._modules["1"], rng)
     x = rng.standard_normal((2, 8, 6, 6)).astype(np.float32)
-    _assert_fuse_bitwise(model, x, expect_fused=1)
+    with record_kernel_calls() as calls, backend_override(backend):
+        _assert_fuse_bitwise(model, x, expect_fused=1)
+    assert {c.backend for c in calls} == {backend}
     # The absorbed stages were replaced by Identity: the conv now carries
     # the whole epilogue.
     assert isinstance(model._modules["1"], nn.Identity)
@@ -192,17 +193,17 @@ def test_reference_fused_layer_runs_the_kernel_epilogue():
     # unfused stack bitwise.
     rng = np.random.default_rng(15)
     model = nn.Sequential(
-        nn.Conv2d(4, 8, 3, padding=1, bias=True, backend="reference",
-                  rng=np.random.default_rng(16)),
+        nn.Conv2d(4, 8, 3, padding=1, bias=True, rng=np.random.default_rng(16)),
         nn.BatchNorm2d(8),
         nn.ReLU(),
     )
     _randomize_bn(model._modules["1"], rng)
     x = rng.standard_normal((2, 4, 5, 5)).astype(np.float32)
-    before = _eval_out(model, x)
-    assert nn.fuse_inference(model) == 1
-    with record_kernel_calls() as calls:
-        after = _eval_out(model, x)
+    with backend_override("reference"):
+        before = _eval_out(model, x)
+        assert nn.fuse_inference(model) == 1
+        with record_kernel_calls() as calls:
+            after = _eval_out(model, x)
     assert [(c.op, c.backend) for c in calls] == [("conv2d", "reference")]
     assert isinstance(calls[0].kwargs["epilogue"], EpilogueArgs)
     assert np.array_equal(before, after)

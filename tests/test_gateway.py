@@ -197,8 +197,8 @@ def test_gateway_metrics_split_and_fairness_accounting():
         )
         await gw.stop()
         assert all(r.latency >= r.queue_wait >= 0.0 for r in results)
-        # The transport's tables answer for gateway requests too.
-        assert all(gw.status(r.id) is RequestStatus.DONE for r in results)
+        # Each outcome went to its awaiter; the transport filed no copy.
+        assert all(gw.status(r.id) is RequestStatus.EVICTED for r in results)
         metrics = gw.metrics()
         assert metrics["a"].completed == 4 and metrics["b"].completed == 2
         for m in metrics.values():
@@ -206,6 +206,22 @@ def test_gateway_metrics_split_and_fairness_accounting():
             assert m.latency_mean >= m.queue_wait_mean
             assert m.bucket_target in (1, 2, 4)
             assert m.deadline_miss_rate <= 1.0
+
+    asyncio.run(main())
+
+
+def test_awaited_outcomes_are_not_filed():
+    # An awaiter holds its outcome from the future and no gateway path reads
+    # a filed record back, so the retention table stays empty.
+    async def main():
+        gw = AsyncGateway(ServingPolicy(bucket_sizes=(1, 2, 4), max_latency=0.005))
+        gw.register("m", _model(), input_shapes=[INPUT])
+        images = _images(4, seed=8)
+        results = await asyncio.gather(*[gw.submit("m", images[i % 4])
+                                         for i in range(200)])
+        await gw.stop()
+        assert len(results) == 200 and len(gw._settled) == 0
+        assert gw.metrics()["m"].completed == 200
 
     asyncio.run(main())
 

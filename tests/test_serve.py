@@ -7,15 +7,19 @@ requests share the batch, so a request's output is bit-identical whether it
 rode alone or fully coalesced.
 """
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.backend import backend_override
 from repro.models import build_model
 from repro.serve import BucketPolicy, Server, ServingPolicy
 from repro.serve import server as server_module
 from repro.tensor import Tensor, no_grad
 from repro.utils import seed_all
+
+from tests.helpers import record_kernel_calls
 
 INPUT = (3, 16, 16)
 
@@ -25,10 +29,9 @@ def _seed():
     seed_all(33)
 
 
-def _model(impl="dsxplore", backend="default"):
+def _model(impl="dsxplore"):
     return build_model("mobilenet", scheme="scc", width_mult=0.25,
-                       impl=impl, backend=backend,
-                       rng=np.random.default_rng(2))
+                       impl=impl, rng=np.random.default_rng(2))
 
 
 def _images(n, shape=INPUT, seed=0):
@@ -43,21 +46,25 @@ def _images(n, shape=INPUT, seed=0):
 @pytest.mark.parametrize("impl", ["channel_stack", "conv_stack", "dsxplore"])
 @pytest.mark.parametrize("backend", ["numpy", "reference"])
 def test_bucketed_outputs_bitwise_equal_per_request(impl, backend):
-    model = _model(impl=impl, backend=backend)
-    server = Server(model, input_shapes=[INPUT],
-                    config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
+    model = _model(impl=impl)
     images = _images(4)
+    # Without a worker thread the server runs each batch inline, on this
+    # thread, so the override reaches every kernel.
+    with record_kernel_calls() as calls, backend_override(backend):
+        server = Server(model, input_shapes=[INPUT],
+                        config=ServingPolicy(bucket_sizes=(4,), max_latency=1.0))
 
-    # Coalesced: all four requests share one bucket.
-    ids = [server.submit(im) for im in images]
-    batched = [server.result(i).output for i in ids]
+        # Coalesced: all four requests share one bucket.
+        ids = [server.submit(im) for im in images]
+        batched = [server.result(i).output for i in ids]
 
-    # Per-request: each request rides its own (padded) bucket.
-    solo = []
-    for im in images:
-        rid = server.submit(im)
-        server.flush()
-        solo.append(server.result(rid).output)
+        # Per-request: each request rides its own (padded) bucket.
+        solo = []
+        for im in images:
+            rid = server.submit(im)
+            server.flush()
+            solo.append(server.result(rid).output)
+    assert {c.backend for c in calls} == {backend}
 
     for a, b in zip(batched, solo):
         np.testing.assert_array_equal(a, b)
@@ -266,6 +273,26 @@ def test_waiter_keeps_exemption_when_another_waiter_gives_up(monkeypatch):
         server.wait_result(ids[0], timeout=0.05)
     server.flush()                         # 5 results, capacity 2
     assert outcome().id == ids[0]
+
+
+def test_wait_result_on_an_evicted_id_raises_at_once(monkeypatch):
+    # Eviction is terminal and known at entry: the waiter must not wait out
+    # its timeout first.  Nor must one on an id that was never issued.
+    from repro.serve import RequestStatus, ResultTimeout
+
+    monkeypatch.setattr(server_module, "RESULT_CAPACITY", 2)
+    server = Server(_model(), input_shapes=[INPUT],
+                    config=ServingPolicy(bucket_sizes=(4,), max_latency=5.0))
+    ids = [server.submit(im) for im in _images(4, seed=24)]  # one bucket, inline
+    assert server.status(ids[0]) == RequestStatus.EVICTED
+    started = time.monotonic()
+    with pytest.raises(ResultTimeout) as exc:
+        server.wait_result(ids[0], timeout=2.0)
+    assert exc.value.status == RequestStatus.EVICTED
+    with pytest.raises(KeyError, match="never issued"):
+        server.wait_result(ids[-1] + 1, timeout=2.0)
+    assert time.monotonic() - started < 1.0
+    assert server.wait_result(ids[-1], timeout=2.0).id == ids[-1]
 
 
 def test_requests_of_unseen_shape_build_cold_plans_but_complete():
