@@ -18,6 +18,19 @@ one registered op pair (``scc_forward`` / ``scc_backward``) parameterised by
 section below.  The DSXplore strategy's segment GEMMs and input-centric pull
 GEMM are direct batched ``np.matmul`` calls on the zero-copy views; see the
 comment above :func:`segment_fwd_gemm`.
+
+Max pooling reads the ``-inf``-padded input through ``k*k`` strided tap
+views (:func:`_pool_windows`) and folds them into the output with in-place
+``np.maximum`` calls: no window copy, no argmax.  The context keeps the
+padded input and the output.  The backward rebuilds first-max masks in
+window order (a tap hits where it equals the max and no earlier tap did),
+which is argmax's choice.  It then adds each tap's masked gradient into a
+strided view of a zeroed buffer, with no ``np.add.at``.  The taps go in
+*reverse* order: tap ``(i, j)`` of output ``(y, x)`` lands on padded cell
+``(y*s + i, x*s + j)``, so a cell hears from later outputs through earlier
+taps, and reverse tap order gives every cell its terms in ascending output
+order.  That is the order of ``np.add.at`` and of the reference loop, so
+grad-input keeps their bits.
 """
 from __future__ import annotations
 
@@ -186,7 +199,7 @@ def _tap_weights(weight: np.ndarray, groups: int, width: int) -> np.ndarray:
     loop."""
     cout, _, kh, kw = weight.shape
     wb = weight.reshape(groups, cout // groups, kh, kw).transpose(2, 3, 0, 1)
-    return np.ascontiguousarray(np.broadcast_to(wb[:, :, None], (kh, kw, width) + wb.shape[2:]))
+    return np.repeat(wb[:, :, None], width, axis=2)
 
 
 def tile_slices(extent: int, tile: int) -> list[slice]:
@@ -417,28 +430,53 @@ def conv2d_backward(
 # Pooling
 # ---------------------------------------------------------------------------
 
+def _pool_windows(xp: np.ndarray, plan: Pool2dPlan) -> list[np.ndarray]:
+    """The ``k*k`` tap views of a padded array in window order: view
+    ``i*k + j`` is a zero-copy strided slice, shaped like the output, that
+    holds tap ``(i, j)`` of every window."""
+    k, s = plan.kernel, plan.stride
+    ho, wo = plan.out_shape[2:]
+    return [
+        xp[:, :, i : i + (ho - 1) * s + 1 : s, j : j + (wo - 1) * s + 1 : s]
+        for i in range(k)
+        for j in range(k)
+    ]
+
+
 @register_kernel("maxpool2d", "numpy")
 def maxpool2d(plan: Pool2dPlan, x: np.ndarray):
-    k = plan.kernel
     xp = pad2d(x, plan.padding, fill=-np.inf)
-    patches = _patch_view(xp, k, k, plan.stride)
-    n, c, ho, wo = patches.shape[:4]
-    flat = patches.reshape(n, c, ho, wo, k * k)
-    argmax = flat.argmax(axis=-1)
-    return flat.max(axis=-1), {"argmax": argmax}
+    first, *rest = _pool_windows(xp, plan)
+    out = first.copy()
+    for win in rest:
+        np.maximum(out, win, out=out)
+    return out, {"xp": xp, "out": out}
 
 
 @register_kernel("maxpool2d_backward", "numpy")
 def maxpool2d_backward(plan: Pool2dPlan, ctx: dict, grad: np.ndarray):
-    k, stride, padding = plan.kernel, plan.stride, plan.padding
-    argmax = ctx["argmax"]
+    xp, out = ctx["xp"], ctx["out"]
+    # First-max masks in window order: a tap hits where it equals its
+    # window's max and no earlier tap did.  A window holding a NaN has a
+    # NaN max, and its hit is its first NaN (argmax's choice).
+    nan = bool(np.isnan(out).any())
+    hits, taken = [], np.zeros(out.shape, dtype=bool)
+    for win in _pool_windows(xp, plan)[:-1]:
+        hit = win == out
+        if nan:
+            hit |= win != win
+        np.greater(hit, taken, out=hit)  # hit & ~taken
+        taken |= hit
+        hits.append(hit)
+    hits.append(~taken)  # every window has exactly one hit
+    # Reverse tap order hands each padded cell its gradients in ascending
+    # output order, the order of np.add.at and of the reference loop.
     gxp = np.zeros(plan.padded_shape, dtype=grad.dtype)
-    ki = argmax // k
-    kj = argmax % k
-    ni, ci, yi, xi = np.indices(grad.shape, sparse=False)
-    rows = yi * stride + ki
-    cols = xi * stride + kj
-    np.add.at(gxp, (ni, ci, rows, cols), grad)
+    finite = bool(np.isfinite(grad).all())
+    for view, hit in zip(reversed(_pool_windows(gxp, plan)), reversed(hits)):
+        # grad * hit would spread an inf gradient through its window as NaN.
+        view += grad * hit if finite else np.where(hit, grad, 0)
+    padding = plan.padding
     if padding:
         gxp = np.ascontiguousarray(gxp[:, :, padding:-padding, padding:-padding])
     return gxp

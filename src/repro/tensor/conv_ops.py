@@ -82,7 +82,12 @@ class Conv2d(Function):
 
 
 class MaxPool2d(Function):
-    """Max pooling with optional padding; supports overlapping windows."""
+    """Max pooling with optional padding; supports overlapping windows.
+
+    Training and inference run one forward.  A window's gradient goes to its
+    first maximal cell, or to its first NaN when it holds one (argmax's
+    choice on every backend).
+    """
 
     def forward(
         self,

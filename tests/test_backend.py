@@ -1,6 +1,8 @@
 """The kernel-backend registry and execution-plan cache."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import (
     REGISTRY,
@@ -180,19 +182,74 @@ def test_conv2d_backends_agree(stride, padding, groups):
     np.testing.assert_allclose(gw_np, gw_ref, rtol=1e-3, atol=1e-4)
 
 
-@pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 0)])
-def test_maxpool_backends_agree(kernel, stride, padding):
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
-    plan = pool2d_plan("max", x.shape, kernel, stride, padding, x.dtype)
-    out_np, ctx_np = get_kernel("maxpool2d", "numpy")(plan, x)
-    out_ref, ctx_ref = get_kernel("maxpool2d", "reference")(plan, x)
-    np.testing.assert_allclose(out_np, out_ref)
-    grad = rng.standard_normal(out_np.shape).astype(np.float32)
-    np.testing.assert_allclose(
-        get_kernel("maxpool2d_backward", "numpy")(plan, ctx_np, grad),
-        get_kernel("maxpool2d_backward", "reference")(plan, ctx_ref, grad),
+def _maxpool(backend, plan, x, grad):
+    out, ctx = get_kernel("maxpool2d", backend)(plan, x)
+    return out, get_kernel("maxpool2d_backward", backend)(plan, ctx, grad)
+
+
+@st.composite
+def maxpool_cases(draw):
+    kernel = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, kernel // 2))
+    # Large enough for at least one output position.
+    size = st.integers(max(1, kernel - 2 * padding), kernel + 7)
+    return dict(
+        shape=(draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(size), draw(size)),
+        kernel=kernel,
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+        dtype=draw(st.sampled_from([np.float32, np.float64])),
+        ties=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**16)),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(maxpool_cases())
+def test_maxpool_numpy_equals_reference(case):
+    """Output and grad-input of numpy equal reference's, ties included (a
+    window's gradient goes to its first max), and a batch row pooled alone
+    equals the same row of the whole batch."""
+    rng = np.random.default_rng(case["seed"])
+    shape, dt = case["shape"], case["dtype"]
+    if case["ties"]:
+        x = rng.integers(-2, 3, shape).astype(dt)
+    else:
+        x = rng.standard_normal(shape).astype(dt)
+    geom = (case["kernel"], case["stride"], case["padding"], x.dtype)
+    plan = pool2d_plan("max", x.shape, *geom)
+    grad = rng.standard_normal(plan.out_shape).astype(dt)
+    out, gx = _maxpool("numpy", plan, x, grad)
+    out_ref, gx_ref = _maxpool("reference", plan, x, grad)
+    assert out.dtype == gx.dtype == dt
+    assert np.array_equal(out, out_ref)
+    assert np.array_equal(gx, gx_ref)
+    row = shape[0] - 1
+    row_plan = pool2d_plan("max", x[row:].shape, *geom)
+    out_row, gx_row = _maxpool("numpy", row_plan, x[row:], grad[row:])
+    assert np.array_equal(out_row, out[row:])
+    assert np.array_equal(gx_row, gx[row:])
+
+
+@pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (3, 1, 1)])
+def test_maxpool_nan_windows_match_reference(kernel, stride, padding):
+    """A window holding a NaN pools to NaN and sends its gradient to its
+    first NaN, as reference's argmax does; an infinite gradient reaches
+    only its window's max."""
+    x = np.random.default_rng(3).standard_normal((2, 1, 4, 4)).astype(np.float32)
+    x[0, 0, 1, 1] = np.nan
+    x[1, 0, 2, 2] = x[1, 0, 2, 3] = np.nan
+    plan = pool2d_plan("max", x.shape, kernel, stride, padding, x.dtype)
+    grad = np.arange(1, np.prod(plan.out_shape) + 1, dtype=np.float32).reshape(plan.out_shape)
+    out, gx = _maxpool("numpy", plan, x, grad)
+    out_ref, gx_ref = _maxpool("reference", plan, x, grad)
+    assert np.isnan(out).any()
+    assert np.array_equal(out, out_ref, equal_nan=True)
+    assert np.array_equal(gx, gx_ref)
+    assert gx[0, 0, 1, 1] > 0 and gx[1, 0, 2, 2] > 0 and gx[1, 0, 2, 3] == 0
+    grad[0, 0, 0, 0], grad[1, 0, 0, 0] = np.inf, -np.inf
+    assert np.array_equal(_maxpool("numpy", plan, x, grad)[1],
+                          _maxpool("reference", plan, x, grad)[1])
 
 
 def test_avgpool_backends_agree():

@@ -9,7 +9,9 @@ Two classes of guarantee:
 - **stats**: the instrumentation counters agree with both the strategy
   definitions (the dsxplore forward materialises 0 bytes, the input-centric
   backward issues 0 scatter updates) and the gpusim analytic kernel model
-  (:mod:`repro.gpusim.crosscheck`).
+  (:mod:`repro.gpusim.crosscheck`).  These tests name the ``numpy``
+  backend: the ``reference`` kernels count nothing, so they hold under any
+  ``REPRO_BACKEND``.
 """
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ def test_conv2d_float32_preserved(backend):
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_dsxplore_forward_materializes_zero_bytes(cfg):
     x, w = _rand32(cfg)
-    stats = run_scc(cfg, x, w)[3]
+    stats = run_scc(cfg, x, w, backend="numpy")[3]
     assert stats.bytes_materialized == 0
     assert stats.scatter_adds == 0
 
@@ -87,7 +89,7 @@ def test_input_centric_no_scatter_output_centric_scatters():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand32(cfg)
     pull, push = (
-        run_scc(cfg, x, w, 1.0, backward_design=design)[3]
+        run_scc(cfg, x, w, 1.0, backward_design=design, backend="numpy")[3]
         for design in ("input_centric", "output_centric")
     )
     assert pull.scatter_adds == 0
@@ -98,7 +100,7 @@ def test_input_centric_no_scatter_output_centric_scatters():
 @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: c.label())
 def test_measured_stats_match_gpusim_analytic_model(cfg):
     """The registry-dispatched kernels and the simulator agree (crosscheck)."""
-    for result in crosscheck_all(cfg, batch=2, hw=4):
+    for result in crosscheck_all(cfg, batch=2, hw=4, backend="numpy"):
         assert result.ok, (
             f"{result.strategy}/{result.backward_design}: {result.failures()}"
         )
@@ -106,8 +108,8 @@ def test_measured_stats_match_gpusim_analytic_model(cfg):
 
 def test_crosscheck_channel_stack_atomics_scale_with_batch():
     cfg = SCCConfig(8, 16, 2, 0.5)
-    r2 = crosscheck_scc_stats(cfg, batch=2, strategy="channel_stack")
-    r4 = crosscheck_scc_stats(cfg, batch=4, strategy="channel_stack")
+    r2 = crosscheck_scc_stats(cfg, batch=2, strategy="channel_stack", backend="numpy")
+    r4 = crosscheck_scc_stats(cfg, batch=4, strategy="channel_stack", backend="numpy")
     assert r2.ok and r4.ok
     assert r4.checks["atomic_ops"][0] == 2 * r2.checks["atomic_ops"][0]
 
@@ -115,7 +117,7 @@ def test_crosscheck_channel_stack_atomics_scale_with_batch():
 def test_stats_reset_between_forward_calls():
     cfg = SCCConfig(8, 16, 2, 0.5)
     x, w = _rand32(cfg)
-    fwd, stats = get_kernel("scc_forward"), KernelStats()
+    fwd, stats = get_kernel("scc_forward", "numpy"), KernelStats()
     fwd(scc_plan(cfg), x, w, strategy="channel_stack", stats=stats)
     first = stats.snapshot()
     stats.reset()
