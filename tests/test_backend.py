@@ -187,6 +187,18 @@ def _maxpool(backend, plan, x, grad):
     return out, get_kernel("maxpool2d_backward", backend)(plan, ctx, grad)
 
 
+@pytest.mark.parametrize("kernel,stride,padding", [(2, 2, 0), (3, 2, 1), (3, 1, 0)])
+def test_maxpool_backends_agree(kernel, stride, padding):
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((2, 3, 8, 8)).astype(np.float32)
+    plan = pool2d_plan("max", x.shape, kernel, stride, padding, x.dtype)
+    grad = rng.standard_normal(plan.out_shape).astype(np.float32)
+    out, gx = _maxpool("numpy", plan, x, grad)
+    out_ref, gx_ref = _maxpool("reference", plan, x, grad)
+    assert np.array_equal(out, out_ref)
+    assert np.array_equal(gx, gx_ref)
+
+
 @st.composite
 def maxpool_cases(draw):
     kernel = draw(st.integers(1, 3))
